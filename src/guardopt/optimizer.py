@@ -141,24 +141,23 @@ class LookupTable:
 
     @classmethod
     def load_csv(cls, path) -> "LookupTable":
+        """Read a table written by save_csv; a damaged row raises ValueError
+        naming the file and line."""
         entries = {}
         with open(path, newline="") as fh:
             header = fh.readline().strip()
             if header != LOOKUP_COLUMNS:
-                raise ValueError(f"unexpected lookup-table header: {header!r}")
-            for line in fh:
-                v = line.strip().split(",")
-                theta = float(v[0])
-                eta_time, eta_freq, eta = float(v[6]), float(v[7]), float(v[8])
-                entries[theta] = GuardAllocation(
-                    alpha=float(v[1]),
-                    gd_samples=int(v[2]),
-                    gb_subcarriers=float(v[4]),
-                    eta_time=eta_time,
-                    eta_freq=eta_freq,
-                    eta=eta,
-                    theta_db=theta,
-                )
+                raise ValueError(f"{path}: unexpected lookup-table header: {header!r}")
+            for lineno, line in enumerate(fh, start=2):
+                fields = line.strip().split(",")
+                try:
+                    theta, alpha, gd, _, gb, _, eta_t, eta_f, eta = fields
+                    entries[float(theta)] = GuardAllocation(
+                        float(alpha), int(gd), float(gb),
+                        float(eta_t), float(eta_f), float(eta), float(theta),
+                    )
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {lineno}: {exc}") from exc
         return cls(entries)
 
 

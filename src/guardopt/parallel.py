@@ -8,9 +8,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 def thread_count() -> int:
     env = os.environ.get("GUARDOPT_THREADS", "")
-    if env:
-        return max(1, int(env))
-    return 1
+    try:
+        return max(1, int(env)) if env else 1
+    except ValueError:
+        raise ValueError(f"GUARDOPT_THREADS must be an integer, got {env!r}") from None
 
 
 def parallel_map(fn, items) -> list:

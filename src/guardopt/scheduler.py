@@ -37,8 +37,12 @@ class UserProfile:
     obw_subcarriers: int
 
     def __post_init__(self):
-        if self.sir_req_db <= 0:
-            raise ValueError("sir_req_db must be positive")
+        if not math.isfinite(self.power_dbm):
+            raise ValueError(f"power_dbm must be finite, got {self.power_dbm}")
+        if not (math.isfinite(self.sir_req_db) and self.sir_req_db > 0):
+            raise ValueError(
+                f"sir_req_db must be positive and finite, got {self.sir_req_db}"
+            )
         if self.obw_subcarriers <= 0:
             raise ValueError("obw_subcarriers must be positive")
         if self.use_case not in USE_CASES:
@@ -86,7 +90,21 @@ def allocate_guards(
 ) -> SchedulePlan:
     """Adaptive per-band guards for a given band ordering."""
     users = tuple(assignment)
-    thetas = theta_for_assignment(users, theta_floor)
+    return _guard_plan(users, theta_for_assignment(users, theta_floor), lookup)
+
+
+def fixed_guard_plan(
+    assignment, lookup: LookupTable, worst_theta: float | None = None
+) -> SchedulePlan:
+    """Every band gets the worst-case guards (default: the table maximum)."""
+    users = tuple(assignment)
+    theta = max(lookup.entries) if worst_theta is None else worst_theta
+    return _guard_plan(users, [theta] * len(users), lookup)
+
+
+def _guard_plan(users: tuple, thetas, lookup: LookupTable) -> SchedulePlan:
+    """Guards from per-band thresholds; each internal boundary is counted once,
+    sized by the larger facing guard band in whole subcarriers."""
     allocs = []
     for u, theta in zip(users, thetas):
         try:
@@ -109,36 +127,11 @@ def allocate_guards(
     )
 
 
-def fixed_guard_plan(
-    assignment, lookup: LookupTable, worst_theta: float | None = None
-) -> SchedulePlan:
-    """Every band gets the worst-case guards (default: the table maximum)."""
-    users = tuple(assignment)
-    if worst_theta is None:
-        worst_theta = max(lookup.entries)
-    alloc = lookup.ceil_lookup(worst_theta)
-    thetas = tuple(worst_theta for _ in users)
-    gb = math.ceil(alloc.gb_subcarriers - 1e-9)
-    boundary = tuple(gb for _ in range(len(users) - 1))
-    return SchedulePlan(
-        assignment=users,
-        theta_per_band=thetas,
-        guard_per_band=tuple(alloc for _ in users),
-        boundary_gb=boundary,
-        total_gd_samples=alloc.gd_samples * len(users),
-        total_gb_subcarriers=sum(boundary),
-    )
-
-
 def schedule_random(users, seed: int) -> list[UserProfile]:
     """Seed-reproducible uniform permutation."""
     users = list(users)
     order = np.random.default_rng(seed).permutation(len(users))
     return [users[i] for i in order]
-
-
-def _plan_cost(users, lookup, theta_floor) -> tuple[int, int]:
-    return allocate_guards(users, lookup, theta_floor).cost
 
 
 def schedule_interference_based(
@@ -163,7 +156,7 @@ def schedule_interference_based(
             )
         best, best_cost = None, None
         for perm in itertools.permutations(users):
-            cost = _plan_cost(perm, lookup, theta_floor)
+            cost = allocate_guards(perm, lookup, theta_floor).cost
             if best_cost is None or cost < best_cost:
                 best, best_cost = perm, cost
         return list(best)
@@ -172,10 +165,10 @@ def schedule_interference_based(
         improved = True
         while improved:
             improved = False
-            cost = _plan_cost(order, lookup, theta_floor)
+            cost = allocate_guards(order, lookup, theta_floor).cost
             for i in range(len(order) - 1):
                 order[i], order[i + 1] = order[i + 1], order[i]
-                trial = _plan_cost(order, lookup, theta_floor)
+                trial = allocate_guards(order, lookup, theta_floor).cost
                 if trial < cost:
                     cost = trial
                     improved = True
@@ -229,21 +222,36 @@ def compare_scenarios(
 
 
 def load_users_yaml(path) -> list[UserProfile]:
-    """User-set file: a `users:` list (or bare list) of per-user mappings."""
+    """User-set file: a `users:` list (or bare list) of per-user mappings.
+
+    Errors name the file, the row (1-based) and the offending key.
+    """
     with open(path) as fh:
         raw = yaml.safe_load(fh)
     if isinstance(raw, dict):
-        raw = raw["users"]
-    return [
-        UserProfile(
-            id=str(u["id"]),
-            power_dbm=float(u["power_dbm"]),
-            sir_req_db=float(u["sir_req_db"]),
-            use_case=str(u["use_case"]),
-            obw_subcarriers=int(u["obw_subcarriers"]),
-        )
-        for u in raw
-    ]
+        raw = raw.get("users")
+    if not isinstance(raw, list):
+        raise ValueError(f"{path}: expected a `users:` list of mappings")
+    users, seen = [], set()
+    for row, u in enumerate(raw, start=1):
+        where = f"{path}: user {row}"
+        try:
+            user = UserProfile(
+                id=str(u["id"]),
+                power_dbm=float(u["power_dbm"]),
+                sir_req_db=float(u["sir_req_db"]),
+                use_case=str(u["use_case"]),
+                obw_subcarriers=int(u["obw_subcarriers"]),
+            )
+        except KeyError as exc:
+            raise ValueError(f"{where}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+        if user.id in seen:
+            raise ValueError(f"{where}: duplicate id {user.id!r}")
+        seen.add(user.id)
+        users.append(user)
+    return users
 
 
 def write_layout_csv(plan: SchedulePlan, path) -> None:

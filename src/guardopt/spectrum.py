@@ -12,10 +12,11 @@ Conventions:
 - Welch segments carry a Hann weighting. A rectangular segment would impose a
   Fejer-kernel leakage floor around -46 dB, swamping the suppression levels
   the guard search has to resolve.
-- The guard search scores suppression as a power-density ratio (victim-band
-  mean density vs in-band mean density), so a threshold protects victims of
-  any bandwidth; for equal-width victims it coincides with the plain
-  integrated power ratio reported by measure_aci.
+- suppression_db is the one suppression metric: in-band mean density over
+  victim-band mean density, so a threshold protects victims of any
+  bandwidth. The guard search bisects it and revalidation re-checks it; for
+  equal-width victims it coincides with the plain integrated power ratio
+  reported by measure_aci.
 """
 from __future__ import annotations
 
@@ -28,6 +29,10 @@ from .numerology import NumerologyConfig, WindowSpec
 from .waveform import symbol_stream
 
 
+OVERSAMPLE = 4  # time-grid factor: the victim band must fit in the PSD span
+SEGMENT_SYMBOLS = 32  # Welch segment length, in oversampled symbols
+
+
 class ThetaUnreachableError(ValueError):
     """Requested suppression cannot be met within the PSD grid span."""
 
@@ -36,12 +41,17 @@ class ThetaUnreachableError(ValueError):
 class PsdEstimate:
     freqs: np.ndarray     # Hz, ascending, uniform
     power_db: np.ndarray  # relative power, mean over the occupied band = 0 dB
-    obw_hz: float         # occupied bandwidth (n_occupied * spacing)
     band_edge_hz: float   # upper edge of the occupied band
 
     @property
     def resolution(self) -> float:
         return float(self.freqs[1] - self.freqs[0])
+
+    @functools.cached_property
+    def in_band_power(self) -> float:
+        """Power over the occupied band: the reference every leakage is scored
+        against, integrated once per estimate."""
+        return band_power(self, -self.band_edge_hz, self.band_edge_hz)
 
     def linear(self) -> np.ndarray:
         return 10.0 ** (self.power_db / 10.0)
@@ -87,9 +97,7 @@ def estimate_psd(
     psd /= psd[in_band].mean()
     # floor guards the log for deep nulls; well below any physical level here
     power_db = 10.0 * np.log10(np.maximum(psd, 1e-300))
-    return PsdEstimate(
-        freqs=freqs, power_db=power_db, obw_hz=cfg.obw_hz, band_edge_hz=edge
-    )
+    return PsdEstimate(freqs=freqs, power_db=power_db, band_edge_hz=edge)
 
 
 def band_edge_hz(cfg: NumerologyConfig) -> float:
@@ -98,20 +106,23 @@ def band_edge_hz(cfg: NumerologyConfig) -> float:
     return (half_hi + 0.5) * cfg.subcarrier_spacing
 
 
-def _cumulative_power(psd: PsdEstimate) -> np.ndarray:
-    """Trapezoidal cumulative integral of the linear PSD over frequency."""
-    p = psd.linear()
-    mids = 0.5 * (p[1:] + p[:-1]) * psd.resolution
-    return np.concatenate([[0.0], np.cumsum(mids)])
+def band_power(psd: PsdEstimate, f_lo: float, f_hi: float) -> float:
+    """Trapezoidal power of the linear PSD over [f_lo, f_hi] Hz.
 
-
-def _band_power(psd: PsdEstimate, cum: np.ndarray, f_lo: float, f_hi: float) -> float:
-    if f_lo < psd.freqs[0] or f_hi > psd.freqs[-1]:
+    Only the bins the band touches are integrated; a partially covered bin
+    contributes its trapezoid area in proportion to the covered width.
+    """
+    freqs = psd.freqs
+    if f_lo < freqs[0] or f_hi > freqs[-1]:
         raise ValueError(
             f"band [{f_lo:.3e}, {f_hi:.3e}] Hz exceeds PSD grid coverage"
         )
-    lo, hi = np.interp([f_lo, f_hi], psd.freqs, cum)
-    return float(hi - lo)
+    lo = int(np.searchsorted(freqs, f_lo, side="right")) - 1
+    hi = int(np.searchsorted(freqs, f_hi, side="left")) + 1
+    p = 10.0 ** (psd.power_db[lo:hi] / 10.0)
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * psd.resolution)])
+    a, b = np.interp([f_lo, f_hi], freqs[lo:hi], cum)
+    return float(b - a)
 
 
 def measure_aci(
@@ -128,46 +139,40 @@ def measure_aci(
     """
     if guard_band < 0:
         raise ValueError("guard_band must be non-negative")
-    cum = _cumulative_power(aggressor_psd)
     edge = aggressor_psd.band_edge_hz
-    in_band = _band_power(aggressor_psd, cum, -edge, edge)
-    victim = _band_power(
-        aggressor_psd, cum, edge + guard_band, edge + guard_band + victim_obw
+    victim = band_power(
+        aggressor_psd, edge + guard_band, edge + guard_band + victim_obw
     )
-    leak_db = 10.0 * np.log10(victim / in_band)
+    leak_db = 10.0 * np.log10(victim / aggressor_psd.in_band_power)
     return AciReport(leak_power_db=leak_db, achieved_sir_db=-leak_db - po)
 
 
 @functools.lru_cache(maxsize=256)
 def windowed_psd(
-    alpha: float,
-    cfg: NumerologyConfig,
-    n_symbols: int = 128,
-    seed: int = 0,
-    oversample: int = 4,
-    segment_symbols: int = 32,
+    alpha: float, cfg: NumerologyConfig, n_symbols: int = 128, seed: int = 0
 ) -> PsdEstimate:
     """PSD of a random-QPSK windowed stream, synthesized oversampled.
 
     Cached per parameter tuple so guard searches across many thresholds reuse
     one estimate per (alpha, seed).
     """
-    ocfg = cfg.oversampled(oversample)
+    ocfg = cfg.oversampled(OVERSAMPLE)
     win = WindowSpec.for_config(alpha, ocfg)
     stream = symbol_stream(ocfg, win, n_symbols, seed)
-    n_segments = stream.size // (segment_symbols * ocfg.n_fft)
+    n_segments = stream.size // (SEGMENT_SYMBOLS * ocfg.n_fft)
     if n_segments < 1:
         raise ValueError("too few symbols for the requested segment length")
-    return estimate_psd(stream, ocfg, n_segments, segment_symbols)
+    return estimate_psd(stream, ocfg, n_segments, SEGMENT_SYMBOLS)
 
 
 def suppression_db(
     psd: PsdEstimate, guard_band_hz: float, victim_obw_hz: float
 ) -> float:
     """Leakage suppression in dB: in-band mean density over victim mean density."""
-    rep = measure_aci(psd, guard_band_hz, victim_obw_hz, 0.0)
-    width_gain = 10.0 * np.log10((2 * psd.band_edge_hz) / victim_obw_hz)
-    return -rep.leak_power_db - width_gain
+    f_lo = psd.band_edge_hz + guard_band_hz
+    victim_density = band_power(psd, f_lo, f_lo + victim_obw_hz) / victim_obw_hz
+    in_band_density = psd.in_band_power / (2 * psd.band_edge_hz)
+    return -10.0 * np.log10(max(victim_density / in_band_density, 1e-300))
 
 
 def required_guard_band(
@@ -175,47 +180,33 @@ def required_guard_band(
     theta: float,
     cfg: NumerologyConfig,
     seed: int = 0,
-    n_symbols: int = 128,
-    oversample: int = 4,
-    segment_symbols: int = 32,
     victim_obw_hz: float | None = None,
     tol_subcarriers: float = 0.01,
 ) -> float:
     """Smallest guard band (subcarriers, fractional) achieving suppression >= theta.
 
-    Suppression is the density-ratio metric of suppression_db against a
-    worst-case one-subcarrier victim slot by default. Bisection over guard
-    band on a Monte-Carlo PSD; raises ThetaUnreachableError when even the
-    largest guard fitting the grid fails.
+    Suppression is suppression_db against a worst-case one-subcarrier victim
+    slot by default. Bisection over guard band on a Monte-Carlo PSD; raises
+    ThetaUnreachableError when even the largest guard fitting the grid fails.
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
-    psd = windowed_psd(alpha, cfg, n_symbols, seed, oversample, segment_symbols)
+    psd = windowed_psd(alpha, cfg, seed=seed)
     victim = cfg.subcarrier_spacing if victim_obw_hz is None else victim_obw_hz
-    cum = _cumulative_power(psd)
-    edge = psd.band_edge_hz
-    in_band_density = _band_power(psd, cum, -edge, edge) / (2 * edge)
-
-    def suppression(gb_hz: float) -> float:
-        victim_density = (
-            _band_power(psd, cum, edge + gb_hz, edge + gb_hz + victim) / victim
-        )
-        return -10.0 * np.log10(max(victim_density / in_band_density, 1e-300))
-
     spacing = cfg.subcarrier_spacing
-    gb_max = psd.freqs[-1] - edge - victim
+    gb_max = psd.freqs[-1] - psd.band_edge_hz - victim
     if gb_max < 0:
         raise ThetaUnreachableError("victim band alone exceeds the PSD grid span")
-    if suppression(0.0) >= theta:
+    if suppression_db(psd, 0.0, victim) >= theta:
         return 0.0
-    if suppression(gb_max) < theta:
+    if suppression_db(psd, gb_max, victim) < theta:
         raise ThetaUnreachableError(
             f"theta={theta} dB unreachable at alpha={alpha} within the grid span"
         )
     lo, hi = 0.0, gb_max
     while (hi - lo) / spacing > tol_subcarriers:
         mid = 0.5 * (lo + hi)
-        if suppression(mid) >= theta:
+        if suppression_db(psd, mid, victim) >= theta:
             hi = mid
         else:
             lo = mid

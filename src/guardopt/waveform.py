@@ -23,8 +23,7 @@ QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2)
 
 @dataclass(frozen=True)
 class OfdmSymbol:
-    data: np.ndarray         # time-domain samples, length n_fft
-    qam_payload: np.ndarray  # constellation points on the occupied subcarriers
+    data: np.ndarray  # time-domain samples, length n_fft
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,7 @@ def modulate_symbol(payload: np.ndarray, cfg: NumerologyConfig) -> OfdmSymbol:
     grid[occupied_bins(cfg)] = payload
     # np.fft.ifft carries 1/N; undo it and normalize by sqrt(#occupied tones)
     data = np.fft.ifft(grid) * (cfg.n_fft / np.sqrt(cfg.n_occupied))
-    return OfdmSymbol(data=data, qam_payload=payload)
+    return OfdmSymbol(data=data)
 
 
 def extend_and_window(

@@ -147,6 +147,31 @@ class TestScheduleCommand:
         assert len(err.strip().splitlines()) == 1
 
 
+    def test_damaged_lookup_cache_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["schedule", "--theta", SCHED_THETA, "--alpha", ALPHA, "--out", str(out)]
+        assert _run(argv) == 0
+        lookup = next(out.glob("lookup_*.csv"))
+        lines = lookup.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 3)[0]  # truncate the second entry
+        lookup.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert _run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+        assert lookup.name in err and "line 3" in err
+
+
+def test_non_integer_threads_names_variable(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("GUARDOPT_THREADS", "two")
+    code = main(
+        ["lookup-build", "--theta", THETA, "--alpha", ALPHA, "--out", str(tmp_path)]
+    )
+    assert code == 1
+    assert "GUARDOPT_THREADS" in capsys.readouterr().err
+
+
 def test_lookup_build_command(tmp_path):
     out = tmp_path / "o"
     code = main(

@@ -60,6 +60,10 @@ class TestUserProfile:
         [
             dict(sir=0.0),
             dict(sir=-5.0),
+            dict(sir=float("nan")),
+            dict(sir=float("inf")),
+            dict(power=float("nan")),
+            dict(power=float("-inf")),
             dict(obw=0),
             dict(case="broadcast"),
         ],
@@ -83,6 +87,39 @@ class TestUserProfile:
         assert [u.id for u in users] == ["u1", "u2"]
         assert users[1].power_dbm == -3.5
         assert users[1].use_case == "mMTC"
+
+
+    def test_yaml_missing_key_names_file_row_key(self, tmp_path):
+        path = tmp_path / "users.yaml"
+        path.write_text(
+            "users:\n"
+            "  - {id: u1, power_dbm: 10, sir_req_db: 20, use_case: eMBB,"
+            " obw_subcarriers: 600}\n"
+            "  - {power_dbm: 1, sir_req_db: 15, use_case: mMTC,"
+            " obw_subcarriers: 72}\n"
+        )
+        with pytest.raises(ValueError) as exc:
+            load_users_yaml(path)
+        msg = str(exc.value)
+        assert str(path) in msg and "user 2" in msg and "'id'" in msg
+
+    def test_yaml_duplicate_id(self, tmp_path):
+        path = tmp_path / "users.yaml"
+        row = ("  - {id: u1, power_dbm: 10, sir_req_db: 20, use_case: eMBB,"
+               " obw_subcarriers: 600}\n")
+        path.write_text("users:\n" + row + row)
+        with pytest.raises(ValueError, match=r"user 2: duplicate id 'u1'") as exc:
+            load_users_yaml(path)
+        assert str(path) in str(exc.value)
+
+    def test_yaml_bad_value_names_row(self, tmp_path):
+        path = tmp_path / "users.yaml"
+        path.write_text(
+            "- {id: u1, power_dbm: .nan, sir_req_db: 20, use_case: eMBB,"
+            " obw_subcarriers: 600}\n"
+        )
+        with pytest.raises(ValueError, match=r"user 1: power_dbm must be finite"):
+            load_users_yaml(path)
 
 
 class TestThetaForAssignment:

@@ -7,6 +7,7 @@ from guardopt.spectrum import (
     PsdEstimate,
     ThetaUnreachableError,
     band_edge_hz,
+    band_power,
     estimate_psd,
     measure_aci,
     required_guard_band,
@@ -22,8 +23,16 @@ def _flat_psd(level_victim_db: float, cfg: NumerologyConfig) -> PsdEstimate:
     edge = band_edge_hz(cfg)
     power = np.full(freqs.size, level_victim_db)
     power[np.abs(freqs) <= edge] = 0.0
-    return PsdEstimate(freqs=freqs, power_db=power, obw_hz=cfg.obw_hz,
-                       band_edge_hz=edge)
+    return PsdEstimate(freqs=freqs, power_db=power, band_edge_hz=edge)
+
+
+def _full_grid_band_power(psd: PsdEstimate, f_lo: float, f_hi: float) -> float:
+    """Reference formula: cumulative trapezoid over the whole grid, then
+    linear interpolation of the cumulative power at both band edges."""
+    p = psd.linear()
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * psd.resolution)])
+    lo, hi = np.interp([f_lo, f_hi], psd.freqs, cum)
+    return float(hi - lo)
 
 
 class TestEstimatePsd:
@@ -131,6 +140,65 @@ class TestMeasureAci:
         assert rep.leak_power_db == pytest.approx(expected, abs=0.1)
 
 
+class TestBandPower:
+    def test_matches_full_grid_formula(self, cfg):
+        # fractional band edges, in band and where leakage is still strong;
+        # farther out the full-grid cumsum loses digits to cancellation
+        psd = windowed_psd(0.1, cfg)
+        edge, s = psd.band_edge_hz, cfg.subcarrier_spacing
+        bands = [
+            (-edge, edge),
+            (-edge - 5.5 * s, -edge + 0.25 * s),
+            (edge + 0.37 * s, edge + 1.3 * s),
+            (edge + 2.71 * s, edge + 3.71 * s),
+            (psd.freqs[0] + 0.4 * psd.resolution, psd.freqs[0] + 2.2 * s),
+        ]
+        for f_lo, f_hi in bands:
+            assert band_power(psd, f_lo, f_hi) == pytest.approx(
+                _full_grid_band_power(psd, f_lo, f_hi), rel=1e-9, abs=0.0
+            )
+
+    def test_grid_aligned_band_is_trapezoid(self, cfg):
+        # far from the band the local sum keeps the precision a
+        # whole-grid cumulative sum would lose
+        psd = windowed_psd(0.1, cfg)
+        lin = psd.linear()
+        for i, j in ((100, 400), (psd.freqs.size - 500, psd.freqs.size - 1)):
+            expected = np.trapezoid(lin[i:j + 1], psd.freqs[i:j + 1])
+            got = band_power(psd, psd.freqs[i], psd.freqs[j])
+            assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_outside_grid_rejected(self, cfg):
+        psd = _flat_psd(-30.0, cfg)
+        with pytest.raises(ValueError, match="grid"):
+            band_power(psd, psd.freqs[0] - 1.0, 0.0)
+
+    def test_in_band_power_is_band_power(self, cfg):
+        psd = windowed_psd(0.05, cfg)
+        edge = psd.band_edge_hz
+        assert psd.in_band_power == band_power(psd, -edge, edge)
+
+
+class TestSuppressionDb:
+    def test_agrees_with_measure_aci(self, cfg):
+        # same leakage, scored as a density ratio: differs from the power
+        # ratio only by the in-band / victim width factor
+        psd = windowed_psd(0.05, cfg)
+        for gb, vic in ((0.0, cfg.subcarrier_spacing),
+                        (3.3 * cfg.subcarrier_spacing, cfg.obw_hz / 4)):
+            leak = measure_aci(psd, gb, vic, 0.0).leak_power_db
+            width_db = 10 * np.log10(2 * psd.band_edge_hz / vic)
+            assert suppression_db(psd, gb, vic) == pytest.approx(
+                -leak - width_db, abs=1e-9
+            )
+
+    def test_flat_floor(self, cfg):
+        psd = _flat_psd(-30.0, cfg)
+        assert suppression_db(
+            psd, cfg.subcarrier_spacing, cfg.subcarrier_spacing
+        ) == pytest.approx(30.0, abs=1e-9)
+
+
 class TestRequiredGuardBand:
     def test_loose_threshold_heavy_window_needs_no_guard(self, cfg):
         assert required_guard_band(0.2, 5.0, cfg) == 0.0
@@ -150,9 +218,9 @@ class TestRequiredGuardBand:
             required_guard_band(0.1, 30.0, cfg, victim_obw_hz=100 * cfg.obw_hz)
 
     def test_unreachable_within_narrow_grid(self, cfg):
-        # base-rate grid cannot host the guard a 45 dB target needs at alpha=0
-        with pytest.raises(ThetaUnreachableError):
-            required_guard_band(0.0, 45.0, cfg, oversample=1)
+        # no guard fitting the grid reaches 300 dB: the largest guard fails
+        with pytest.raises(ThetaUnreachableError, match="within the grid span"):
+            required_guard_band(0.0, 300.0, cfg)
 
     def test_invalid_theta(self, cfg):
         with pytest.raises(ValueError):
