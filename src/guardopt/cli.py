@@ -8,13 +8,14 @@ byte-deterministic under a fixed seed.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
 
-from .numerology import NumerologyConfig
+from .numerology import NumerologyConfig, mapping_value
 from .optimizer import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_THETA_LIST,
@@ -46,19 +47,27 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
+        """Read a YAML config; a bad value's error names the file and key."""
         with open(path) as fh:
             raw = yaml.safe_load(fh) or {}
-        ec = cls(numerology=NumerologyConfig.from_mapping(raw))
-        if "alpha_grid" in raw:
-            ec.alpha_grid = tuple(float(a) for a in raw["alpha_grid"])
-        if "theta_list" in raw:
-            ec.theta_list = tuple(float(t) for t in raw["theta_list"])
-        ec.users = raw.get("users", ec.users)
-        ec.seed = int(raw.get("seed", ec.seed))
-        ec.out_dir = str(raw.get("out_dir", ec.out_dir))
-        ec.psd_symbols = int(raw.get("psd_symbols", ec.psd_symbols))
-        ec.mode = str(raw.get("mode", ec.mode))
+        try:
+            if not isinstance(raw, dict):
+                raise ValueError("expected a mapping of config keys")
+            ec = cls(numerology=NumerologyConfig.from_mapping(raw))
+            ec.alpha_grid = mapping_value(raw, "alpha_grid", _floats, ec.alpha_grid)
+            ec.theta_list = mapping_value(raw, "theta_list", _floats, ec.theta_list)
+            ec.users = raw.get("users", ec.users)
+            ec.seed = mapping_value(raw, "seed", int, ec.seed)
+            ec.out_dir = mapping_value(raw, "out_dir", str, ec.out_dir)
+            ec.psd_symbols = mapping_value(raw, "psd_symbols", int, ec.psd_symbols)
+            ec.mode = mapping_value(raw, "mode", str, ec.mode)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         return ec
+
+
+def _floats(values) -> tuple:
+    return tuple(float(v) for v in values)
 
 
 def _fmt(x: float) -> str:
@@ -89,13 +98,19 @@ def _out_dir(ec: ExperimentConfig) -> Path:
 
 
 def _lookup_for(ec: ExperimentConfig, out: Path) -> LookupTable:
-    """Load a persisted table matching the config hash, or build and persist."""
-    key = config_fingerprint(ec.numerology, ec.alpha_grid, ec.theta_list, ec.seed)
+    """Load a persisted table matching the config hash, or build and persist
+    it through a temporary name outside lookup_*.csv and an atomic rename."""
+    key = config_fingerprint(ec.numerology, ec.alpha_grid, ec.theta_list)
     path = out / f"lookup_{key}.csv"
     if path.exists():
         return LookupTable.load_csv(path)
-    table = build_lookup_table(ec.theta_list, ec.numerology, ec.alpha_grid, ec.seed)
-    table.save_csv(path, ec.numerology)
+    table = build_lookup_table(ec.theta_list, ec.numerology, ec.alpha_grid)
+    tmp = out / f".{path.name}.{os.getpid()}.tmp"
+    try:
+        table.save_csv(tmp, ec.numerology)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return table
 
 
@@ -119,16 +134,16 @@ def cmd_guards(args) -> int:
     with open(out / "guard_curves.csv", "w", newline="") as fh:
         fh.write("theta_db,alpha,gd_samples,gb_subcarriers,eta_time,eta_freq,eta\n")
         for theta in ec.theta_list:
-            for a in efficiency_curve(theta, ec.numerology, ec.alpha_grid, ec.seed):
+            for a in efficiency_curve(theta, ec.numerology, ec.alpha_grid):
                 fh.write(
                     f"{_fmt(theta)},{_fmt(a.alpha)},{a.gd_samples},"
                     f"{a.gb_subcarriers:.6f},{a.eta_time:.8f},"
                     f"{a.eta_freq:.8f},{a.eta:.8f}\n"
                 )
-    table = build_lookup_table(ec.theta_list, ec.numerology, ec.alpha_grid, ec.seed)
+    table = build_lookup_table(ec.theta_list, ec.numerology, ec.alpha_grid)
     table.save_csv(out / "optimal_guards.csv", ec.numerology)
     if args.revalidate:
-        achieved = revalidate(table, ec.numerology, ec.seed)
+        achieved = revalidate(table, ec.numerology)
         for theta, supp in achieved.items():
             status = "ok" if supp >= theta - 0.1 else "VIOLATION"
             print(f"theta={_fmt(theta)} achieved={supp:.2f} dB {status}")

@@ -68,11 +68,23 @@ class NumerologyConfig:
         t_cp_ch_samples); missing keys fall back to defaults."""
         d = cls()
         return cls(
-            n_fft=int(m.get("n_fft", d.n_fft)),
-            n_occupied=int(m.get("n_occupied", d.n_occupied)),
-            subcarrier_spacing=float(m.get("subcarrier_spacing_hz", d.subcarrier_spacing)),
-            t_cp_ch=int(m.get("t_cp_ch_samples", d.t_cp_ch)),
+            n_fft=mapping_value(m, "n_fft", int, d.n_fft),
+            n_occupied=mapping_value(m, "n_occupied", int, d.n_occupied),
+            subcarrier_spacing=mapping_value(
+                m, "subcarrier_spacing_hz", float, d.subcarrier_spacing
+            ),
+            t_cp_ch=mapping_value(m, "t_cp_ch_samples", int, d.t_cp_ch),
         )
+
+
+def mapping_value(m, key: str, convert, default):
+    """convert(m[key]), default if absent; a bad value's error names the key."""
+    if key not in m:
+        return default
+    try:
+        return convert(m[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -94,15 +106,3 @@ class WindowSpec:
     def for_config(cls, alpha: float, cfg: NumerologyConfig) -> "WindowSpec":
         """Taper length = round(alpha * (n_fft + t_cp_ch)), round-half-up."""
         return cls(alpha=alpha, t_cp_win=round_half_up(alpha * (cfg.n_fft + cfg.t_cp_ch)))
-
-
-def samples_to_duration(n: int, cfg: NumerologyConfig) -> float:
-    """Sample count -> seconds."""
-    return n / cfg.sample_rate
-
-
-def subcarriers_to_bandwidth(k: float, cfg: NumerologyConfig) -> float:
-    """Subcarrier count (may be fractional) -> Hz."""
-    if k < 0:
-        raise ValueError("subcarrier count must be non-negative")
-    return k * cfg.subcarrier_spacing

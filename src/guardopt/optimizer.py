@@ -15,6 +15,9 @@ from dataclasses import dataclass
 from .numerology import NumerologyConfig, round_half_up
 from .parallel import parallel_map
 from .spectrum import (
+    OVERSAMPLE,
+    SEGMENT_SYMBOLS,
+    TOL_SUBCARRIERS,
     ThetaUnreachableError,
     required_guard_band,
     suppression_db,
@@ -23,6 +26,8 @@ from .spectrum import (
 
 DEFAULT_ALPHA_GRID = tuple(round(0.005 * i, 3) for i in range(41))  # 0 .. 0.2
 DEFAULT_THETA_LIST = (20.0, 25.0, 30.0, 35.0, 40.0, 45.0)
+# bump when the spectrum model or search changes a table's numbers
+SEARCH_VERSION = "expected-psd-1"
 
 LOOKUP_COLUMNS = (
     "theta_db,alpha,gd_samples,gd_us,gb_subcarriers,gb_hz,eta_time,eta_freq,eta"
@@ -56,10 +61,10 @@ def spectral_efficiency(
 
 
 def _allocation_for_alpha(
-    alpha: float, theta: float, cfg: NumerologyConfig, seed: int
+    alpha: float, theta: float, cfg: NumerologyConfig
 ) -> GuardAllocation | None:
     try:
-        gb = required_guard_band(alpha, theta, cfg, seed=seed)
+        gb = required_guard_band(alpha, theta, cfg)
     except ThetaUnreachableError:
         return None
     gd = round_half_up(alpha * (cfg.n_fft + cfg.t_cp_ch))
@@ -79,13 +84,12 @@ def efficiency_curve(
     theta: float,
     cfg: NumerologyConfig,
     alpha_grid=DEFAULT_ALPHA_GRID,
-    seed: int = 0,
 ) -> list[GuardAllocation]:
     """One allocation per reachable alpha, in grid order."""
     if not alpha_grid:
         raise ValueError("alpha_grid must be non-empty")
     allocs = parallel_map(
-        lambda a: _allocation_for_alpha(a, theta, cfg, seed), alpha_grid
+        lambda a: _allocation_for_alpha(a, theta, cfg), alpha_grid
     )
     curve = [a for a in allocs if a is not None]
     if not curve:
@@ -99,10 +103,9 @@ def optimize_guards(
     theta: float,
     cfg: NumerologyConfig,
     alpha_grid=DEFAULT_ALPHA_GRID,
-    seed: int = 0,
 ) -> GuardAllocation:
     """Max-eta allocation over the alpha grid; ties go to the smaller alpha."""
-    curve = efficiency_curve(theta, cfg, alpha_grid, seed)
+    curve = efficiency_curve(theta, cfg, alpha_grid)
     return max(curve, key=lambda a: (a.eta, -a.alpha))
 
 
@@ -112,10 +115,6 @@ class LookupTable:
     def __init__(self, entries: dict[float, GuardAllocation], failures=None):
         self.entries = dict(sorted(entries.items()))
         self.failures: dict[float, str] = dict(failures or {})
-
-    @property
-    def thetas(self) -> list[float]:
-        return list(self.entries)
 
     def ceil_lookup(self, theta: float) -> GuardAllocation:
         """Entry at the smallest table theta >= the request (conservative)."""
@@ -165,7 +164,6 @@ def build_lookup_table(
     theta_list,
     cfg: NumerologyConfig,
     alpha_grid=DEFAULT_ALPHA_GRID,
-    seed: int = 0,
 ) -> LookupTable:
     """Optimal allocation per threshold; failures recorded, not raised."""
     theta_list = list(theta_list)
@@ -176,28 +174,28 @@ def build_lookup_table(
     entries, failures = {}, {}
     for theta in theta_list:
         try:
-            entries[theta] = optimize_guards(theta, cfg, alpha_grid, seed)
+            entries[theta] = optimize_guards(theta, cfg, alpha_grid)
         except ThetaUnreachableError as exc:
             failures[theta] = str(exc)
     return LookupTable(entries, failures)
 
 
-def revalidate(table: LookupTable, cfg: NumerologyConfig, seed: int = 0) -> dict:
+def revalidate(table: LookupTable, cfg: NumerologyConfig) -> dict:
     """Re-check each entry's suppression through the spectrum path.
 
     Returns theta -> achieved suppression (dB) at the tabulated guard band.
     """
     out = {}
     for theta, a in table.entries.items():
-        psd = windowed_psd(a.alpha, cfg, seed=seed)
+        psd = windowed_psd(a.alpha, cfg)
         out[theta] = suppression_db(
             psd, a.gb_subcarriers * cfg.subcarrier_spacing, cfg.subcarrier_spacing
         )
     return out
 
 
-def config_fingerprint(cfg: NumerologyConfig, alpha_grid, theta_list, seed) -> str:
-    """Content hash keying a persisted lookup table to its build inputs."""
+def config_fingerprint(cfg: NumerologyConfig, alpha_grid, theta_list) -> str:
+    """Content hash keying a persisted lookup table to everything it depends on."""
     payload = json.dumps(
         {
             "n_fft": cfg.n_fft,
@@ -206,7 +204,10 @@ def config_fingerprint(cfg: NumerologyConfig, alpha_grid, theta_list, seed) -> s
             "t_cp_ch": cfg.t_cp_ch,
             "alpha_grid": list(alpha_grid),
             "theta_list": list(theta_list),
-            "seed": seed,
+            "search_version": SEARCH_VERSION,
+            "oversample": OVERSAMPLE,
+            "segment_symbols": SEGMENT_SYMBOLS,
+            "tol_subcarriers": TOL_SUBCARRIERS,
         },
         sort_keys=True,
     )

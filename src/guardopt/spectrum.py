@@ -1,10 +1,10 @@
 # guardopt/spectrum.py
-"""PSD estimation, adjacent-channel leakage measurement, and guard-band search.
+"""PSD models, adjacent-channel leakage measurement, and guard-band search.
 
-Measurement chain: synthesize the full windowed stream on an oversampled time
-grid (the base-rate Nyquist span cannot contain an adjacent victim band for
-dense numerologies), estimate the PSD with an averaged periodogram, then
-integrate leakage over the victim band.
+PSDs live on an oversampled grid (the base-rate Nyquist span cannot contain
+an adjacent victim band for dense numerologies). The guard search runs on the
+closed-form expected PSD; the Welch estimate of one synthesized draw serves
+the psd export and the tests. Leakage is integrated over the victim band.
 
 Conventions:
 - The occupied band edge sits half a subcarrier spacing beyond the outermost
@@ -26,11 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerology import NumerologyConfig, WindowSpec
-from .waveform import symbol_stream
+from .waveform import occupied_bins, pulse_weights, symbol_stream
 
 
 OVERSAMPLE = 4  # time-grid factor: the victim band must fit in the PSD span
 SEGMENT_SYMBOLS = 32  # Welch segment length, in oversampled symbols
+TOL_SUBCARRIERS = 0.01  # guard-band bisection tolerance
 
 
 class ThetaUnreachableError(ValueError):
@@ -71,33 +72,55 @@ def estimate_psd(
 ) -> PsdEstimate:
     """Averaged periodogram: Hann segments, 50% overlap, 4x zero-padded FFT.
 
-    Segment length is segment_symbols * n_fft samples; the stream must hold
-    n_segments * segment_len samples. Normalized so the mean level over the
-    occupied band is exactly 0 dB.
+    Segment length is segment_symbols * n_fft samples and segments hop by half
+    of it; the stream must hold (n_segments - 1) * hop + segment_len samples.
+    Normalized so the mean level over the occupied band is exactly 0 dB.
     """
     if n_segments < 1:
         raise ValueError("n_segments must be positive")
     seg_len = segment_symbols * cfg.n_fft
-    if stream.size < n_segments * seg_len:
-        raise ValueError(
-            f"stream too short: {stream.size} < {n_segments} x {seg_len}"
-        )
-    nfft = 4 * seg_len
     hop = seg_len // 2
+    needed = (n_segments - 1) * hop + seg_len
+    if stream.size < needed:
+        raise ValueError(f"stream too short: {stream.size} < {needed}")
+    nfft = 4 * seg_len
     window = np.hanning(seg_len)
     acc = np.zeros(nfft)
     for i in range(n_segments):
         seg = stream[i * hop:i * hop + seg_len]
         spec = np.fft.fft(seg * window, n=nfft)
         acc += np.abs(spec) ** 2
-    psd = np.fft.fftshift(acc) / n_segments
-    freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / cfg.sample_rate))
+    return _normalized(acc / n_segments, cfg)
+
+
+def _normalized(power: np.ndarray, cfg: NumerologyConfig) -> PsdEstimate:
+    """FFT-ordered power -> PsdEstimate, mean over the occupied band = 0 dB."""
+    psd = np.fft.fftshift(power)
+    freqs = np.fft.fftshift(np.fft.fftfreq(psd.size, d=1.0 / cfg.sample_rate))
     edge = band_edge_hz(cfg)
     in_band = np.abs(freqs) <= edge
     psd /= psd[in_band].mean()
     # floor guards the log for deep nulls; well below any physical level here
     power_db = 10.0 * np.log10(np.maximum(psd, 1e-300))
     return PsdEstimate(freqs=freqs, power_db=power_db, band_edge_hz=edge)
+
+
+def _comb_sum(power: np.ndarray, bins: np.ndarray, step: int) -> np.ndarray:
+    """Sum of np.roll(power, k * step) over the subcarrier bins k.
+
+    Runs of consecutive bins are summed by pairwise doubling: no partial sum
+    is ever subtracted, so far out-of-band bins keep full relative precision
+    (a cumulative sum or FFT convolution is off by 1e-5 at -100 dB).
+    """
+    out = np.zeros_like(power)
+    for run in np.split(bins, np.flatnonzero(np.diff(bins) != 1) + 1):
+        box, width, done = power, 1, 0  # box = sum of `width` adjacent shifts
+        while done < run.size:
+            if run.size & width:
+                out += np.roll(box, (run[0] + done) * step)
+                done += width
+            box, width = box + np.roll(box, width * step), 2 * width
+    return out
 
 
 def band_edge_hz(cfg: NumerologyConfig) -> float:
@@ -149,17 +172,27 @@ def measure_aci(
 
 @functools.lru_cache(maxsize=256)
 def windowed_psd(
-    alpha: float, cfg: NumerologyConfig, n_symbols: int = 128, seed: int = 0
+    alpha: float, cfg: NumerologyConfig, n_symbols: int | None = None, seed: int = 0
 ) -> PsdEstimate:
-    """PSD of a random-QPSK windowed stream, synthesized oversampled.
+    """PSD of the windowed random-QPSK stream on the oversampled Welch grid.
 
-    Cached per parameter tuple so guard searches across many thresholds reuse
-    one estimate per (alpha, seed).
+    n_symbols=None: the expected PSD of i.i.d. zero-mean symbols (seed unused),
+    sum_k |W(f - f_k)|^2 over the occupied subcarriers f_k, W the spectrum of
+    the per-symbol weight pulse (van Waterschoot et al., IEEE SPL 17(4), 2010).
+    An integer n_symbols: the Welch estimate of one seeded draw. Cached so the
+    guard search computes one PSD per alpha.
     """
     ocfg = cfg.oversampled(OVERSAMPLE)
     win = WindowSpec.for_config(alpha, ocfg)
+    seg_len = SEGMENT_SYMBOLS * ocfg.n_fft
+    if n_symbols is None:
+        nfft = 4 * seg_len
+        power = np.abs(np.fft.fft(pulse_weights(ocfg, win.t_cp_win), n=nfft)) ** 2
+        return _normalized(
+            _comb_sum(power, occupied_bins(ocfg), nfft // ocfg.n_fft), ocfg
+        )
     stream = symbol_stream(ocfg, win, n_symbols, seed)
-    n_segments = stream.size // (SEGMENT_SYMBOLS * ocfg.n_fft)
+    n_segments = (stream.size - seg_len) // (seg_len // 2) + 1
     if n_segments < 1:
         raise ValueError("too few symbols for the requested segment length")
     return estimate_psd(stream, ocfg, n_segments, SEGMENT_SYMBOLS)
@@ -179,19 +212,17 @@ def required_guard_band(
     alpha: float,
     theta: float,
     cfg: NumerologyConfig,
-    seed: int = 0,
     victim_obw_hz: float | None = None,
-    tol_subcarriers: float = 0.01,
 ) -> float:
     """Smallest guard band (subcarriers, fractional) achieving suppression >= theta.
 
     Suppression is suppression_db against a worst-case one-subcarrier victim
-    slot by default. Bisection over guard band on a Monte-Carlo PSD; raises
+    slot by default. Bisection over guard band on the expected PSD; raises
     ThetaUnreachableError when even the largest guard fitting the grid fails.
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
-    psd = windowed_psd(alpha, cfg, seed=seed)
+    psd = windowed_psd(alpha, cfg)
     victim = cfg.subcarrier_spacing if victim_obw_hz is None else victim_obw_hz
     spacing = cfg.subcarrier_spacing
     gb_max = psd.freqs[-1] - psd.band_edge_hz - victim
@@ -204,7 +235,7 @@ def required_guard_band(
             f"theta={theta} dB unreachable at alpha={alpha} within the grid span"
         )
     lo, hi = 0.0, gb_max
-    while (hi - lo) / spacing > tol_subcarriers:
+    while (hi - lo) / spacing > TOL_SUBCARRIERS:
         mid = 0.5 * (lo + hi)
         if suppression_db(psd, mid, victim) >= theta:
             hi = mid

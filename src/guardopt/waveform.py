@@ -101,10 +101,15 @@ def extend_and_window(
     prefix = body[cfg.n_fft - cfg.t_cp_ch - L:]
     suffix = body[:L]
     ext = np.concatenate([prefix, body, suffix])
-    weights = np.concatenate(
-        [rising_taper(L), np.ones(cfg.t_cp_ch + cfg.n_fft), falling_taper(L)]
+    return WindowedSymbol(samples=ext * pulse_weights(cfg, L), ramp_len=L)
+
+
+def pulse_weights(cfg: NumerologyConfig, ramp_len: int) -> np.ndarray:
+    """Per-symbol weights: RC ramps of ramp_len around a unit CP and body."""
+    return np.concatenate(
+        [rising_taper(ramp_len), np.ones(cfg.t_cp_ch + cfg.n_fft),
+         falling_taper(ramp_len)]
     )
-    return WindowedSymbol(samples=ext * weights, ramp_len=L)
 
 
 def overlap_add(symbols) -> np.ndarray:
@@ -145,9 +150,3 @@ def symbol_stream(
         extend_and_window(modulate_symbol(p, cfg), cfg, win) for p in payloads
     ]
     return overlap_add(windowed)
-
-
-def dump_iq(stream: np.ndarray, path) -> None:
-    """Write little-endian interleaved float32 I/Q pairs."""
-    with open(path, "wb") as fh:
-        fh.write(np.asarray(stream, dtype="<c8").tobytes())

@@ -41,6 +41,19 @@ class TestConfigLoading:
         ec = ExperimentConfig.load(path)
         assert ec.numerology.n_fft == 1024
 
+    @pytest.mark.parametrize(
+        "text, key", [("seed: abc\n", "seed"), ("n_fft: [1]\n", "n_fft")]
+    )
+    def test_bad_value_names_file_and_key(self, tmp_path, capsys, text, key):
+        path = tmp_path / "exp.yaml"
+        path.write_text(text)
+        code = main(["lookup-build", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+        assert str(path) in err and key in err
+
 
 class TestPsdCommand:
     def test_writes_one_file_per_alpha(self, tmp_path):
@@ -90,6 +103,17 @@ class TestGuardsCommand:
         captured = capsys.readouterr().out
         assert "ok" in captured
         assert "VIOLATION" not in captured
+
+    def test_revalidate_independent_of_seed(self, tmp_path, capsys):
+        # the guard search runs on the expected PSD, which has no seed
+        outputs = []
+        for seed in ("0", "1"):
+            out = tmp_path / seed
+            argv = ["guards", "--theta", THETA, "--alpha", ALPHA, "--revalidate",
+                    "--seed", seed, "--out", str(out)]
+            assert _run(argv) == 0
+            outputs.append((capsys.readouterr().out, _read_csvs(out)))
+        assert outputs[0] == outputs[1]
 
 
 SCHED_THETA = "20,30,45"
@@ -178,7 +202,27 @@ def test_lookup_build_command(tmp_path):
         ["lookup-build", "--theta", THETA, "--alpha", ALPHA, "--out", str(out)]
     )
     assert code == 0
+    # written through a temporary file that is renamed into place
+    assert [p.name for p in out.iterdir()] == [
+        p.name for p in out.glob("lookup_*.csv")
+    ]
     assert len(list(out.glob("lookup_*.csv"))) == 1
+
+
+def test_failed_lookup_write_leaves_no_file(tmp_path, monkeypatch, capsys):
+    from guardopt.optimizer import LookupTable
+
+    def half_written(self, path, cfg):
+        with open(path, "w") as fh:
+            fh.write("theta_db,")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(LookupTable, "save_csv", half_written)
+    out = tmp_path / "o"
+    code = main(["lookup-build", "--theta", THETA, "--alpha", ALPHA, "--out", str(out)])
+    assert code == 1
+    assert "disk full" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_unknown_command_usage_error():

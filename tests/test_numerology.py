@@ -1,13 +1,6 @@
 import pytest
-from hypothesis import given, strategies as st
 
-from guardopt.numerology import (
-    NumerologyConfig,
-    WindowSpec,
-    round_half_up,
-    samples_to_duration,
-    subcarriers_to_bandwidth,
-)
+from guardopt.numerology import NumerologyConfig, WindowSpec, round_half_up
 
 
 def test_sample_rate_derived(cfg):
@@ -33,36 +26,6 @@ def test_obw(cfg):
 def test_invalid_configs(kwargs):
     with pytest.raises(ValueError):
         NumerologyConfig(**kwargs)
-
-
-def test_samples_to_duration_zero(cfg):
-    assert samples_to_duration(0, cfg) == 0.0
-
-
-def test_samples_to_duration_one_symbol(cfg):
-    # one FFT worth of samples spans the reciprocal of the spacing
-    assert samples_to_duration(cfg.n_fft, cfg) == pytest.approx(
-        1.0 / cfg.subcarrier_spacing
-    )
-
-
-def test_samples_to_duration_direct():
-    cfg = NumerologyConfig(n_fft=1024, subcarrier_spacing=15e3)
-    assert samples_to_duration(512, cfg) == pytest.approx(33.33e-6, rel=1e-3)
-
-
-def test_subcarriers_to_bandwidth(cfg):
-    assert subcarriers_to_bandwidth(0, cfg) == 0.0
-    assert subcarriers_to_bandwidth(1, cfg) == pytest.approx(15e3)
-    assert subcarriers_to_bandwidth(300, cfg) == pytest.approx(4.5e6)
-    with pytest.raises(ValueError):
-        subcarriers_to_bandwidth(-1, cfg)
-
-
-@given(st.integers(min_value=0, max_value=10**6))
-def test_bandwidth_round_trip(k):
-    cfg = NumerologyConfig()
-    assert subcarriers_to_bandwidth(k, cfg) / cfg.subcarrier_spacing == pytest.approx(k)
 
 
 def test_round_half_up():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from guardopt.numerology import NumerologyConfig, round_half_up
 from guardopt.optimizer import (
+    DEFAULT_ALPHA_GRID,
     GuardAllocation,
     LookupTable,
     build_lookup_table,
@@ -12,7 +14,7 @@ from guardopt.optimizer import (
     revalidate,
     spectral_efficiency,
 )
-from guardopt.spectrum import required_guard_band
+from guardopt.spectrum import TOL_SUBCARRIERS, required_guard_band
 
 # coarse grid keeps the PSD cache small; acceptance runs the full default grid
 ALPHAS = (0.0, 0.02, 0.05, 0.1, 0.2)
@@ -164,11 +166,43 @@ class TestLookupTable:
 
 
 def test_config_fingerprint_sensitivity(cfg):
-    a = config_fingerprint(cfg, ALPHAS, THETAS, 0)
-    assert a == config_fingerprint(cfg, ALPHAS, THETAS, 0)
-    assert a != config_fingerprint(cfg, ALPHAS, THETAS, 1)
-    assert a != config_fingerprint(cfg, ALPHAS, [20.0], 0)
-    assert a != config_fingerprint(NumerologyConfig(t_cp_ch=80), ALPHAS, THETAS, 0)
+    a = config_fingerprint(cfg, ALPHAS, THETAS)
+    assert a == config_fingerprint(cfg, ALPHAS, THETAS)
+    assert a != config_fingerprint(cfg, ALPHAS, [20.0])
+    assert a != config_fingerprint(cfg, ALPHAS[:-1], THETAS)
+    assert a != config_fingerprint(NumerologyConfig(t_cp_ch=80), ALPHAS, THETAS)
+
+
+@pytest.mark.parametrize(
+    "name", ["SEARCH_VERSION", "OVERSAMPLE", "SEGMENT_SYMBOLS", "TOL_SUBCARRIERS"]
+)
+def test_config_fingerprint_covers_search(cfg, monkeypatch, name):
+    # a table built by another spectrum model or search is never served
+    import guardopt.optimizer as opt
+
+    before = config_fingerprint(cfg, ALPHAS, THETAS)
+    monkeypatch.setattr(opt, name, getattr(opt, name) * 2)
+    assert config_fingerprint(cfg, ALPHAS, THETAS) != before
+
+
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(
+    st.sampled_from(DEFAULT_ALPHA_GRID),
+    st.sampled_from(DEFAULT_ALPHA_GRID),
+    st.floats(15.0, 45.0),
+    st.floats(15.0, 45.0),
+)
+def test_guard_band_monotone(a0, a1, t0, t1):
+    # non-increasing in alpha, non-decreasing in theta, to the bisection
+    # tolerance
+    cfg = NumerologyConfig()
+    (a0, a1), (t0, t1) = sorted((a0, a1)), sorted((t0, t1))
+    assert required_guard_band(a1, t0, cfg) <= (
+        required_guard_band(a0, t0, cfg) + TOL_SUBCARRIERS
+    )
+    assert required_guard_band(a0, t1, cfg) >= (
+        required_guard_band(a0, t0, cfg) - TOL_SUBCARRIERS
+    )
 
 
 def test_guard_allocation_product_invariant(cfg):

@@ -3,6 +3,8 @@ import pytest
 
 from guardopt.numerology import NumerologyConfig, WindowSpec
 from guardopt.spectrum import (
+    OVERSAMPLE,
+    SEGMENT_SYMBOLS,
     AciReport,
     PsdEstimate,
     ThetaUnreachableError,
@@ -14,7 +16,12 @@ from guardopt.spectrum import (
     suppression_db,
     windowed_psd,
 )
-from guardopt.waveform import symbol_stream
+from guardopt.waveform import (
+    falling_taper,
+    occupied_bins,
+    rising_taper,
+    symbol_stream,
+)
 
 
 def _flat_psd(level_victim_db: float, cfg: NumerologyConfig) -> PsdEstimate:
@@ -234,6 +241,57 @@ class TestRequiredGuardBand:
             psd, gb * cfg.subcarrier_spacing, cfg.subcarrier_spacing
         )
         assert achieved >= theta - 0.1
+
+
+class TestExpectedPsd:
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    def test_matches_roll_loop(self, cfg, alpha):
+        # reference: the pulse spectrum shifted onto every occupied
+        # subcarrier and summed term by term
+        ocfg = cfg.oversampled(OVERSAMPLE)
+        L = WindowSpec.for_config(alpha, ocfg).t_cp_win
+        pulse = np.concatenate(
+            [rising_taper(L), np.ones(ocfg.t_cp_ch + ocfg.n_fft), falling_taper(L)]
+        )
+        nfft = 4 * SEGMENT_SYMBOLS * ocfg.n_fft
+        power = np.abs(np.fft.fft(pulse, n=nfft)) ** 2
+        ref = np.zeros(nfft)
+        for k in occupied_bins(ocfg):
+            ref += np.roll(power, k * (nfft // ocfg.n_fft))
+        ref = np.fft.fftshift(ref)
+        psd = windowed_psd(alpha, cfg)
+        ref /= ref[np.abs(psd.freqs) <= psd.band_edge_hz].mean()
+        keep = ref > 1e-10  # above -100 dB
+        assert keep.sum() > 0.1 * nfft
+        np.testing.assert_allclose(psd.linear()[keep], ref[keep], rtol=1e-9, atol=0)
+
+    def test_welch_mean_converges(self, small_cfg):
+        # the mean of many Welch draws estimates the expected PSD
+        draws = [windowed_psd(0.05, small_cfg, 128, seed) for seed in range(16)]
+        mean = np.mean([d.linear() for d in draws], axis=0)
+        avg = PsdEstimate(draws[0].freqs, 10 * np.log10(mean), draws[0].band_edge_hz)
+        expected = windowed_psd(0.05, small_cfg)
+        s = small_cfg.subcarrier_spacing
+        for gb in (0, 2, 5):
+            assert suppression_db(avg, gb * s, s) == pytest.approx(
+                suppression_db(expected, gb * s, s), abs=0.3
+            )
+
+
+def test_welch_uses_every_overlapped_segment(small_cfg, monkeypatch):
+    import guardopt.spectrum as spectrum
+
+    seen, real = [], spectrum.estimate_psd
+
+    def spy(stream, cfg, n_segments, segment_symbols):
+        seen.append((stream.size, n_segments, segment_symbols * cfg.n_fft))
+        return real(stream, cfg, n_segments, segment_symbols)
+
+    monkeypatch.setattr(spectrum, "estimate_psd", spy)
+    spectrum.windowed_psd.__wrapped__(0.1, small_cfg, n_symbols=128)
+    (size, n, seg_len), = seen
+    hop = seg_len // 2
+    assert (n - 1) * hop + seg_len <= size < n * hop + seg_len
 
 
 def test_windowed_psd_cached_identity(cfg):

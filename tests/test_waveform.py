@@ -220,14 +220,3 @@ def test_symbol_stream_deterministic(small_cfg):
 def test_qpsk_constellation_unit_power():
     assert np.allclose(np.abs(QPSK), 1.0)
 
-
-def test_dump_iq_roundtrip(tmp_path, small_cfg):
-    from guardopt.waveform import dump_iq
-
-    win = WindowSpec.for_config(0.05, small_cfg)
-    stream = symbol_stream(small_cfg, win, 3, seed=0)
-    path = tmp_path / "stream.iq"
-    dump_iq(stream, path)
-    back = np.frombuffer(path.read_bytes(), dtype="<c8")
-    assert back.size == stream.size
-    assert np.allclose(back, stream, atol=1e-6)
