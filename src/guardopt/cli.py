@@ -13,14 +13,14 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
-from .numerology import NumerologyConfig, mapping_value
+from .numerology import NumerologyConfig, load_yaml, mapping_value
 from .optimizer import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_THETA_LIST,
     LookupTable,
+    best_allocation,
     build_lookup_table,
+    checked_theta_list,
     config_fingerprint,
     efficiency_curve,
     revalidate,
@@ -48,8 +48,7 @@ class ExperimentConfig:
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
         """Read a YAML config; a bad value's error names the file and key."""
-        with open(path) as fh:
-            raw = yaml.safe_load(fh) or {}
+        raw = load_yaml(path) or {}
         try:
             if not isinstance(raw, dict):
                 raise ValueError("expected a mapping of config keys")
@@ -130,17 +129,20 @@ def cmd_guards(args) -> int:
     if not ec.theta_list:
         print("error: empty theta list", file=sys.stderr)
         return 2
+    thetas = checked_theta_list(ec.theta_list)
     out = _out_dir(ec)
+    # one pass: the table is the optimum of each curve written
+    curves = {t: efficiency_curve(t, ec.numerology, ec.alpha_grid) for t in thetas}
     with open(out / "guard_curves.csv", "w", newline="") as fh:
         fh.write("theta_db,alpha,gd_samples,gb_subcarriers,eta_time,eta_freq,eta\n")
-        for theta in ec.theta_list:
-            for a in efficiency_curve(theta, ec.numerology, ec.alpha_grid):
+        for theta, curve in curves.items():
+            for a in curve:
                 fh.write(
                     f"{_fmt(theta)},{_fmt(a.alpha)},{a.gd_samples},"
                     f"{a.gb_subcarriers:.6f},{a.eta_time:.8f},"
                     f"{a.eta_freq:.8f},{a.eta:.8f}\n"
                 )
-    table = build_lookup_table(ec.theta_list, ec.numerology, ec.alpha_grid)
+    table = LookupTable({t: best_allocation(c) for t, c in curves.items()})
     table.save_csv(out / "optimal_guards.csv", ec.numerology)
     if args.revalidate:
         achieved = revalidate(table, ec.numerology)
@@ -156,8 +158,15 @@ def cmd_lookup_build(args) -> int:
     ec = _load_config(args)
     out = _out_dir(ec)
     table = _lookup_for(ec, out)
-    for theta, reason in table.failures.items():
-        print(f"theta={_fmt(theta)}: absent ({reason})", file=sys.stderr)
+    # from the entries, not table.failures: a table loaded from the cache
+    # keeps no failures, and its thetas are the stored, %.6g-formatted ones
+    stored = {_fmt(t) for t in table.entries}
+    for theta in ec.theta_list:
+        if _fmt(theta) not in stored:
+            print(
+                f"theta={_fmt(theta)}: absent (unreachable at every alpha in the grid)",
+                file=sys.stderr,
+            )
     return 0
 
 

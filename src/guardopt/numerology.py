@@ -1,5 +1,5 @@
 # guardopt/numerology.py
-"""Fixed waveform parameters and unit conversions.
+"""Fixed waveform parameters, unit conversions and config-file reading.
 
 Conventions:
 - Durations are stored in samples internally; seconds are a presentation
@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import yaml
 
 
 def round_half_up(x: float) -> int:
@@ -85,6 +87,19 @@ def mapping_value(m, key: str, convert, default):
         return convert(m[key])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{key}: {exc}") from None
+
+
+def load_yaml(path):
+    """Parse a YAML file; malformed YAML raises a one-line ValueError naming
+    the file and, when the parser knows it, the line and column."""
+    with open(path) as fh:
+        try:
+            return yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = f", line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+            problem = " ".join(str(getattr(exc, "problem", None) or exc).split())
+            raise ValueError(f"{path}{where}: malformed YAML: {problem}") from None
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,12 @@ alpha (less time-domain overhead).
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
 
-from .numerology import NumerologyConfig, round_half_up
+from .numerology import NumerologyConfig, WindowSpec
 from .parallel import parallel_map
 from .spectrum import (
     OVERSAMPLE,
@@ -67,7 +68,7 @@ def _allocation_for_alpha(
         gb = required_guard_band(alpha, theta, cfg)
     except ThetaUnreachableError:
         return None
-    gd = round_half_up(alpha * (cfg.n_fft + cfg.t_cp_ch))
+    gd = WindowSpec.for_config(alpha, cfg).t_cp_win
     eta_time, eta_freq, eta = spectral_efficiency(gd, gb, cfg)
     return GuardAllocation(
         alpha=alpha,
@@ -105,7 +106,11 @@ def optimize_guards(
     alpha_grid=DEFAULT_ALPHA_GRID,
 ) -> GuardAllocation:
     """Max-eta allocation over the alpha grid; ties go to the smaller alpha."""
-    curve = efficiency_curve(theta, cfg, alpha_grid)
+    return best_allocation(efficiency_curve(theta, cfg, alpha_grid))
+
+
+def best_allocation(curve) -> GuardAllocation:
+    """The optimum of an efficiency curve: max eta, ties to the smaller alpha."""
     return max(curve, key=lambda a: (a.eta, -a.alpha))
 
 
@@ -166,18 +171,23 @@ def build_lookup_table(
     alpha_grid=DEFAULT_ALPHA_GRID,
 ) -> LookupTable:
     """Optimal allocation per threshold; failures recorded, not raised."""
-    theta_list = list(theta_list)
-    if not theta_list:
-        raise ValueError("theta_list must be non-empty")
-    if sorted(theta_list) != theta_list:
-        raise ValueError("theta_list must be sorted ascending")
     entries, failures = {}, {}
-    for theta in theta_list:
+    for theta in checked_theta_list(theta_list):
         try:
             entries[theta] = optimize_guards(theta, cfg, alpha_grid)
         except ThetaUnreachableError as exc:
             failures[theta] = str(exc)
     return LookupTable(entries, failures)
+
+
+def checked_theta_list(theta_list) -> list:
+    """theta_list as a list; raises ValueError unless non-empty and ascending."""
+    theta_list = list(theta_list)
+    if not theta_list:
+        raise ValueError("theta_list must be non-empty")
+    if sorted(theta_list) != theta_list:
+        raise ValueError("theta_list must be sorted ascending")
+    return theta_list
 
 
 def revalidate(table: LookupTable, cfg: NumerologyConfig) -> dict:
@@ -198,10 +208,7 @@ def config_fingerprint(cfg: NumerologyConfig, alpha_grid, theta_list) -> str:
     """Content hash keying a persisted lookup table to everything it depends on."""
     payload = json.dumps(
         {
-            "n_fft": cfg.n_fft,
-            "n_occupied": cfg.n_occupied,
-            "subcarrier_spacing": cfg.subcarrier_spacing,
-            "t_cp_ch": cfg.t_cp_ch,
+            **dataclasses.asdict(cfg),
             "alpha_grid": list(alpha_grid),
             "theta_list": list(theta_list),
             "search_version": SEARCH_VERSION,

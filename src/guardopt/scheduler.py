@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import yaml
 
+from .numerology import load_yaml
 from .optimizer import GuardAllocation, LookupTable
 
 USE_CASES = ("eMBB", "mMTC", "URLLC")
@@ -93,13 +93,10 @@ def allocate_guards(
     return _guard_plan(users, theta_for_assignment(users, theta_floor), lookup)
 
 
-def fixed_guard_plan(
-    assignment, lookup: LookupTable, worst_theta: float | None = None
-) -> SchedulePlan:
-    """Every band gets the worst-case guards (default: the table maximum)."""
+def fixed_guard_plan(assignment, lookup: LookupTable) -> SchedulePlan:
+    """Every band gets the worst-case guards: those of the table maximum."""
     users = tuple(assignment)
-    theta = max(lookup.entries) if worst_theta is None else worst_theta
-    return _guard_plan(users, [theta] * len(users), lookup)
+    return _guard_plan(users, [max(lookup.entries)] * len(users), lookup)
 
 
 def _guard_plan(users: tuple, thetas, lookup: LookupTable) -> SchedulePlan:
@@ -196,11 +193,10 @@ def compare_scenarios(
     lookup: LookupTable,
     mode: str = "exhaustive",
     theta_floor: float = 0.0,
-    worst_theta: float | None = None,
 ) -> list[ScenarioRow]:
     """Fixed/random vs adaptive/random vs adaptive/interference-based guards."""
     random_order = schedule_random(users, seed)
-    fixed = fixed_guard_plan(random_order, lookup, worst_theta)
+    fixed = fixed_guard_plan(random_order, lookup)
     adaptive = allocate_guards(random_order, lookup, theta_floor)
     scheduled_order = schedule_interference_based(users, lookup, mode, theta_floor)
     scheduled = allocate_guards(scheduled_order, lookup, theta_floor)
@@ -226,8 +222,7 @@ def load_users_yaml(path) -> list[UserProfile]:
 
     Errors name the file, the row (1-based) and the offending key.
     """
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
+    raw = load_yaml(path)
     if isinstance(raw, dict):
         raw = raw.get("users")
     if not isinstance(raw, list):

@@ -40,13 +40,23 @@ class ThetaUnreachableError(ValueError):
 
 @dataclass(frozen=True)
 class PsdEstimate:
-    freqs: np.ndarray     # Hz, ascending, uniform
-    power_db: np.ndarray  # relative power, mean over the occupied band = 0 dB
-    band_edge_hz: float   # upper edge of the occupied band
+    freqs: np.ndarray    # Hz, ascending, uniform; one shared array per grid
+    power: np.ndarray    # linear, mean over the occupied band = 1
+    band_edge_hz: float  # upper edge of the occupied band
+
+    def __post_init__(self):
+        # read-only: a grid is shared between estimates, and estimates are cached
+        self.freqs.flags.writeable = False
+        self.power.flags.writeable = False
 
     @property
     def resolution(self) -> float:
         return float(self.freqs[1] - self.freqs[0])
+
+    @property
+    def power_db(self) -> np.ndarray:
+        """Relative power in dB (occupied-band mean = 0 dB), derived on demand."""
+        return _to_db(self.power)
 
     @functools.cached_property
     def in_band_power(self) -> float:
@@ -55,7 +65,7 @@ class PsdEstimate:
         return band_power(self, -self.band_edge_hz, self.band_edge_hz)
 
     def linear(self) -> np.ndarray:
-        return 10.0 ** (self.power_db / 10.0)
+        return self.power
 
 
 @dataclass(frozen=True)
@@ -93,16 +103,25 @@ def estimate_psd(
     return _normalized(acc / n_segments, cfg)
 
 
+def _to_db(power):
+    """10 log10 of a power ratio; the floor keeps deep nulls and all-zero
+    bands finite and lies well below any physical level here."""
+    return 10.0 * np.log10(np.maximum(power, 1e-300))
+
+
+@functools.lru_cache(maxsize=8)
+def _frequency_grid(size: int, sample_rate: float) -> np.ndarray:
+    """Ascending FFT bin frequencies in Hz, one array per grid."""
+    return np.fft.fftshift(np.fft.fftfreq(size, d=1.0 / sample_rate))
+
+
 def _normalized(power: np.ndarray, cfg: NumerologyConfig) -> PsdEstimate:
-    """FFT-ordered power -> PsdEstimate, mean over the occupied band = 0 dB."""
+    """FFT-ordered power -> PsdEstimate, mean over the occupied band = 1."""
     psd = np.fft.fftshift(power)
-    freqs = np.fft.fftshift(np.fft.fftfreq(psd.size, d=1.0 / cfg.sample_rate))
+    freqs = _frequency_grid(psd.size, cfg.sample_rate)
     edge = band_edge_hz(cfg)
-    in_band = np.abs(freqs) <= edge
-    psd /= psd[in_band].mean()
-    # floor guards the log for deep nulls; well below any physical level here
-    power_db = 10.0 * np.log10(np.maximum(psd, 1e-300))
-    return PsdEstimate(freqs=freqs, power_db=power_db, band_edge_hz=edge)
+    psd /= psd[np.abs(freqs) <= edge].mean()
+    return PsdEstimate(freqs=freqs, power=psd, band_edge_hz=edge)
 
 
 def _comb_sum(power: np.ndarray, bins: np.ndarray, step: int) -> np.ndarray:
@@ -142,7 +161,7 @@ def band_power(psd: PsdEstimate, f_lo: float, f_hi: float) -> float:
         )
     lo = int(np.searchsorted(freqs, f_lo, side="right")) - 1
     hi = int(np.searchsorted(freqs, f_hi, side="left")) + 1
-    p = 10.0 ** (psd.power_db[lo:hi] / 10.0)
+    p = psd.power[lo:hi]
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * psd.resolution)])
     a, b = np.interp([f_lo, f_hi], freqs[lo:hi], cum)
     return float(b - a)
@@ -166,7 +185,7 @@ def measure_aci(
     victim = band_power(
         aggressor_psd, edge + guard_band, edge + guard_band + victim_obw
     )
-    leak_db = 10.0 * np.log10(victim / aggressor_psd.in_band_power)
+    leak_db = _to_db(victim / aggressor_psd.in_band_power)
     return AciReport(leak_power_db=leak_db, achieved_sir_db=-leak_db - po)
 
 
@@ -205,26 +224,20 @@ def suppression_db(
     f_lo = psd.band_edge_hz + guard_band_hz
     victim_density = band_power(psd, f_lo, f_lo + victim_obw_hz) / victim_obw_hz
     in_band_density = psd.in_band_power / (2 * psd.band_edge_hz)
-    return -10.0 * np.log10(max(victim_density / in_band_density, 1e-300))
+    return -_to_db(victim_density / in_band_density)
 
 
-def required_guard_band(
-    alpha: float,
-    theta: float,
-    cfg: NumerologyConfig,
-    victim_obw_hz: float | None = None,
-) -> float:
+def required_guard_band(alpha: float, theta: float, cfg: NumerologyConfig) -> float:
     """Smallest guard band (subcarriers, fractional) achieving suppression >= theta.
 
     Suppression is suppression_db against a worst-case one-subcarrier victim
-    slot by default. Bisection over guard band on the expected PSD; raises
+    slot. Bisection over guard band on the expected PSD; raises
     ThetaUnreachableError when even the largest guard fitting the grid fails.
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
     psd = windowed_psd(alpha, cfg)
-    victim = cfg.subcarrier_spacing if victim_obw_hz is None else victim_obw_hz
-    spacing = cfg.subcarrier_spacing
+    victim = spacing = cfg.subcarrier_spacing
     gb_max = psd.freqs[-1] - psd.band_edge_hz - victim
     if gb_max < 0:
         raise ThetaUnreachableError("victim band alone exceeds the PSD grid span")

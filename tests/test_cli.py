@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import guardopt.optimizer as optimizer
 from guardopt.cli import ExperimentConfig, main
+from guardopt.numerology import NumerologyConfig
 
 # cheap but non-trivial settings shared across CLI runs
 THETA = "20,30"
@@ -54,6 +56,17 @@ class TestConfigLoading:
         assert len(err.strip().splitlines()) == 1
         assert str(path) in err and key in err
 
+    @pytest.mark.parametrize("flag", ["--config", "--users"])
+    def test_malformed_yaml_names_file(self, tmp_path, capsys, flag):
+        path = tmp_path / "broken.yaml"
+        path.write_text("seed: [1\n")
+        code = main(["schedule", flag, str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+        assert str(path) in err and "malformed YAML" in err
+
 
 class TestPsdCommand:
     def test_writes_one_file_per_alpha(self, tmp_path):
@@ -85,6 +98,34 @@ class TestGuardsCommand:
         csv_a, csv_b = _read_csvs(out_a), _read_csvs(out_b)
         assert set(csv_a) == {"guard_curves.csv", "optimal_guards.csv"}
         assert csv_a == csv_b  # byte-identical rerun
+
+    def test_one_curve_pass(self, tmp_path, monkeypatch):
+        # each (alpha, theta) is searched once; the table is the curves' optimum
+        calls, real = [], optimizer.required_guard_band
+
+        def counted(*args):
+            calls.append(args[:2])
+            return real(*args)
+
+        monkeypatch.setattr(optimizer, "required_guard_band", counted)
+        out = tmp_path / "o"
+        argv = ["guards", "--theta", THETA, "--alpha", ALPHA, "--revalidate"]
+        assert _run(argv + ["--out", str(out)]) == 0
+        assert len(calls) == len(set(calls)) == 3 * 2
+        table = optimizer.build_lookup_table(
+            (20.0, 30.0), NumerologyConfig(), (0.0, 0.05, 0.1)
+        )
+        table.save_csv(tmp_path / "built.csv", NumerologyConfig())
+        assert (out / "optimal_guards.csv").read_bytes() == (
+            tmp_path / "built.csv"
+        ).read_bytes()
+
+    def test_unsorted_theta_exits_1_without_files(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = _run(["guards", "--theta", "30,20", "--alpha", ALPHA, "--out", str(out)])
+        assert code == 1
+        assert "sorted ascending" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_theta_exits_2_without_files(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -207,6 +248,19 @@ def test_lookup_build_command(tmp_path):
         p.name for p in out.glob("lookup_*.csv")
     ]
     assert len(list(out.glob("lookup_*.csv"))) == 1
+
+
+def test_lookup_hit_reports_absent_theta_like_miss(tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = ["lookup-build", "--theta", "20,300", "--alpha", "0,0.1", "--out", str(out)]
+    errs = []
+    for _ in range(2):  # a miss that builds the table, then a hit that loads it
+        assert main(argv) == 0
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].splitlines() == [
+        "theta=300: absent (unreachable at every alpha in the grid)"
+    ]
 
 
 def test_failed_lookup_write_leaves_no_file(tmp_path, monkeypatch, capsys):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from guardopt.numerology import NumerologyConfig, round_half_up
 from guardopt.optimizer import (
     DEFAULT_ALPHA_GRID,
+    DEFAULT_THETA_LIST,
     GuardAllocation,
     LookupTable,
     build_lookup_table,
@@ -171,6 +172,12 @@ def test_config_fingerprint_sensitivity(cfg):
     assert a != config_fingerprint(cfg, ALPHAS, [20.0])
     assert a != config_fingerprint(cfg, ALPHAS[:-1], THETAS)
     assert a != config_fingerprint(NumerologyConfig(t_cp_ch=80), ALPHAS, THETAS)
+
+
+def test_default_fingerprint_pinned(cfg):
+    # the name of every lookup_*.csv cache: a payload change must be deliberate
+    digest = config_fingerprint(cfg, DEFAULT_ALPHA_GRID, DEFAULT_THETA_LIST)
+    assert digest == "c574db2c83d8"
 
 
 @pytest.mark.parametrize(

@@ -214,12 +214,6 @@ class TestFixedGuardPlan:
         assert plan.total_gd_samples == 3 * 80
         assert plan.boundary_gb == (12, 12)
 
-    def test_explicit_worst_theta(self, lut):
-        users = [_user("a", 0.0, 15.0), _user("b", 1.0, 16.0)]
-        plan = fixed_guard_plan(users, lut, worst_theta=30.0)
-        assert plan.total_gd_samples == 2 * 20
-        assert plan.boundary_gb == (4,)
-
 
 class TestScheduleRandom:
     def test_deterministic_per_seed(self):

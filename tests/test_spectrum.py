@@ -28,9 +28,9 @@ def _flat_psd(level_victim_db: float, cfg: NumerologyConfig) -> PsdEstimate:
     """Synthetic PSD: 0 dB in-band, a constant floor outside."""
     freqs = np.arange(-4 * cfg.obw_hz, 4 * cfg.obw_hz, cfg.subcarrier_spacing / 4)
     edge = band_edge_hz(cfg)
-    power = np.full(freqs.size, level_victim_db)
-    power[np.abs(freqs) <= edge] = 0.0
-    return PsdEstimate(freqs=freqs, power_db=power, band_edge_hz=edge)
+    power = np.full(freqs.size, 10.0 ** (level_victim_db / 10.0))
+    power[np.abs(freqs) <= edge] = 1.0
+    return PsdEstimate(freqs=freqs, power=power, band_edge_hz=edge)
 
 
 def _full_grid_band_power(psd: PsdEstimate, f_lo: float, f_hi: float) -> float:
@@ -220,9 +220,11 @@ class TestRequiredGuardBand:
             0.05, 20.0, cfg
         )
 
-    def test_unreachable_victim_exceeds_grid(self, cfg):
-        with pytest.raises(ThetaUnreachableError):
-            required_guard_band(0.1, 30.0, cfg, victim_obw_hz=100 * cfg.obw_hz)
+    def test_unreachable_victim_exceeds_grid(self):
+        # one subcarrier on a one-bin FFT: the grid ends inside the victim slot
+        tiny = NumerologyConfig(n_fft=1, n_occupied=1, t_cp_ch=0)
+        with pytest.raises(ThetaUnreachableError, match="victim band alone"):
+            required_guard_band(0.1, 30.0, tiny)
 
     def test_unreachable_within_narrow_grid(self, cfg):
         # no guard fitting the grid reaches 300 dB: the largest guard fails
@@ -269,7 +271,7 @@ class TestExpectedPsd:
         # the mean of many Welch draws estimates the expected PSD
         draws = [windowed_psd(0.05, small_cfg, 128, seed) for seed in range(16)]
         mean = np.mean([d.linear() for d in draws], axis=0)
-        avg = PsdEstimate(draws[0].freqs, 10 * np.log10(mean), draws[0].band_edge_hz)
+        avg = PsdEstimate(draws[0].freqs, mean, draws[0].band_edge_hz)
         expected = windowed_psd(0.05, small_cfg)
         s = small_cfg.subcarrier_spacing
         for gb in (0, 2, 5):
@@ -296,3 +298,31 @@ def test_welch_uses_every_overlapped_segment(small_cfg, monkeypatch):
 
 def test_windowed_psd_cached_identity(cfg):
     assert windowed_psd(0.05, cfg) is windowed_psd(0.05, cfg)
+
+
+class TestPsdRepresentation:
+    def test_one_grid_per_size_and_rate(self, cfg, small_cfg):
+        assert windowed_psd(0.0, cfg).freqs is windowed_psd(0.1, cfg).freqs
+        # the Welch estimate lies on the expected PSD's grid
+        welch = windowed_psd(0.05, small_cfg, 128, 0)
+        assert welch.freqs is windowed_psd(0.05, small_cfg).freqs
+
+    def test_arrays_read_only(self, cfg):
+        psd = windowed_psd(0.05, cfg)
+        for array in (psd.freqs, psd.power):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_power_db_is_derived(self, cfg):
+        psd = windowed_psd(0.05, cfg)
+        assert psd.linear() is psd.power
+        np.testing.assert_array_equal(psd.power_db, 10.0 * np.log10(psd.power))
+
+    def test_zero_power_bins_stay_finite(self, cfg):
+        freqs = np.arange(-4 * cfg.obw_hz, 4 * cfg.obw_hz, cfg.subcarrier_spacing / 4)
+        edge = band_edge_hz(cfg)
+        psd = PsdEstimate(freqs, (np.abs(freqs) <= edge).astype(float), edge)
+        s = cfg.subcarrier_spacing
+        assert np.isfinite(psd.power_db).all()
+        assert np.isfinite(measure_aci(psd, 2 * s, s, 0.0).leak_power_db)
+        assert np.isfinite(suppression_db(psd, 2 * s, s))
