@@ -159,10 +159,9 @@ def cmd_lookup_build(args) -> int:
     out = _out_dir(ec)
     table = _lookup_for(ec, out)
     # from the entries, not table.failures: a table loaded from the cache
-    # keeps no failures, and its thetas are the stored, %.6g-formatted ones
-    stored = {_fmt(t) for t in table.entries}
+    # keeps no failures
     for theta in ec.theta_list:
-        if _fmt(theta) not in stored:
+        if theta not in table.entries:
             print(
                 f"theta={_fmt(theta)}: absent (unreachable at every alpha in the grid)",
                 file=sys.stderr,

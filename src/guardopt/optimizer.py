@@ -138,7 +138,7 @@ class LookupTable:
                 gd_us = a.gd_samples / cfg.sample_rate * 1e6
                 gb_hz = a.gb_subcarriers * cfg.subcarrier_spacing
                 fh.write(
-                    f"{t:.6g},{a.alpha:.6g},{a.gd_samples},{gd_us:.6f},"
+                    f"{_theta_text(t)},{a.alpha:.6g},{a.gd_samples},{gd_us:.6f},"
                     f"{a.gb_subcarriers:.6f},{gb_hz:.6f},"
                     f"{a.eta_time:.8f},{a.eta_freq:.8f},{a.eta:.8f}\n"
                 )
@@ -163,6 +163,13 @@ class LookupTable:
                 except ValueError as exc:
                     raise ValueError(f"{path}, line {lineno}: {exc}") from exc
         return cls(entries)
+
+
+def _theta_text(theta: float) -> str:
+    """A table key as written: `%.6g` where that reads back exactly, else the
+    shortest text that does, so a loaded table answers like the built one."""
+    text = f"{theta:.6g}"
+    return text if float(text) == theta else repr(theta)
 
 
 def build_lookup_table(

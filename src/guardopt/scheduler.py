@@ -16,7 +16,6 @@ the overlap-add.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -79,10 +78,14 @@ def theta_for_assignment(assignment, theta_floor: float = 0.0) -> list[float]:
         candidates = []
         for j in (i - 1, i + 1):
             if 0 <= j < len(users):
-                nb = users[j]
-                candidates.append(nb.sir_req_db + (u.power_dbm - nb.power_dbm))
+                candidates.append(_theta_term(u, users[j]))
         thetas.append(max(candidates))
     return thetas
+
+
+def _theta_term(u: UserProfile, nb: UserProfile) -> float:
+    """Threshold band u needs toward neighbor nb: nb's SIR demand plus PO."""
+    return nb.sir_req_db + (u.power_dbm - nb.power_dbm)
 
 
 def allocate_guards(
@@ -102,18 +105,8 @@ def fixed_guard_plan(assignment, lookup: LookupTable) -> SchedulePlan:
 def _guard_plan(users: tuple, thetas, lookup: LookupTable) -> SchedulePlan:
     """Guards from per-band thresholds; each internal boundary is counted once,
     sized by the larger facing guard band in whole subcarriers."""
-    allocs = []
-    for u, theta in zip(users, thetas):
-        try:
-            allocs.append(lookup.ceil_lookup(theta))
-        except KeyError as exc:
-            raise ValueError(
-                f"theta for user {u.id!r} out of lookup range: {exc}"
-            ) from exc
-    boundary = tuple(
-        math.ceil(max(a.gb_subcarriers, b.gb_subcarriers) - 1e-9)
-        for a, b in zip(allocs, allocs[1:])
-    )
+    allocs = [_ceil_allocation(lookup, u, theta) for u, theta in zip(users, thetas)]
+    boundary = tuple(_boundary_gb(a, b) for a, b in zip(allocs, allocs[1:]))
     return SchedulePlan(
         assignment=users,
         theta_per_band=tuple(thetas),
@@ -122,6 +115,168 @@ def _guard_plan(users: tuple, thetas, lookup: LookupTable) -> SchedulePlan:
         total_gd_samples=sum(a.gd_samples for a in allocs),
         total_gb_subcarriers=sum(boundary),
     )
+
+
+def _ceil_allocation(
+    lookup: LookupTable, user: UserProfile, theta: float
+) -> GuardAllocation:
+    """Table entry protecting `user` at `theta`; out of range names the user."""
+    try:
+        return lookup.ceil_lookup(theta)
+    except KeyError as exc:
+        raise ValueError(
+            f"theta for user {user.id!r} out of lookup range: {exc}"
+        ) from exc
+
+
+def _boundary_gb(a: GuardAllocation, b: GuardAllocation) -> int:
+    """Guard band shared by two adjacent bands, in whole subcarriers."""
+    return math.ceil(max(a.gb_subcarriers, b.gb_subcarriers) - 1e-9)
+
+
+class _OrderingCost:
+    """(total GB, total GD) of orderings of one set of two or more users.
+
+    Orderings are lists of user indices. Each threshold term is computed once
+    per user pair and the table is read once per distinct threshold, so no
+    SchedulePlan is built per candidate; the result equals
+    `allocate_guards(ordering).cost`, errors included.
+    """
+
+    def __init__(self, users, lookup: LookupTable):
+        self.users = users
+        self.lookup = lookup
+        # term[i][j]: threshold of band i toward neighbor j
+        self.term = [[_theta_term(u, nb) for nb in users] for u in users]
+        self._allocs: dict[float, GuardAllocation] = {}
+
+    def alloc(self, i: int, theta: float) -> GuardAllocation:
+        a = self._allocs.get(theta)
+        if a is None:
+            a = self._allocs[theta] = _ceil_allocation(
+                self.lookup, self.users[i], theta
+            )
+        return a
+
+    def in_range(self, i: int, j: int) -> bool:
+        """Whether bands i and j can be neighbors without leaving the table."""
+        try:
+            self.alloc(i, self.term[i][j])
+            self.alloc(j, self.term[j][i])
+        except ValueError:
+            return False
+        return True
+
+    def cost(self, order) -> tuple[int, int]:
+        term, last = self.term, len(order) - 1
+        allocs = [
+            self.alloc(i, max(
+                term[i][order[k - 1]] if k else -math.inf,
+                term[i][order[k + 1]] if k < last else -math.inf,
+            ))
+            for k, i in enumerate(order)
+        ]
+        return (
+            sum(_boundary_gb(a, b) for a, b in zip(allocs, allocs[1:])),
+            sum(a.gd_samples for a in allocs),
+        )
+
+
+def _exact_order(kernel: _OrderingCost) -> list[int]:
+    """First minimum-cost ordering in `itertools.permutations` order.
+
+    Held-Karp DP: band b's guards depend on its two neighbors and the a|b
+    boundary on the guards of a and b, so the cost of everything from band b
+    on depends only on (placed set, a, b, allocation of a). Costs add as
+    (GB, GD) pairs. The ordering is rebuilt from the front, taking the
+    smallest index that keeps the optimum: the lexicographically first
+    optimal index sequence, which is the permutation search's answer.
+    """
+    failing = _first_failing_order(kernel)
+    if failing is not None:
+        kernel.cost(failing)  # raises what the permutation search met first
+    n = len(kernel.users)
+    levels: dict[GuardAllocation, int] = {}
+
+    def level(i, theta):
+        return levels.setdefault(kernel.alloc(i, theta), len(levels))
+
+    term = kernel.term
+    # edge[b][a]: b with its only neighbor a; mid[a][b][c]: b between a and c
+    edge = [
+        [level(b, term[b][a]) if a != b else None for a in range(n)]
+        for b in range(n)
+    ]
+    mid = [
+        [[level(b, max(term[b][a], term[b][c])) if len({a, b, c}) == 3 else None
+          for c in range(n)]
+         for b in range(n)]
+        for a in range(n)
+    ]
+    allocs = list(levels)
+    gd = [x.gd_samples for x in allocs]
+    bnd = [[_boundary_gb(x, y) for y in allocs] for x in allocs]
+    full = (1 << n) - 1
+    memo: dict[tuple, tuple[int, int]] = {}
+
+    def steps(mask, a, b, la):
+        """Each next user c: (c, level of b, least cost of b's GD, the a|b
+        boundary and every band after b)."""
+        for c in range(n):
+            if not mask >> c & 1:
+                lb = mid[a][b][c]
+                gb_rest, gd_rest = togo(mask | 1 << c, b, c, lb)
+                yield c, lb, (gb_rest + bnd[la][lb], gd_rest + gd[lb])
+
+    def togo(mask, a, b, la):
+        key = (mask, a, b, la)
+        if key not in memo:
+            if mask == full:
+                lb = edge[b][a]
+                memo[key] = (bnd[la][lb], gd[lb])
+            else:
+                memo[key] = min(cost for _, _, cost in steps(mask, a, b, la))
+        return memo[key]
+
+    def start(pair):
+        a, b = pair
+        gb_rest, gd_rest = togo(1 << a | 1 << b, a, b, edge[a][b])
+        return gb_rest, gd_rest + gd[edge[a][b]]
+
+    # min keeps the first of equal costs: ties go to the smallest index
+    a, b = min(((a, b) for a in range(n) for b in range(n) if a != b), key=start)
+    order, mask, la = [a, b], 1 << a | 1 << b, edge[a][b]
+    while mask != full:
+        c, lb, _ = min(steps(mask, a, b, la), key=lambda step: step[2])
+        order.append(c)
+        mask, a, b, la = mask | 1 << c, b, c, lb
+    return order
+
+
+def _first_failing_order(kernel: _OrderingCost) -> list[int] | None:
+    """First ordering in permutation order that needs a threshold beyond the
+    table, or None if none does.
+
+    An ordering fails exactly when some adjacent pair does, so it is built
+    greedily: the smallest next user after which a failing pair can still
+    become adjacent.
+    """
+    n = len(kernel.users)
+    bad = [
+        {i, j} for i in range(n) for j in range(i + 1, n)
+        if not kernel.in_range(i, j)
+    ]
+    if not bad:
+        return None
+    order, rest, failed = [], list(range(n)), False
+    while rest:
+        c = rest[0]
+        if not failed and not any(p <= set(rest) for p in bad):
+            c = next(j for j in rest if {order[-1], j} in bad)
+        failed = failed or (bool(order) and {order[-1], c} in bad)
+        order.append(c)
+        rest.remove(c)
+    return order
 
 
 def schedule_random(users, seed: int) -> list[UserProfile]:
@@ -139,39 +294,43 @@ def schedule_interference_based(
 ) -> list[UserProfile]:
     """Band ordering minimizing total guard cost.
 
-    exhaustive: full permutation search, limited to n <= 10.
+    exhaustive: exact Held-Karp DP, limited to n <= 10; among equal-cost
+    orderings it returns the first in input order, as a search over
+    `itertools.permutations(users)` would.
     heuristic: sort by power (SIR requirement as tie-break), then adjacent-swap
     passes until no swap improves the cost.
+    theta_floor only sets a lone user's threshold, so it cannot change an
+    ordering. A threshold above the table maximum raises ValueError naming
+    the user.
     """
     users = list(users)
     if len(users) <= 1:
         return users
+    kernel = _OrderingCost(users, lookup)
     if mode == "exhaustive":
         if len(users) > 10:
             raise ValueError(
                 "exhaustive search is limited to 10 users; use mode='heuristic'"
             )
-        best, best_cost = None, None
-        for perm in itertools.permutations(users):
-            cost = allocate_guards(perm, lookup, theta_floor).cost
-            if best_cost is None or cost < best_cost:
-                best, best_cost = perm, cost
-        return list(best)
+        return [users[i] for i in _exact_order(kernel)]
     if mode == "heuristic":
-        order = sorted(users, key=lambda u: (u.power_dbm, u.sir_req_db))
+        order = sorted(
+            range(len(users)),
+            key=lambda i: (users[i].power_dbm, users[i].sir_req_db),
+        )
+        cost = kernel.cost(order)
         improved = True
         while improved:
             improved = False
-            cost = allocate_guards(order, lookup, theta_floor).cost
             for i in range(len(order) - 1):
                 order[i], order[i + 1] = order[i + 1], order[i]
-                trial = allocate_guards(order, lookup, theta_floor).cost
+                trial = kernel.cost(order)
                 if trial < cost:
                     cost = trial
                     improved = True
                 else:
                     order[i], order[i + 1] = order[i + 1], order[i]
-        return order
+        return [users[i] for i in order]
     raise ValueError("mode must be 'exhaustive' or 'heuristic'")
 
 

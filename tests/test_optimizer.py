@@ -166,6 +166,63 @@ class TestLookupTable:
         assert 20.0 in table.entries
 
 
+def _entry(theta, gb):
+    return GuardAllocation(0.0125, 14, gb, 0.9, 0.8, 0.72, theta)
+
+
+_thetas = st.one_of(
+    st.floats(-20.0, 80.0),
+    st.integers(-20, 80).map(float),
+    # within the %.6g digits of an integer: the keys that used to collide
+    st.integers(-20, 80).flatmap(
+        lambda t: st.floats(t - 1e-5, t + 1e-5).filter(lambda x: x != t)
+    ),
+)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(keys=st.lists(_thetas, min_size=1, max_size=6, unique=True),
+       gbs=st.lists(st.floats(0.0, 40.0), min_size=6, max_size=6),
+       queries=st.lists(_thetas, max_size=6))
+def test_csv_round_trip_preserves_keys_and_lookups(keys, gbs, queries, tmp_path_factory):
+    # the loaded table has the built table's keys and answers every ceil
+    # lookup with the same row (or the same refusal); values keep the
+    # file's printed precision
+    cfg = NumerologyConfig()
+    built = LookupTable({t: _entry(t, gb) for t, gb in zip(keys, gbs)})
+    path = tmp_path_factory.mktemp("rt") / "lookup.csv"
+    built.save_csv(path, cfg)
+    back = LookupTable.load_csv(path)
+    assert list(back.entries) == list(built.entries)
+    for t, a in built.entries.items():
+        b = back.entries[t]
+        assert b.theta_db == t
+        assert b.gb_subcarriers == pytest.approx(a.gb_subcarriers, abs=5e-7)
+        assert (b.alpha, b.gd_samples, b.eta) == (a.alpha, a.gd_samples, a.eta)
+
+    def answer(table, theta):
+        try:
+            return table.ceil_lookup(theta).theta_db
+        except KeyError:
+            return None
+
+    for q in queries + keys + [k + 1e-9 for k in keys] + [k - 2e-9 for k in keys]:
+        assert answer(back, q) == answer(built, q)
+
+
+def test_csv_near_integer_theta_not_rounded(tmp_path):
+    cfg = NumerologyConfig()
+    built = LookupTable({20.0: _entry(20.0, 4.0), 44.9999996: _entry(44.9999996, 9.0)})
+    built.save_csv(tmp_path / "t.csv", cfg)
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    # integral keys keep the %.6g text, so existing cache files are unchanged
+    assert [line.split(",")[0] for line in lines[1:]] == ["20", "44.9999996"]
+    back = LookupTable.load_csv(tmp_path / "t.csv")
+    for table in (built, back):
+        with pytest.raises(KeyError):
+            table.ceil_lookup(45.0)
+
+
 def test_config_fingerprint_sensitivity(cfg):
     a = config_fingerprint(cfg, ALPHAS, THETAS)
     assert a == config_fingerprint(cfg, ALPHAS, THETAS)

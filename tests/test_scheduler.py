@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import guardopt.scheduler as scheduler
 from guardopt.optimizer import GuardAllocation, LookupTable
 from guardopt.scheduler import (
     SchedulePlan,
@@ -308,6 +310,159 @@ class TestScheduleInterferenceBased:
     def test_single_user_passthrough(self, lut):
         u = _user("solo", 0.0, 20.0)
         assert schedule_interference_based([u], lut) == [u]
+
+
+def _permutation_search(users, lut, theta_floor=0.0):
+    """Oracle: the first minimum-cost ordering over every permutation."""
+    return list(min(
+        itertools.permutations(users),
+        key=lambda p: allocate_guards(p, lut, theta_floor).cost,
+    ))
+
+
+def _adjacent_swap_search(users, lut, theta_floor=0.0):
+    """Oracle: the adjacent-swap heuristic, costing full plans."""
+    order = sorted(users, key=lambda u: (u.power_dbm, u.sir_req_db))
+    improved = True
+    while improved:
+        improved = False
+        cost = allocate_guards(order, lut, theta_floor).cost
+        for i in range(len(order) - 1):
+            order[i], order[i + 1] = order[i + 1], order[i]
+            trial = allocate_guards(order, lut, theta_floor).cost
+            if trial < cost:
+                cost = trial
+                improved = True
+            else:
+                order[i], order[i + 1] = order[i + 1], order[i]
+    return order
+
+
+def _outcome(search, *args):
+    """The ordering (as object identities) or the error message."""
+    try:
+        return [id(u) for u in search(*args)]
+    except ValueError as exc:
+        return str(exc)
+
+
+_levels = st.one_of(st.sampled_from([0.0, 3.0, 7.5, 15.0]), st.floats(0.0, 15.0))
+_sirs = st.one_of(st.sampled_from([15.0, 20.0, 30.0]), st.floats(1.0, 30.0))
+
+
+@st.composite
+def _user_sets(draw, max_n):
+    """Sets with tied powers/SIRs; sometimes one user object appears twice."""
+    n = draw(st.integers(1, max_n))
+    rows = draw(st.lists(st.tuples(_levels, _sirs), min_size=n, max_size=n))
+    users = [_user(f"u{i}", p, s) for i, (p, s) in enumerate(rows)]
+    if len(users) < max_n and draw(st.booleans()):
+        users.insert(draw(st.integers(0, len(users))), users[0])
+    return users
+
+
+@st.composite
+def _tables(draw, top=st.just(45.0)):
+    """Monotone tables: GD and GB never fall as theta rises; fractional GB."""
+    top = draw(top)
+    thetas = sorted(set(draw(st.lists(st.floats(-5.0, top), max_size=5))) | {top})
+    entries, gd, gb = {}, 0, 0.0
+    for t in thetas:
+        gd += draw(st.integers(0, 30))
+        gb += draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                             st.floats(0.0, 6.0)))
+        entries[t] = _alloc(t, gd, gb)
+    return LookupTable(entries)
+
+
+class TestOrderingSearchOracles:
+    """The DP and the kernel-costed heuristic return exactly the orderings of
+    the permutation search and the plan-costed swap loop."""
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(users=_user_sets(7), lut=_tables(), floor=st.floats(-10.0, 45.0))
+    def test_exhaustive_is_first_permutation_optimum(self, users, lut, floor):
+        got = schedule_interference_based(users, lut, theta_floor=floor)
+        want = _permutation_search(users, lut, floor)
+        assert [id(u) for u in got] == [id(u) for u in want]
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(users=_user_sets(14), lut=_tables(), floor=st.floats(-10.0, 45.0))
+    def test_heuristic_matches_swap_loop(self, users, lut, floor):
+        got = schedule_interference_based(users, lut, "heuristic", floor)
+        want = _adjacent_swap_search(users, lut, floor)
+        assert [id(u) for u in got] == [id(u) for u in want]
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(users=_user_sets(6), lut=_tables(st.floats(10.0, 45.0)))
+    def test_out_of_range_same_error_as_oracles(self, users, lut):
+        # tables that stop short of some neighbor pairs' thresholds
+        assert _outcome(schedule_interference_based, users, lut) == _outcome(
+            _permutation_search, users, lut
+        )
+        assert _outcome(
+            schedule_interference_based, users, lut, "heuristic"
+        ) == _outcome(_adjacent_swap_search, users, lut)
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "heuristic"])
+    def test_one_user(self, lut, mode):
+        u = _user("solo", 0.0, 60.0)
+        assert schedule_interference_based([u], lut, mode, 99.0) == [u]
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "heuristic"])
+    @pytest.mark.parametrize("powers", [(10.0, 0.0), (0.0, 10.0), (5.0, 5.0)])
+    def test_two_users(self, lut, mode, powers):
+        users = [_user("a", powers[0], 20.0), _user("b", powers[1], 30.0)]
+        got = schedule_interference_based(users, lut, mode)
+        oracle = _permutation_search if mode == "exhaustive" else _adjacent_swap_search
+        assert got == oracle(users, lut)
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "heuristic"])
+    def test_no_plan_per_candidate(self, lut, mode, monkeypatch):
+        users = [_user(f"u{i}", float(i), 15.0 + 2 * i) for i in range(7)]
+        want = schedule_interference_based(users, lut, mode)
+        thetas = []
+        real = LookupTable.ceil_lookup
+
+        def counted(self, theta):
+            thetas.append(theta)
+            return real(self, theta)
+
+        def no_plan(*args, **kwargs):
+            raise AssertionError("SchedulePlan built during the search")
+
+        monkeypatch.setattr(LookupTable, "ceil_lookup", counted)
+        monkeypatch.setattr(scheduler, "SchedulePlan", no_plan)
+        assert schedule_interference_based(users, lut, mode) == want
+        assert len(thetas) == len(set(thetas))  # one table read per theta
+
+
+class TestOutOfRangeTheta:
+    """A threshold above the table maximum names the user in every path."""
+
+    USERS = [_user("quiet", 0.0, 20.0), _user("mid", 5.0, 20.0),
+             _user("loud", 60.0, 20.0)]
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "heuristic"])
+    def test_search_names_user(self, lut, mode):
+        with pytest.raises(ValueError, match="'loud' out of lookup range"):
+            schedule_interference_based(self.USERS, lut, mode)
+
+    def test_allocate_guards_names_user(self, lut):
+        with pytest.raises(ValueError, match="'loud' out of lookup range"):
+            allocate_guards(self.USERS, lut)
+
+    def test_exhaustive_error_matches_permutation_search(self, lut):
+        # only a next to c leaves the table (46 dB); the first permutation
+        # with that pair adjacent is (a, c, b, d)
+        users = [_user("a", 30.0, 15.0), _user("b", 28.0, 15.0),
+                 _user("c", 0.0, 16.0), _user("d", 29.0, 15.0)]
+        with pytest.raises(ValueError) as exc:
+            _permutation_search(users, lut)
+        with pytest.raises(ValueError) as got:
+            schedule_interference_based(users, lut)
+        assert str(got.value) == str(exc.value)
+        assert "'a'" in str(got.value)
 
 
 class TestCompareScenarios:
