@@ -33,6 +33,9 @@ from .scheduler import (
 )
 from .spectrum import windowed_psd, write_psd_csv
 
+# dB an entry's revalidated suppression may fall short of its threshold
+REVALIDATE_TOL_DB = 0.1
+
 
 @dataclass
 class ExperimentConfig:
@@ -144,14 +147,14 @@ def cmd_guards(args) -> int:
                 )
     table = LookupTable({t: best_allocation(c) for t, c in curves.items()})
     table.save_csv(out / "optimal_guards.csv", ec.numerology)
+    violations = 0
     if args.revalidate:
-        achieved = revalidate(table, ec.numerology)
-        for theta, supp in achieved.items():
-            status = "ok" if supp >= theta - 0.1 else "VIOLATION"
-            print(f"theta={_fmt(theta)} achieved={supp:.2f} dB {status}")
-        if any(s < t - 0.1 for t, s in achieved.items()):
-            return 1
-    return 0
+        for theta, supp in revalidate(table, ec.numerology).items():
+            ok = supp >= theta - REVALIDATE_TOL_DB
+            print(f"theta={_fmt(theta)} achieved={supp:.2f} dB "
+                  f"{'ok' if ok else 'VIOLATION'}")
+            violations += not ok
+    return 1 if violations else 0
 
 
 def cmd_lookup_build(args) -> int:

@@ -121,6 +121,13 @@ class LookupTable:
         self.entries = dict(sorted(entries.items()))
         self.failures: dict[float, str] = dict(failures or {})
 
+    @property
+    def max_theta(self) -> float:
+        """Largest tabulated threshold; ValueError if the table is empty."""
+        if not self.entries:
+            raise ValueError("lookup table has no reachable threshold")
+        return next(reversed(self.entries))
+
     def ceil_lookup(self, theta: float) -> GuardAllocation:
         """Entry at the smallest table theta >= the request (conservative)."""
         for t, alloc in self.entries.items():
@@ -128,7 +135,7 @@ class LookupTable:
                 return alloc
         raise KeyError(
             f"theta={theta:.2f} dB exceeds the lookup table maximum "
-            f"({max(self.entries):.2f} dB)"
+            f"({self.max_theta:.2f} dB)"
         )
 
     def save_csv(self, path, cfg: NumerologyConfig) -> None:

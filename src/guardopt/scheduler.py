@@ -99,7 +99,7 @@ def allocate_guards(
 def fixed_guard_plan(assignment, lookup: LookupTable) -> SchedulePlan:
     """Every band gets the worst-case guards: those of the table maximum."""
     users = tuple(assignment)
-    return _guard_plan(users, [max(lookup.entries)] * len(users), lookup)
+    return _guard_plan(users, [lookup.max_theta] * len(users), lookup)
 
 
 def _guard_plan(users: tuple, thetas, lookup: LookupTable) -> SchedulePlan:
@@ -158,15 +158,6 @@ class _OrderingCost:
             )
         return a
 
-    def in_range(self, i: int, j: int) -> bool:
-        """Whether bands i and j can be neighbors without leaving the table."""
-        try:
-            self.alloc(i, self.term[i][j])
-            self.alloc(j, self.term[j][i])
-        except ValueError:
-            return False
-        return True
-
     def cost(self, order) -> tuple[int, int]:
         term, last = self.term, len(order) - 1
         allocs = [
@@ -191,31 +182,34 @@ def _exact_order(kernel: _OrderingCost) -> list[int]:
     (GB, GD) pairs. The ordering is rebuilt from the front, taking the
     smallest index that keeps the optimum: the lexicographically first
     optimal index sequence, which is the permutation search's answer.
+
+    Prefixes are searched in permutation order and each band's allocation is
+    read when first needed: when the next band is placed, or at the full set
+    for the last band, the order `allocate_guards` reads them in. A memoised
+    state's subtree was searched without error, so a threshold beyond the
+    table raises the permutation search's error for the same user and theta.
     """
-    failing = _first_failing_order(kernel)
-    if failing is not None:
-        kernel.cost(failing)  # raises what the permutation search met first
     n = len(kernel.users)
-    levels: dict[GuardAllocation, int] = {}
-
-    def level(i, theta):
-        return levels.setdefault(kernel.alloc(i, theta), len(levels))
-
     term = kernel.term
-    # edge[b][a]: b with its only neighbor a; mid[a][b][c]: b between a and c
-    edge = [
-        [level(b, term[b][a]) if a != b else None for a in range(n)]
-        for b in range(n)
-    ]
-    mid = [
-        [[level(b, max(term[b][a], term[b][c])) if len({a, b, c}) == 3 else None
-          for c in range(n)]
-         for b in range(n)]
-        for a in range(n)
-    ]
-    allocs = list(levels)
-    gd = [x.gd_samples for x in allocs]
-    bnd = [[_boundary_gb(x, y) for y in allocs] for x in allocs]
+    levels: dict[GuardAllocation, int] = {}
+    gd: list[int] = []
+    bnd: list[list[int]] = []  # bnd[x][y]: boundary GB between levels x, y
+    # mid[a][b][c]: level of b between a and c (a == c: a is its only
+    # neighbor); None until first read
+    mid = [[[None] * n for _ in range(n)] for _ in range(n)]
+
+    def band(a, b, c):
+        if mid[a][b][c] is None:
+            x = kernel.alloc(b, max(term[b][a], term[b][c]))
+            if x not in levels:
+                levels[x] = len(levels)
+                gd.append(x.gd_samples)
+                for row, y in zip(bnd, levels):  # earlier levels' rows
+                    row.append(_boundary_gb(y, x))
+                bnd.append([_boundary_gb(x, y) for y in levels])
+            mid[a][b][c] = levels[x]
+        return mid[a][b][c]
+
     full = (1 << n) - 1
     memo: dict[tuple, tuple[int, int]] = {}
 
@@ -225,6 +219,8 @@ def _exact_order(kernel: _OrderingCost) -> list[int]:
         for c in range(n):
             if not mask >> c & 1:
                 lb = mid[a][b][c]
+                if lb is None:
+                    lb = band(a, b, c)
                 gb_rest, gd_rest = togo(mask | 1 << c, b, c, lb)
                 yield c, lb, (gb_rest + bnd[la][lb], gd_rest + gd[lb])
 
@@ -232,7 +228,7 @@ def _exact_order(kernel: _OrderingCost) -> list[int]:
         key = (mask, a, b, la)
         if key not in memo:
             if mask == full:
-                lb = edge[b][a]
+                lb = band(a, b, a)
                 memo[key] = (bnd[la][lb], gd[lb])
             else:
                 memo[key] = min(cost for _, _, cost in steps(mask, a, b, la))
@@ -240,42 +236,17 @@ def _exact_order(kernel: _OrderingCost) -> list[int]:
 
     def start(pair):
         a, b = pair
-        gb_rest, gd_rest = togo(1 << a | 1 << b, a, b, edge[a][b])
-        return gb_rest, gd_rest + gd[edge[a][b]]
+        la = band(b, a, b)
+        gb_rest, gd_rest = togo(1 << a | 1 << b, a, b, la)
+        return gb_rest, gd_rest + gd[la]
 
     # min keeps the first of equal costs: ties go to the smallest index
     a, b = min(((a, b) for a in range(n) for b in range(n) if a != b), key=start)
-    order, mask, la = [a, b], 1 << a | 1 << b, edge[a][b]
+    order, mask, la = [a, b], 1 << a | 1 << b, band(b, a, b)
     while mask != full:
         c, lb, _ = min(steps(mask, a, b, la), key=lambda step: step[2])
         order.append(c)
         mask, a, b, la = mask | 1 << c, b, c, lb
-    return order
-
-
-def _first_failing_order(kernel: _OrderingCost) -> list[int] | None:
-    """First ordering in permutation order that needs a threshold beyond the
-    table, or None if none does.
-
-    An ordering fails exactly when some adjacent pair does, so it is built
-    greedily: the smallest next user after which a failing pair can still
-    become adjacent.
-    """
-    n = len(kernel.users)
-    bad = [
-        {i, j} for i in range(n) for j in range(i + 1, n)
-        if not kernel.in_range(i, j)
-    ]
-    if not bad:
-        return None
-    order, rest, failed = [], list(range(n)), False
-    while rest:
-        c = rest[0]
-        if not failed and not any(p <= set(rest) for p in bad):
-            c = next(j for j in rest if {order[-1], j} in bad)
-        failed = failed or (bool(order) and {order[-1], c} in bad)
-        order.append(c)
-        rest.remove(c)
     return order
 
 
@@ -301,7 +272,8 @@ def schedule_interference_based(
     passes until no swap improves the cost.
     theta_floor only sets a lone user's threshold, so it cannot change an
     ordering. A threshold above the table maximum raises ValueError naming
-    the user.
+    the user; exhaustive mode raises the error of the first ordering, in
+    input order, that leaves the table, as the permutation search would.
     """
     users = list(users)
     if len(users) <= 1:

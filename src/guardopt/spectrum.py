@@ -259,7 +259,7 @@ def required_guard_band(alpha: float, theta: float, cfg: NumerologyConfig) -> fl
 
 def write_psd_csv(psd: PsdEstimate, path) -> None:
     """CSV trace: freq_hz, power_db."""
+    values = np.column_stack((psd.freqs, psd.power_db)).ravel().tolist()
     with open(path, "w", newline="") as fh:
         fh.write("freq_hz,power_db\n")
-        for f, p in zip(psd.freqs, psd.power_db):
-            fh.write(f"{f:.6f},{p:.6f}\n")
+        fh.write("%.6f,%.6f\n" * psd.freqs.size % tuple(values))

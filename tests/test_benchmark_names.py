@@ -34,6 +34,30 @@ def test_tracer_installs_and_restores():
         assert all(now[k] is v for k, v in saved.items()), owner
 
 
+def test_traced_compare_scenarios_runs_in_each_mode():
+    # the call schedule_search makes, through the wrappers the traced run
+    # installs; they pass schedule_interference_based's arguments positionally
+    entry = optimizer.GuardAllocation(0.01, 10, 2.5, 0.9, 0.9, 0.81, 45.0)
+    lookup = optimizer.LookupTable({45.0: entry})
+    users = [scheduler.UserProfile(f"u{i}", 5.0 * i, 15.0, "eMBB", 100)
+             for i in range(3)]
+    tracer = _load("tracer").Tracer()
+    tracer.install()
+    try:
+        for mode in ("exhaustive", "heuristic"):
+            rows = scheduler.compare_scenarios(users, 0, lookup, mode=mode)
+            assert [r.scenario for r in rows] == [
+                "fixed_random", "adaptive_random", "adaptive_scheduled"
+            ]
+    finally:
+        tracer.uninstall()
+    names = {span[1] for span in tracer.spans}
+    assert {"scheduler.compare_scenarios",
+            "scheduler.schedule_interference_based.exhaustive",
+            "scheduler.schedule_interference_based.heuristic"} <= names
+    assert tracer.counts["scheduler.allocate_guards.calls"] == 4
+
+
 def test_names_the_runner_and_workloads_use():
     assert callable(spectrum.windowed_psd.cache_clear)
     assert callable(spectrum.windowed_psd.cache_info)

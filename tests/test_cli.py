@@ -145,6 +145,22 @@ class TestGuardsCommand:
         assert "ok" in captured
         assert "VIOLATION" not in captured
 
+    def test_revalidate_exit_status_follows_printed_status(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import guardopt.cli as cli
+
+        def shortfalls(table, cfg):  # 0.05 dB short passes, 0.2 dB short fails
+            return {t: t - (0.05 if t == 20.0 else 0.2) for t in table.entries}
+
+        monkeypatch.setattr(cli, "revalidate", shortfalls)
+        argv = ["guards", "--theta", THETA, "--alpha", ALPHA, "--revalidate"]
+        assert _run(argv + ["--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "theta=20 achieved=19.95 dB ok",
+            "theta=30 achieved=29.80 dB VIOLATION",
+        ]
+
     def test_revalidate_independent_of_seed(self, tmp_path, capsys):
         # the guard search runs on the expected PSD, which has no seed
         outputs = []
@@ -211,6 +227,13 @@ class TestScheduleCommand:
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
 
+    def test_no_reachable_theta_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = _run(["schedule", "--theta", "300", "--alpha", "0,0.1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: lookup table has no reachable threshold\n"
+        )
 
     def test_damaged_lookup_cache_exits_1(self, tmp_path, capsys):
         out = tmp_path / "o"

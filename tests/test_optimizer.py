@@ -133,6 +133,12 @@ class TestLookupTable:
         with pytest.raises(KeyError):
             table.ceil_lookup(50.0)
 
+    def test_empty_table_has_no_reachable_threshold(self):
+        empty = LookupTable({}, {300.0: "unreachable"})
+        for read in (lambda: empty.max_theta, lambda: empty.ceil_lookup(20.0)):
+            with pytest.raises(ValueError, match="no reachable threshold"):
+                read()
+
     def test_csv_round_trip(self, cfg, table, tmp_path):
         path = tmp_path / "lookup.csv"
         table.save_csv(path, cfg)

@@ -216,6 +216,10 @@ class TestFixedGuardPlan:
         assert plan.total_gd_samples == 3 * 80
         assert plan.boundary_gb == (12, 12)
 
+    def test_empty_table(self):
+        with pytest.raises(ValueError, match="no reachable threshold"):
+            fixed_guard_plan([_user("a", 0.0, 15.0)], LookupTable({}))
+
 
 class TestScheduleRandom:
     def test_deterministic_per_seed(self):
@@ -463,6 +467,30 @@ class TestOutOfRangeTheta:
             schedule_interference_based(users, lut)
         assert str(got.value) == str(exc.value)
         assert "'a'" in str(got.value)
+
+    @pytest.mark.parametrize("rows, user, theta", [
+        # only d next to c leaves the table; the first failing permutation is
+        # (a, b, c, d), whose last band is read at the full set
+        ([(10.0, 15.0), (5.0, 15.0), (0.0, 20.0), (30.0, 15.0)], "d", 50),
+        # a, b and d each leave the table next to c; the first out-of-range
+        # pair in input order is a|c (55 dB), but (a, b, c, d) fails at b first
+        ([(30.0, 15.0), (25.0, 15.0), (0.0, 25.0), (25.0, 15.0)], "b", 50),
+        # c leaves the table next to a (50 dB) and d (55 dB); (a, b, c, d)
+        # fails at c between b and d, so the larger threshold is reported
+        ([(0.0, 20.0), (15.0, 20.0), (30.0, 15.0), (0.0, 25.0)], "c", 55),
+    ], ids=["last_band", "not_first_pair", "middle_band"])
+    def test_exhaustive_error_is_first_failing_permutation(
+        self, lut, rows, user, theta
+    ):
+        users = [_user(uid, *row) for uid, row in zip("abcd", rows)]
+        with pytest.raises(ValueError) as want:
+            _permutation_search(users, lut)
+        with pytest.raises(ValueError) as got:
+            schedule_interference_based(users, lut)
+        assert str(got.value) == str(want.value) == (
+            f"theta for user {user!r} out of lookup range: "
+            f"'theta={theta:.2f} dB exceeds the lookup table maximum (45.00 dB)'"
+        )
 
 
 class TestCompareScenarios:

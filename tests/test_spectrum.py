@@ -15,6 +15,7 @@ from guardopt.spectrum import (
     required_guard_band,
     suppression_db,
     windowed_psd,
+    write_psd_csv,
 )
 from guardopt.waveform import (
     falling_taper,
@@ -326,3 +327,15 @@ class TestPsdRepresentation:
         assert np.isfinite(psd.power_db).all()
         assert np.isfinite(measure_aci(psd, 2 * s, s, 0.0).leak_power_db)
         assert np.isfinite(suppression_db(psd, 2 * s, s))
+
+    def test_csv_bytes_match_row_wise_format(self, tmp_path):
+        freqs = np.array([-1.5e6, -0.25, -1e-7, 0.0, 2.5e5, 2.5e5 + 1e-6])
+        power = np.array([0.0, 1e-12, 1.0, 0.5, 3.0, 1e-300])
+        psd = PsdEstimate(freqs, power, 2.5e5)
+        write_psd_csv(psd, tmp_path / "psd.csv")
+        rows = "".join(
+            f"{f:.6f},{p:.6f}\n" for f, p in zip(psd.freqs, psd.power_db)
+        )
+        assert (tmp_path / "psd.csv").read_bytes() == (
+            "freq_hz,power_db\n" + rows
+        ).encode()
