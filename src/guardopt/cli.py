@@ -31,10 +31,15 @@ from .scheduler import (
     write_comparison_csv,
     write_layout_csv,
 )
-from .spectrum import windowed_psd, write_psd_csv
+from .spectrum import ThetaUnreachableError, windowed_psd, write_psd_csv
 
 # dB an entry's revalidated suppression may fall short of its threshold
 REVALIDATE_TOL_DB = 0.1
+# every key a config file may hold; any other key is rejected
+CONFIG_KEYS = (
+    "n_fft", "n_occupied", "subcarrier_spacing_hz", "t_cp_ch_samples",
+    "alpha_grid", "theta_list", "users", "seed", "out_dir", "psd_symbols",
+)
 
 
 @dataclass
@@ -46,7 +51,6 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str = "out"
     psd_symbols: int = 128
-    mode: str = "exhaustive"
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
@@ -55,14 +59,18 @@ class ExperimentConfig:
         try:
             if not isinstance(raw, dict):
                 raise ValueError("expected a mapping of config keys")
+            unknown = ", ".join(repr(k) for k in raw if k not in CONFIG_KEYS)
+            if unknown:
+                raise ValueError(
+                    f"unknown key {unknown} (accepted: {', '.join(CONFIG_KEYS)})"
+                )
             ec = cls(numerology=NumerologyConfig.from_mapping(raw))
             ec.alpha_grid = mapping_value(raw, "alpha_grid", _floats, ec.alpha_grid)
             ec.theta_list = mapping_value(raw, "theta_list", _floats, ec.theta_list)
-            ec.users = raw.get("users", ec.users)
+            ec.users = mapping_value(raw, "users", _file_path, ec.users)
             ec.seed = mapping_value(raw, "seed", int, ec.seed)
             ec.out_dir = mapping_value(raw, "out_dir", str, ec.out_dir)
             ec.psd_symbols = mapping_value(raw, "psd_symbols", int, ec.psd_symbols)
-            ec.mode = mapping_value(raw, "mode", str, ec.mode)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         return ec
@@ -70,6 +78,20 @@ class ExperimentConfig:
 
 def _floats(values) -> tuple:
     return tuple(float(v) for v in values)
+
+
+def _file_path(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a file path, got {value!r}")
+    return value
+
+
+def _flag_floats(flag: str, text: str) -> tuple:
+    """A comma-separated flag value; a bad number's error names the flag."""
+    try:
+        return _floats(t for t in text.split(",") if t)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _fmt(x: float) -> str:
@@ -83,11 +105,9 @@ def _load_config(args) -> ExperimentConfig:
     if getattr(args, "out", None) is not None:
         ec.out_dir = args.out
     if getattr(args, "theta", None) is not None:
-        ec.theta_list = tuple(float(t) for t in args.theta.split(",") if t)
+        ec.theta_list = _flag_floats("--theta", args.theta)
     if getattr(args, "alpha", None) is not None:
-        ec.alpha_grid = tuple(float(a) for a in args.alpha.split(",") if a)
-    if getattr(args, "mode", None):
-        ec.mode = args.mode
+        ec.alpha_grid = _flag_floats("--alpha", args.alpha)
     if getattr(args, "users", None):
         ec.users = args.users
     return ec
@@ -135,7 +155,12 @@ def cmd_guards(args) -> int:
     thetas = checked_theta_list(ec.theta_list)
     out = _out_dir(ec)
     # one pass: the table is the optimum of each curve written
-    curves = {t: efficiency_curve(t, ec.numerology, ec.alpha_grid) for t in thetas}
+    curves = {}
+    for theta in thetas:
+        try:
+            curves[theta] = efficiency_curve(theta, ec.numerology, ec.alpha_grid)
+        except ThetaUnreachableError:
+            pass  # reported as absent below, as lookup-build does
     with open(out / "guard_curves.csv", "w", newline="") as fh:
         fh.write("theta_db,alpha,gd_samples,gb_subcarriers,eta_time,eta_freq,eta\n")
         for theta, curve in curves.items():
@@ -147,6 +172,7 @@ def cmd_guards(args) -> int:
                 )
     table = LookupTable({t: best_allocation(c) for t, c in curves.items()})
     table.save_csv(out / "optimal_guards.csv", ec.numerology)
+    _report_absent(thetas, table)
     violations = 0
     if args.revalidate:
         for theta, supp in revalidate(table, ec.numerology).items():
@@ -160,16 +186,19 @@ def cmd_guards(args) -> int:
 def cmd_lookup_build(args) -> int:
     ec = _load_config(args)
     out = _out_dir(ec)
-    table = _lookup_for(ec, out)
-    # from the entries, not table.failures: a table loaded from the cache
-    # keeps no failures
-    for theta in ec.theta_list:
+    _report_absent(ec.theta_list, _lookup_for(ec, out))
+    return 0
+
+
+def _report_absent(thetas, table: LookupTable) -> None:
+    """One stderr line per threshold the table lacks. Read from the entries,
+    not table.failures: a table loaded from the cache keeps no failures."""
+    for theta in thetas:
         if theta not in table.entries:
             print(
                 f"theta={_fmt(theta)}: absent (unreachable at every alpha in the grid)",
                 file=sys.stderr,
             )
-    return 0
 
 
 def cmd_schedule(args) -> int:
@@ -181,7 +210,7 @@ def cmd_schedule(args) -> int:
     users = load_users_yaml(users_path)
     out = _out_dir(ec)
     lookup = _lookup_for(ec, out)
-    rows = compare_scenarios(users, ec.seed, lookup, mode=ec.mode)
+    rows = compare_scenarios(users, ec.seed, lookup)
     for r in rows:
         write_layout_csv(r.plan, out / f"schedule_{r.scenario}.csv")
     write_comparison_csv(rows, out / "guard_comparison.csv")
@@ -223,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schedule", help="run the scheduling comparison")
     common(p)
     p.add_argument("--users", help="user-set YAML file")
-    p.add_argument("--mode", choices=["exhaustive", "heuristic"])
     p.set_defaults(fn=cmd_schedule)
     return parser
 

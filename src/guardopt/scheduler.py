@@ -25,6 +25,7 @@ from .numerology import load_yaml
 from .optimizer import GuardAllocation, LookupTable
 
 USE_CASES = ("eMBB", "mMTC", "URLLC")
+EXACT_LIMIT = 10  # largest user set the default search orders exactly
 
 
 @dataclass(frozen=True)
@@ -62,17 +63,17 @@ class SchedulePlan:
         return (self.total_gb_subcarriers, self.total_gd_samples)
 
 
-def theta_for_assignment(assignment, theta_floor: float = 0.0) -> list[float]:
+def theta_for_assignment(assignment) -> list[float]:
     """Per-band interference thresholds from neighbor SIR demands and offsets.
 
     Edge bands take the max over their single neighbor; a lone user has no
-    neighbor, so the configured floor is returned.
+    neighbor, so its threshold is 0 dB.
     """
     users = list(assignment)
     if not users:
         raise ValueError("assignment must not be empty")
     if len(users) == 1:
-        return [theta_floor]
+        return [0.0]
     thetas = []
     for i, u in enumerate(users):
         candidates = []
@@ -88,12 +89,10 @@ def _theta_term(u: UserProfile, nb: UserProfile) -> float:
     return nb.sir_req_db + (u.power_dbm - nb.power_dbm)
 
 
-def allocate_guards(
-    assignment, lookup: LookupTable, theta_floor: float = 0.0
-) -> SchedulePlan:
+def allocate_guards(assignment, lookup: LookupTable) -> SchedulePlan:
     """Adaptive per-band guards for a given band ordering."""
     users = tuple(assignment)
-    return _guard_plan(users, theta_for_assignment(users, theta_floor), lookup)
+    return _guard_plan(users, theta_for_assignment(users), lookup)
 
 
 def fixed_guard_plan(assignment, lookup: LookupTable) -> SchedulePlan:
@@ -260,29 +259,36 @@ def schedule_random(users, seed: int) -> list[UserProfile]:
 def schedule_interference_based(
     users,
     lookup: LookupTable,
-    mode: str = "exhaustive",
+    mode: str | None = None,
     theta_floor: float = 0.0,
 ) -> list[UserProfile]:
     """Band ordering minimizing total guard cost.
 
-    exhaustive: exact Held-Karp DP, limited to n <= 10; among equal-cost
-    orderings it returns the first in input order, as a search over
-    `itertools.permutations(users)` would.
+    The set size picks the search: the exact Held-Karp DP for at most
+    EXACT_LIMIT users, the heuristic above. `mode` forces one, for
+    comparisons: "exhaustive" (an error above EXACT_LIMIT) or "heuristic".
+    exhaustive: among equal-cost orderings it returns the first in input
+    order, as a search over `itertools.permutations(users)` would.
     heuristic: sort by power (SIR requirement as tie-break), then adjacent-swap
     passes until no swap improves the cost.
-    theta_floor only sets a lone user's threshold, so it cannot change an
-    ordering. A threshold above the table maximum raises ValueError naming
-    the user; exhaustive mode raises the error of the first ordering, in
-    input order, that leaves the table, as the permutation search would.
+    A threshold above the table maximum raises ValueError naming the user;
+    exhaustive mode raises the error of the first ordering, in input order,
+    that leaves the table, as the permutation search would.
+    theta_floor is ignored: no ordering depends on it. It stays only because
+    perfbench/tracer.py passes it positionally, until the next benchmark
+    change removes it there.
     """
     users = list(users)
     if len(users) <= 1:
         return users
     kernel = _OrderingCost(users, lookup)
+    if mode is None:
+        mode = "exhaustive" if len(users) <= EXACT_LIMIT else "heuristic"
     if mode == "exhaustive":
-        if len(users) > 10:
+        if len(users) > EXACT_LIMIT:
             raise ValueError(
-                "exhaustive search is limited to 10 users; use mode='heuristic'"
+                f"exhaustive search is limited to {EXACT_LIMIT} users; "
+                "use mode='heuristic'"
             )
         return [users[i] for i in _exact_order(kernel)]
     if mode == "heuristic":
@@ -319,18 +325,15 @@ def _reduction(prev: float, cur: float) -> float:
 
 
 def compare_scenarios(
-    users,
-    seed: int,
-    lookup: LookupTable,
-    mode: str = "exhaustive",
-    theta_floor: float = 0.0,
+    users, seed: int, lookup: LookupTable, mode: str | None = None
 ) -> list[ScenarioRow]:
-    """Fixed/random vs adaptive/random vs adaptive/interference-based guards."""
+    """Fixed/random vs adaptive/random vs adaptive/interference-based guards;
+    `mode` as in schedule_interference_based."""
     random_order = schedule_random(users, seed)
     fixed = fixed_guard_plan(random_order, lookup)
-    adaptive = allocate_guards(random_order, lookup, theta_floor)
-    scheduled_order = schedule_interference_based(users, lookup, mode, theta_floor)
-    scheduled = allocate_guards(scheduled_order, lookup, theta_floor)
+    adaptive = allocate_guards(random_order, lookup)
+    scheduled_order = schedule_interference_based(users, lookup, mode)
+    scheduled = allocate_guards(scheduled_order, lookup)
     return [
         ScenarioRow("fixed_random", fixed, 0.0, 0.0),
         ScenarioRow(

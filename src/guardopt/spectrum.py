@@ -74,25 +74,19 @@ class AciReport:
     achieved_sir_db: float   # -(leak_power_db) - po
 
 
-def estimate_psd(
-    stream: np.ndarray,
-    cfg: NumerologyConfig,
-    n_segments: int,
-    segment_symbols: int = 4,
-) -> PsdEstimate:
+def estimate_psd(stream: np.ndarray, cfg: NumerologyConfig) -> PsdEstimate:
     """Averaged periodogram: Hann segments, 50% overlap, 4x zero-padded FFT.
 
-    Segment length is segment_symbols * n_fft samples and segments hop by half
-    of it; the stream must hold (n_segments - 1) * hop + segment_len samples.
-    Normalized so the mean level over the occupied band is exactly 0 dB.
+    Segments are SEGMENT_SYMBOLS * n_fft samples long and hop by half of
+    that; every segment that fits in the stream is averaged, and the stream
+    must hold at least one. Normalized so the mean level over the occupied
+    band is exactly 0 dB.
     """
-    if n_segments < 1:
-        raise ValueError("n_segments must be positive")
-    seg_len = segment_symbols * cfg.n_fft
+    seg_len = SEGMENT_SYMBOLS * cfg.n_fft
+    if stream.size < seg_len:
+        raise ValueError(f"stream too short: {stream.size} < {seg_len}")
     hop = seg_len // 2
-    needed = (n_segments - 1) * hop + seg_len
-    if stream.size < needed:
-        raise ValueError(f"stream too short: {stream.size} < {needed}")
+    n_segments = (stream.size - seg_len) // hop + 1
     nfft = 4 * seg_len
     window = np.hanning(seg_len)
     acc = np.zeros(nfft)
@@ -203,18 +197,13 @@ def windowed_psd(
     """
     ocfg = cfg.oversampled(OVERSAMPLE)
     win = WindowSpec.for_config(alpha, ocfg)
-    seg_len = SEGMENT_SYMBOLS * ocfg.n_fft
     if n_symbols is None:
-        nfft = 4 * seg_len
+        nfft = 4 * SEGMENT_SYMBOLS * ocfg.n_fft
         power = np.abs(np.fft.fft(pulse_weights(ocfg, win.t_cp_win), n=nfft)) ** 2
         return _normalized(
             _comb_sum(power, occupied_bins(ocfg), nfft // ocfg.n_fft), ocfg
         )
-    stream = symbol_stream(ocfg, win, n_symbols, seed)
-    n_segments = (stream.size - seg_len) // (seg_len // 2) + 1
-    if n_segments < 1:
-        raise ValueError("too few symbols for the requested segment length")
-    return estimate_psd(stream, ocfg, n_segments, SEGMENT_SYMBOLS)
+    return estimate_psd(symbol_stream(ocfg, win, n_symbols, seed), ocfg)
 
 
 def suppression_db(

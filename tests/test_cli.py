@@ -1,9 +1,15 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import guardopt.optimizer as optimizer
-from guardopt.cli import ExperimentConfig, main
+from guardopt.cli import CONFIG_KEYS, ExperimentConfig, main
 from guardopt.numerology import NumerologyConfig
+from guardopt.scheduler import load_users_yaml, schedule_interference_based
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # cheap but non-trivial settings shared across CLI runs
 THETA = "20,30"
@@ -28,14 +34,13 @@ class TestConfigLoading:
         path = tmp_path / "exp.yaml"
         path.write_text(
             "n_fft: 512\nn_occupied: 300\nseed: 9\n"
-            "theta_list: [25, 35]\nalpha_grid: [0, 0.1]\nmode: heuristic\n"
+            "theta_list: [25, 35]\nalpha_grid: [0, 0.1]\n"
         )
         ec = ExperimentConfig.load(path)
         assert ec.numerology.n_fft == 512
         assert ec.seed == 9
         assert ec.theta_list == (25.0, 35.0)
         assert ec.alpha_grid == (0.0, 0.1)
-        assert ec.mode == "heuristic"
 
     def test_empty_yaml_is_defaults(self, tmp_path):
         path = tmp_path / "empty.yaml"
@@ -55,6 +60,45 @@ class TestConfigLoading:
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
         assert str(path) in err and key in err
+
+    def test_non_string_users_names_file_and_key(self, tmp_path, capsys):
+        path = tmp_path / "exp.yaml"
+        path.write_text("users: 5\n")
+        code = main(["schedule", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: users: ")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "text, keys",
+        [("mode: heuristic\n", "'mode'"),
+         ("thetalist: [20]\nseed: 1\nmode: x\n", "'thetalist', 'mode'")],
+    )
+    def test_unknown_keys_rejected(self, tmp_path, capsys, text, keys):
+        path = tmp_path / "exp.yaml"
+        path.write_text(text)
+        code = main(["lookup-build", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: unknown key {keys} (accepted: ")
+        assert len(err.strip().splitlines()) == 1
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_readme_lists_the_accepted_keys(self):
+        text = " ".join(README.read_text().split())
+        listed = re.search(r"Config YAML keys \(all optional\): (.*?)\. ", text)
+        assert tuple(re.findall(r"`([^`]+)`", listed.group(1))) == CONFIG_KEYS
+
+    @pytest.mark.parametrize(
+        "flag, value, bad", [("--theta", "20,abc", "abc"), ("--alpha", "0,x", "x")]
+    )
+    def test_bad_flag_number_names_flag(self, tmp_path, capsys, flag, value, bad):
+        code = main(["guards", flag, value, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {flag}: could not convert string to float: '{bad}'\n"
+        )
 
     @pytest.mark.parametrize("flag", ["--config", "--users"])
     def test_malformed_yaml_names_file(self, tmp_path, capsys, flag):
@@ -116,6 +160,33 @@ class TestGuardsCommand:
             (20.0, 30.0), NumerologyConfig(), (0.0, 0.05, 0.1)
         )
         table.save_csv(tmp_path / "built.csv", NumerologyConfig())
+        assert (out / "optimal_guards.csv").read_bytes() == (
+            tmp_path / "built.csv"
+        ).read_bytes()
+
+    def test_unreachable_theta_reported_absent(self, tmp_path, capsys, monkeypatch):
+        # theta=300 is out of reach: reported as lookup-build reports it,
+        # while theta=20 still gets its curve and table row
+        calls, real = [], optimizer.required_guard_band
+
+        def counted(*args):
+            calls.append(args[:2])
+            return real(*args)
+
+        monkeypatch.setattr(optimizer, "required_guard_band", counted)
+        out = tmp_path / "o"
+        argv = ["guards", "--theta", "20,300", "--alpha", "0,0.1", "--out", str(out)]
+        assert _run(argv) == 0
+        assert capsys.readouterr().err == (
+            "theta=300: absent (unreachable at every alpha in the grid)\n"
+        )
+        assert len(calls) == len(set(calls)) == 2 * 2
+        curves = (out / "guard_curves.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[0] for row in curves} == {"20"}
+        cfg = NumerologyConfig()
+        optimizer.build_lookup_table((20.0, 300.0), cfg, (0.0, 0.1)).save_csv(
+            tmp_path / "built.csv", cfg
+        )
         assert (out / "optimal_guards.csv").read_bytes() == (
             tmp_path / "built.csv"
         ).read_bytes()
@@ -215,6 +286,30 @@ class TestScheduleCommand:
         assert {k: v for k, v in a.items() if not k.startswith("lookup_")} == {
             k: v for k, v in b.items() if not k.startswith("lookup_")
         }
+
+    @pytest.mark.parametrize("n, mode", [(10, "exhaustive"), (12, "heuristic")])
+    def test_set_size_picks_the_search(self, tmp_path, n, mode):
+        # exact up to 10 users (it beats the heuristic on the 10-user set),
+        # the heuristic above
+        path = tmp_path / "users.yaml"
+        path.write_text("users:\n" + "".join(
+            f"  - {{id: u{i}, power_dbm: {7 * i % 13}, sir_req_db: {15 + 5 * i % 11},"
+            " use_case: eMBB, obw_subcarriers: 72}\n"
+            for i in range(n)
+        ))
+        out = tmp_path / "o"
+        argv = ["schedule", "--users", str(path), "--theta", SCHED_THETA,
+                "--alpha", ALPHA, "--out", str(out)]
+        assert _run(argv) == 0
+        lookup = optimizer.LookupTable.load_csv(next(out.glob("lookup_*.csv")))
+        want = schedule_interference_based(load_users_yaml(path), lookup, mode)
+        rows = (out / "schedule_adaptive_scheduled.csv").read_text().splitlines()
+        assert [row.split(",")[1] for row in rows[1:]] == [u.id for u in want]
+
+    def test_mode_flag_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["schedule", "--mode", "heuristic", "--out", str(tmp_path)])
+        assert exc.value.code == 2
 
     def test_missing_users_file_exits_1(self, tmp_path, capsys):
         out = tmp_path / "o"

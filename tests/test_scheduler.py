@@ -145,7 +145,6 @@ class TestThetaForAssignment:
     def test_single_user_gets_floor(self):
         u = _user("solo", 10.0, 20.0)
         assert theta_for_assignment([u]) == [0.0]
-        assert theta_for_assignment([u], theta_floor=12.0) == [12.0]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -302,10 +301,18 @@ class TestScheduleInterferenceBased:
     def test_exhaustive_user_limit(self, lut):
         users = [_user(f"u{i}", float(i), 20.0) for i in range(11)]
         with pytest.raises(ValueError, match="10"):
-            schedule_interference_based(users, lut)
+            schedule_interference_based(users, lut, "exhaustive")
         # heuristic still handles the same set
         order = schedule_interference_based(users, lut, mode="heuristic")
         assert len(order) == 11
+
+    def test_set_size_picks_search(self, lut):
+        # at 10 users the exact ordering beats the heuristic's
+        users = [_user(f"u{i}", 7 * i % 13, 15 + 5 * i % 11) for i in range(11)]
+        for n, mode in ((10, "exhaustive"), (11, "heuristic")):
+            assert schedule_interference_based(users[:n], lut) == (
+                schedule_interference_based(users[:n], lut, mode)
+            )
 
     def test_bad_mode(self, lut):
         with pytest.raises(ValueError, match="mode"):
@@ -316,24 +323,24 @@ class TestScheduleInterferenceBased:
         assert schedule_interference_based([u], lut) == [u]
 
 
-def _permutation_search(users, lut, theta_floor=0.0):
+def _permutation_search(users, lut):
     """Oracle: the first minimum-cost ordering over every permutation."""
     return list(min(
         itertools.permutations(users),
-        key=lambda p: allocate_guards(p, lut, theta_floor).cost,
+        key=lambda p: allocate_guards(p, lut).cost,
     ))
 
 
-def _adjacent_swap_search(users, lut, theta_floor=0.0):
+def _adjacent_swap_search(users, lut):
     """Oracle: the adjacent-swap heuristic, costing full plans."""
     order = sorted(users, key=lambda u: (u.power_dbm, u.sir_req_db))
     improved = True
     while improved:
         improved = False
-        cost = allocate_guards(order, lut, theta_floor).cost
+        cost = allocate_guards(order, lut).cost
         for i in range(len(order) - 1):
             order[i], order[i + 1] = order[i + 1], order[i]
-            trial = allocate_guards(order, lut, theta_floor).cost
+            trial = allocate_guards(order, lut).cost
             if trial < cost:
                 cost = trial
                 improved = True
@@ -387,14 +394,14 @@ class TestOrderingSearchOracles:
     @given(users=_user_sets(7), lut=_tables(), floor=st.floats(-10.0, 45.0))
     def test_exhaustive_is_first_permutation_optimum(self, users, lut, floor):
         got = schedule_interference_based(users, lut, theta_floor=floor)
-        want = _permutation_search(users, lut, floor)
+        want = _permutation_search(users, lut)
         assert [id(u) for u in got] == [id(u) for u in want]
 
     @settings(deadline=None, derandomize=True, max_examples=60)
     @given(users=_user_sets(14), lut=_tables(), floor=st.floats(-10.0, 45.0))
     def test_heuristic_matches_swap_loop(self, users, lut, floor):
         got = schedule_interference_based(users, lut, "heuristic", floor)
-        want = _adjacent_swap_search(users, lut, floor)
+        want = _adjacent_swap_search(users, lut)
         assert [id(u) for u in got] == [id(u) for u in want]
 
     @settings(deadline=None, derandomize=True, max_examples=60)

@@ -49,26 +49,26 @@ class TestEstimatePsd:
         fs = small_cfg.sample_rate
         n = np.arange(16 * 4 * small_cfg.n_fft)
         tone = np.exp(2j * np.pi * k * small_cfg.subcarrier_spacing * n / fs)
-        psd = estimate_psd(tone, small_cfg, n_segments=4)
+        psd = estimate_psd(tone, small_cfg)
         peak = psd.freqs[np.argmax(psd.power_db)]
         assert abs(peak - k * small_cfg.subcarrier_spacing) <= psd.resolution
 
     def test_normalization_exact(self, small_cfg):
         win = WindowSpec.for_config(0.05, small_cfg)
         stream = symbol_stream(small_cfg, win, 40, seed=0)
-        psd = estimate_psd(stream, small_cfg, n_segments=4)
+        psd = estimate_psd(stream, small_cfg)
         in_band = np.abs(psd.freqs) <= psd.band_edge_hz
         assert np.mean(psd.linear()[in_band]) == pytest.approx(1.0, abs=1e-12)
 
     def test_resolution_oversampled_enough(self, small_cfg):
         win = WindowSpec.for_config(0.0, small_cfg)
         stream = symbol_stream(small_cfg, win, 40, seed=0)
-        psd = estimate_psd(stream, small_cfg, n_segments=4)
+        psd = estimate_psd(stream, small_cfg)
         assert psd.resolution <= small_cfg.subcarrier_spacing / 4
 
     def test_stream_too_short(self, small_cfg):
         with pytest.raises(ValueError, match="too short"):
-            estimate_psd(np.zeros(100, dtype=complex), small_cfg, n_segments=2)
+            estimate_psd(np.zeros(100, dtype=complex), small_cfg)
 
     def test_windowing_lowers_sidelobes(self, cfg):
         # leakage just outside the band drops when the roll-off grows
@@ -83,15 +83,16 @@ class TestEstimatePsd:
         # Monte-Carlo oracle over 20 seeds: out-of-band leak estimate tightens
         win = WindowSpec.for_config(0.05, small_cfg)
 
-        def leak(seed, n_segments, n_symbols):
+        def leak(seed, n_symbols):
             stream = symbol_stream(small_cfg, win, n_symbols, seed)
-            psd = estimate_psd(stream, small_cfg, n_segments)
+            psd = estimate_psd(stream, small_cfg)
             return measure_aci(
                 psd, 0.0, 10 * small_cfg.subcarrier_spacing, 0.0
             ).leak_power_db
 
-        few = [leak(s, 2, 100) for s in range(20)]
-        many = [leak(s, 4, 100) for s in range(20)]
+        # one segment against nine
+        few = [leak(s, 40) for s in range(20)]
+        many = [leak(s, 160) for s in range(20)]
         assert np.var(many) < np.var(few)
 
 
@@ -281,20 +282,22 @@ class TestExpectedPsd:
             )
 
 
-def test_welch_uses_every_overlapped_segment(small_cfg, monkeypatch):
-    import guardopt.spectrum as spectrum
+def test_welch_averages_the_last_segment(small_cfg):
+    # three overlapped segments; the tone at subcarrier -10 sounds only in the
+    # last half-segment, which no other segment covers (without the last
+    # segment it reads about 175 dB below the tone at subcarrier 3)
+    seg_len = SEGMENT_SYMBOLS * small_cfg.n_fft
+    n = np.arange(2 * seg_len)
+    stream = np.exp(2j * np.pi * 3 * n / small_cfg.n_fft)
+    tail = n[-seg_len // 2:]
+    stream[tail] += np.exp(-2j * np.pi * 10 * tail / small_cfg.n_fft)
+    psd = estimate_psd(stream, small_cfg)
 
-    seen, real = [], spectrum.estimate_psd
+    def level_db(subcarrier):
+        f = subcarrier * small_cfg.subcarrier_spacing
+        return psd.power_db[np.argmin(np.abs(psd.freqs - f))]
 
-    def spy(stream, cfg, n_segments, segment_symbols):
-        seen.append((stream.size, n_segments, segment_symbols * cfg.n_fft))
-        return real(stream, cfg, n_segments, segment_symbols)
-
-    monkeypatch.setattr(spectrum, "estimate_psd", spy)
-    spectrum.windowed_psd.__wrapped__(0.1, small_cfg, n_symbols=128)
-    (size, n, seg_len), = seen
-    hop = seg_len // 2
-    assert (n - 1) * hop + seg_len <= size < n * hop + seg_len
+    assert level_db(-10) > level_db(3) - 20.0
 
 
 def test_windowed_psd_cached_identity(cfg):
