@@ -18,6 +18,7 @@ from .optimizer import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_THETA_LIST,
     LookupTable,
+    _theta_text,
     best_allocation,
     build_lookup_table,
     checked_theta_list,
@@ -31,7 +32,12 @@ from .scheduler import (
     write_comparison_csv,
     write_layout_csv,
 )
-from .spectrum import ThetaUnreachableError, windowed_psd, write_psd_csv
+from .spectrum import (
+    ThetaUnreachableError,
+    least_welch_symbols,
+    windowed_psd,
+    write_psd_csv,
+)
 
 # dB an entry's revalidated suppression may fall short of its threshold
 REVALIDATE_TOL_DB = 0.1
@@ -69,8 +75,10 @@ class ExperimentConfig:
             ec.theta_list = mapping_value(raw, "theta_list", _floats, ec.theta_list)
             ec.users = mapping_value(raw, "users", _file_path, ec.users)
             ec.seed = mapping_value(raw, "seed", int, ec.seed)
-            ec.out_dir = mapping_value(raw, "out_dir", str, ec.out_dir)
-            ec.psd_symbols = mapping_value(raw, "psd_symbols", int, ec.psd_symbols)
+            ec.out_dir = mapping_value(raw, "out_dir", _file_path, ec.out_dir)
+            ec.psd_symbols = mapping_value(
+                raw, "psd_symbols", _positive_int, ec.psd_symbols
+            )
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         return ec
@@ -80,9 +88,16 @@ def _floats(values) -> tuple:
     return tuple(float(v) for v in values)
 
 
+def _positive_int(value) -> int:
+    n = int(value)
+    if n <= 0:
+        raise ValueError(f"must be positive, got {n}")
+    return n
+
+
 def _file_path(value) -> str:
     if not isinstance(value, str):
-        raise TypeError(f"expected a file path, got {value!r}")
+        raise TypeError(f"expected a path, got {value!r}")
     return value
 
 
@@ -138,6 +153,13 @@ def _lookup_for(ec: ExperimentConfig, out: Path) -> LookupTable:
 
 def cmd_psd(args) -> int:
     ec = _load_config(args)
+    for alpha in ec.alpha_grid:
+        least = least_welch_symbols(alpha, ec.numerology)
+        if ec.psd_symbols < least:
+            raise ValueError(
+                f"psd_symbols: {ec.psd_symbols} symbols fill no Welch segment "
+                f"at alpha={_fmt(alpha)}; at least {least} are needed"
+            )
     out = _out_dir(ec)
     for alpha in ec.alpha_grid:
         psd = windowed_psd(
@@ -149,9 +171,6 @@ def cmd_psd(args) -> int:
 
 def cmd_guards(args) -> int:
     ec = _load_config(args)
-    if not ec.theta_list:
-        print("error: empty theta list", file=sys.stderr)
-        return 2
     thetas = checked_theta_list(ec.theta_list)
     out = _out_dir(ec)
     # one pass: the table is the optimum of each curve written
@@ -166,7 +185,7 @@ def cmd_guards(args) -> int:
         for theta, curve in curves.items():
             for a in curve:
                 fh.write(
-                    f"{_fmt(theta)},{_fmt(a.alpha)},{a.gd_samples},"
+                    f"{_theta_text(theta)},{_fmt(a.alpha)},{a.gd_samples},"
                     f"{a.gb_subcarriers:.6f},{a.eta_time:.8f},"
                     f"{a.eta_freq:.8f},{a.eta:.8f}\n"
                 )
@@ -185,8 +204,9 @@ def cmd_guards(args) -> int:
 
 def cmd_lookup_build(args) -> int:
     ec = _load_config(args)
+    thetas = checked_theta_list(ec.theta_list)
     out = _out_dir(ec)
-    _report_absent(ec.theta_list, _lookup_for(ec, out))
+    _report_absent(thetas, _lookup_for(ec, out))
     return 0
 
 
@@ -208,6 +228,7 @@ def cmd_schedule(args) -> int:
     else:
         users_path = Path(ec.users)
     users = load_users_yaml(users_path)
+    checked_theta_list(ec.theta_list)
     out = _out_dir(ec)
     lookup = _lookup_for(ec, out)
     rows = compare_scenarios(users, ec.seed, lookup)

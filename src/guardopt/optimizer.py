@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from .numerology import NumerologyConfig, WindowSpec
@@ -195,10 +196,16 @@ def build_lookup_table(
 
 
 def checked_theta_list(theta_list) -> list:
-    """theta_list as a list; raises ValueError unless non-empty and ascending."""
+    """theta_list as a list; raises ValueError unless non-empty, ascending,
+    and every threshold finite and above 0 dB."""
     theta_list = list(theta_list)
     if not theta_list:
         raise ValueError("theta_list must be non-empty")
+    for theta in theta_list:
+        if not (math.isfinite(theta) and theta > 0):
+            raise ValueError(
+                f"theta_list values must be finite and positive, got {theta}"
+            )
     if sorted(theta_list) != theta_list:
         raise ValueError("theta_list must be sorted ascending")
     return theta_list

@@ -128,18 +128,25 @@ def _ceil_allocation(
         ) from exc
 
 
+def _whole_gb(a: GuardAllocation) -> int:
+    """A band's guard band in whole subcarriers."""
+    return math.ceil(a.gb_subcarriers - 1e-9)
+
+
 def _boundary_gb(a: GuardAllocation, b: GuardAllocation) -> int:
-    """Guard band shared by two adjacent bands, in whole subcarriers."""
-    return math.ceil(max(a.gb_subcarriers, b.gb_subcarriers) - 1e-9)
+    """Guard band shared by two adjacent bands, in whole subcarriers: rounding
+    up is monotone, so it is the larger of the two bands' whole GBs."""
+    return max(_whole_gb(a), _whole_gb(b))
 
 
 class _OrderingCost:
     """(total GB, total GD) of orderings of one set of two or more users.
 
-    Orderings are lists of user indices. Each threshold term is computed once
-    per user pair and the table is read once per distinct threshold, so no
-    SchedulePlan is built per candidate; the result equals
-    `allocate_guards(ordering).cost`, errors included.
+    Orderings are lists of user indices. A band costs two integers, its whole
+    GB and its GD; a boundary costs the larger whole GB of its two bands.
+    Each threshold term is computed once per user pair and the table is read
+    once per distinct threshold, so no SchedulePlan is built per candidate;
+    the result equals `allocate_guards(ordering).cost`, errors included.
     """
 
     def __init__(self, users, lookup: LookupTable):
@@ -147,28 +154,27 @@ class _OrderingCost:
         self.lookup = lookup
         # term[i][j]: threshold of band i toward neighbor j
         self.term = [[_theta_term(u, nb) for nb in users] for u in users]
-        self._allocs: dict[float, GuardAllocation] = {}
+        self._pairs: dict[float, tuple[int, int]] = {}
 
-    def alloc(self, i: int, theta: float) -> GuardAllocation:
-        a = self._allocs.get(theta)
-        if a is None:
-            a = self._allocs[theta] = _ceil_allocation(
-                self.lookup, self.users[i], theta
-            )
-        return a
+    def guards(self, a: int, b: int, c: int) -> tuple[int, int]:
+        """(whole GB, GD) of band b between a and c (a == c: a is its only
+        neighbor)."""
+        term = self.term[b]
+        theta = term[c] if term[c] > term[a] else term[a]  # max(), but faster
+        pair = self._pairs.get(theta)
+        if pair is None:
+            g = _ceil_allocation(self.lookup, self.users[b], theta)
+            pair = self._pairs[theta] = (_whole_gb(g), g.gd_samples)
+        return pair
 
     def cost(self, order) -> tuple[int, int]:
-        term, last = self.term, len(order) - 1
-        allocs = [
-            self.alloc(i, max(
-                term[i][order[k - 1]] if k else -math.inf,
-                term[i][order[k + 1]] if k < last else -math.inf,
-            ))
-            for k, i in enumerate(order)
+        pairs = [
+            self.guards(a, b, c)
+            for a, b, c in zip([order[1], *order], order, [*order[1:], order[-2]])
         ]
         return (
-            sum(_boundary_gb(a, b) for a, b in zip(allocs, allocs[1:])),
-            sum(a.gd_samples for a in allocs),
+            sum(max(x[0], y[0]) for x, y in zip(pairs, pairs[1:])),
+            sum(gd for _, gd in pairs),
         )
 
 
@@ -176,76 +182,57 @@ def _exact_order(kernel: _OrderingCost) -> list[int]:
     """First minimum-cost ordering in `itertools.permutations` order.
 
     Held-Karp DP: band b's guards depend on its two neighbors and the a|b
-    boundary on the guards of a and b, so the cost of everything from band b
-    on depends only on (placed set, a, b, allocation of a). Costs add as
-    (GB, GD) pairs. The ordering is rebuilt from the front, taking the
-    smallest index that keeps the optimum: the lexicographically first
-    optimal index sequence, which is the permutation search's answer.
+    boundary on the whole GBs of a and b, so the cost of everything from band
+    b on depends only on (placed set, a, b, whole GB of a). Costs add as
+    (GB, GD) pairs. Each state keeps its least cost with the smallest next
+    user reaching it, and the ordering is read off the states from the front:
+    the lexicographically first optimal index sequence, which is the
+    permutation search's answer.
 
-    Prefixes are searched in permutation order and each band's allocation is
+    Prefixes are searched in permutation order and each band's guards are
     read when first needed: when the next band is placed, or at the full set
-    for the last band, the order `allocate_guards` reads them in. A memoised
-    state's subtree was searched without error, so a threshold beyond the
-    table raises the permutation search's error for the same user and theta.
+    for the last band, the order `allocate_guards` reads them in. A state's
+    subtree reads the same bands whatever a's GB, and a memoised one was
+    searched without error, so a threshold beyond the table raises the
+    permutation search's error for the same user and theta.
     """
-    n = len(kernel.users)
-    term = kernel.term
-    levels: dict[GuardAllocation, int] = {}
-    gd: list[int] = []
-    bnd: list[list[int]] = []  # bnd[x][y]: boundary GB between levels x, y
-    # mid[a][b][c]: level of b between a and c (a == c: a is its only
-    # neighbor); None until first read
-    mid = [[[None] * n for _ in range(n)] for _ in range(n)]
-
-    def band(a, b, c):
-        if mid[a][b][c] is None:
-            x = kernel.alloc(b, max(term[b][a], term[b][c]))
-            if x not in levels:
-                levels[x] = len(levels)
-                gd.append(x.gd_samples)
-                for row, y in zip(bnd, levels):  # earlier levels' rows
-                    row.append(_boundary_gb(y, x))
-                bnd.append([_boundary_gb(x, y) for y in levels])
-            mid[a][b][c] = levels[x]
-        return mid[a][b][c]
-
+    n, guards = len(kernel.users), kernel.guards
     full = (1 << n) - 1
-    memo: dict[tuple, tuple[int, int]] = {}
+    # (mask, a, b, whole GB of a) -> (least cost of b's GD, the a|b boundary
+    # and every band after b; next user; whole GB of next)
+    memo: dict[tuple, tuple] = {}
 
-    def steps(mask, a, b, la):
-        """Each next user c: (c, level of b, least cost of b's GD, the a|b
-        boundary and every band after b)."""
-        for c in range(n):
-            if not mask >> c & 1:
-                lb = mid[a][b][c]
-                if lb is None:
-                    lb = band(a, b, c)
-                gb_rest, gd_rest = togo(mask | 1 << c, b, c, lb)
-                yield c, lb, (gb_rest + bnd[la][lb], gd_rest + gd[lb])
-
-    def togo(mask, a, b, la):
-        key = (mask, a, b, la)
-        if key not in memo:
+    def togo(mask, a, b, ga):
+        key = (mask, a, b, ga)
+        best = memo.get(key)
+        if best is None:
             if mask == full:
-                lb = band(a, b, a)
-                memo[key] = (bnd[la][lb], gd[lb])
+                gb, gd = guards(a, b, a)
+                best = ((max(ga, gb), gd), None, None)
             else:
-                memo[key] = min(cost for _, _, cost in steps(mask, a, b, la))
-        return memo[key]
+                steps = []
+                for c in range(n):
+                    if not mask >> c & 1:
+                        gb, gd = guards(a, b, c)
+                        (gb_rest, gd_rest), _, _ = togo(mask | 1 << c, b, c, gb)
+                        boundary = gb if gb > ga else ga
+                        steps.append(((gb_rest + boundary, gd_rest + gd), c, gb))
+                best = min(steps)  # cost first, ties to the smallest c
+            memo[key] = best
+        return best
 
-    def start(pair):
-        a, b = pair
-        la = band(b, a, b)
-        gb_rest, gd_rest = togo(1 << a | 1 << b, a, b, la)
-        return gb_rest, gd_rest + gd[la]
+    def start(a, b):
+        ga, gda = guards(b, a, b)
+        (gb_rest, gd_rest), _, _ = togo(1 << a | 1 << b, a, b, ga)
+        return (gb_rest, gd_rest + gda), a, b, ga
 
-    # min keeps the first of equal costs: ties go to the smallest index
-    a, b = min(((a, b) for a in range(n) for b in range(n) if a != b), key=start)
-    order, mask, la = [a, b], 1 << a | 1 << b, band(b, a, b)
+    # cost first, ties to the smallest (a, b)
+    _, a, b, ga = min(start(a, b) for a in range(n) for b in range(n) if a != b)
+    order, mask = [a, b], 1 << a | 1 << b
     while mask != full:
-        c, lb, _ = min(steps(mask, a, b, la), key=lambda step: step[2])
+        _, c, gc = memo[mask, a, b, ga]
         order.append(c)
-        mask, a, b, la = mask | 1 << c, b, c, lb
+        mask, a, b, ga = mask | 1 << c, b, c, gc
     return order
 
 

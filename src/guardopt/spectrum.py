@@ -97,6 +97,15 @@ def estimate_psd(stream: np.ndarray, cfg: NumerologyConfig) -> PsdEstimate:
     return _normalized(acc / n_segments, cfg)
 
 
+def least_welch_symbols(alpha: float, cfg: NumerologyConfig) -> int:
+    """Fewest symbols whose windowed stream at alpha fills one Welch segment:
+    n symbols span n * (n_fft + t_cp_ch + ramp) + ramp oversampled samples."""
+    ocfg = cfg.oversampled(OVERSAMPLE)
+    ramp = WindowSpec.for_config(alpha, ocfg).t_cp_win
+    hop = ocfg.n_fft + ocfg.t_cp_ch + ramp
+    return -(-(SEGMENT_SYMBOLS * ocfg.n_fft - ramp) // hop)
+
+
 def _to_db(power):
     """10 log10 of a power ratio; the floor keeps deep nulls and all-zero
     bands finite and lies well below any physical level here."""

@@ -95,17 +95,23 @@ def extend_and_window(
     weight.
     """
     L = win.t_cp_win
-    if L + cfg.t_cp_ch >= cfg.n_fft:
-        raise ValueError("cyclic extension exceeds symbol length")
+    weights = pulse_weights(cfg, L)
     body = sym.data
     prefix = body[cfg.n_fft - cfg.t_cp_ch - L:]
     suffix = body[:L]
     ext = np.concatenate([prefix, body, suffix])
-    return WindowedSymbol(samples=ext * pulse_weights(cfg, L), ramp_len=L)
+    return WindowedSymbol(samples=ext * weights, ramp_len=L)
 
 
 def pulse_weights(cfg: NumerologyConfig, ramp_len: int) -> np.ndarray:
-    """Per-symbol weights: RC ramps of ramp_len around a unit CP and body."""
+    """Per-symbol weights: RC ramps of ramp_len around a unit CP and body.
+
+    The cyclic extension (channel CP plus one ramp) must be shorter than the
+    symbol it copies from; the synthesis and the expected PSD both check it
+    here.
+    """
+    if ramp_len + cfg.t_cp_ch >= cfg.n_fft:
+        raise ValueError("cyclic extension exceeds symbol length")
     return np.concatenate(
         [rising_taper(ramp_len), np.ones(cfg.t_cp_ch + cfg.n_fft),
          falling_taper(ramp_len)]

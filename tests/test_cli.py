@@ -112,7 +112,46 @@ class TestConfigLoading:
         assert str(path) in err and "malformed YAML" in err
 
 
+    def test_non_string_out_dir_names_file_and_key(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "exp.yaml"
+        path.write_text("out_dir: [a, b]\n")
+        code = main(["lookup-build", "--config", str(path), "--theta", THETA,
+                     "--alpha", ALPHA])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: out_dir: ")
+        assert len(err.strip().splitlines()) == 1
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("value", ["-3", "0"])
+    def test_non_positive_psd_symbols_names_file_and_key(
+        self, tmp_path, capsys, value
+    ):
+        path = tmp_path / "exp.yaml"
+        path.write_text(f"psd_symbols: {value}\n")
+        code = main(["psd", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: psd_symbols: must be positive, got {value}\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+
 class TestPsdCommand:
+    def test_too_few_symbols_names_key_and_least_count(self, tmp_path, capsys):
+        path = tmp_path / "exp.yaml"
+        path.write_text("psd_symbols: 10\n")
+        out = tmp_path / "o"
+        code = main(["psd", "--config", str(path), "--alpha", "0,0.1",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: psd_symbols: 10 symbols fill no Welch segment at alpha=0; "
+            "at least 30 are needed\n"
+        )
+        assert not out.exists()
+
     def test_writes_one_file_per_alpha(self, tmp_path):
         out = tmp_path / "o"
         assert _run(["psd", "--alpha", ALPHA, "--out", str(out)]) == 0
@@ -198,12 +237,24 @@ class TestGuardsCommand:
         assert "sorted ascending" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_empty_theta_exits_2_without_files(self, tmp_path, capsys):
+    def test_empty_theta_exits_1_without_files(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = _run(["guards", "--theta", "", "--out", str(out)])
-        assert code == 2
-        assert "empty theta list" in capsys.readouterr().err
+        assert code == 1
+        assert capsys.readouterr().err == "error: theta_list must be non-empty\n"
         assert not out.exists()
+
+    def test_curve_and_table_write_the_same_theta(self, tmp_path):
+        # %.6g would round this threshold to 45 in the curves only
+        out = tmp_path / "o"
+        argv = ["guards", "--theta", "44.9999996", "--alpha", "0.05,0.1"]
+        assert _run(argv + ["--out", str(out)]) == 0
+        keys = {
+            name: {row.split(",")[0] for row in (out / name).read_text().splitlines()[1:]}
+            for name in ("guard_curves.csv", "optimal_guards.csv")
+        }
+        assert keys == {"guard_curves.csv": {"44.9999996"},
+                        "optimal_guards.csv": {"44.9999996"}}
 
     def test_revalidate_reports_ok(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -400,3 +451,32 @@ def test_failed_lookup_write_leaves_no_file(tmp_path, monkeypatch, capsys):
 def test_unknown_command_usage_error():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("command", ["guards", "lookup-build", "schedule"])
+@pytest.mark.parametrize("theta, message", [
+    ("nan", "theta_list values must be finite and positive, got nan"),
+    ("20,nan", "theta_list values must be finite and positive, got nan"),
+    ("0", "theta_list values must be finite and positive, got 0.0"),
+    ("-5,20", "theta_list values must be finite and positive, got -5.0"),
+    ("20,inf", "theta_list values must be finite and positive, got inf"),
+    ("30,20", "theta_list must be sorted ascending"),
+])
+def test_bad_theta_list_exits_1_without_files(
+    tmp_path, capsys, command, theta, message
+):
+    out = tmp_path / "o"
+    code = main([command, f"--theta={theta}", "--alpha", ALPHA, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["guards", "lookup-build"])
+def test_alpha_beyond_symbol_rejected(tmp_path, capsys, command):
+    # at alpha 0.95 the cyclic extension outgrows the symbol it copies from
+    argv = [command, "--theta", "20", "--alpha", "0,0.95", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: cyclic extension exceeds symbol length\n"
+    )

@@ -448,6 +448,45 @@ class TestOrderingSearchOracles:
         assert len(thetas) == len(set(thetas))  # one table read per theta
 
 
+_gbs = st.one_of(
+    st.integers(0, 2000).map(float),
+    st.builds(lambda k, d: k + d, st.integers(0, 2000), st.floats(-2e-9, 2e-9)),
+    st.floats(0.0, 2000.0),
+)
+
+
+class TestWholeGuardBands:
+    """A boundary's whole GB is the larger of its two bands' whole GBs, so a
+    band's cost is the pair (whole GB, GD)."""
+
+    @settings(derandomize=True, max_examples=300)
+    @given(gb_a=_gbs, gb_b=_gbs)
+    def test_boundary_is_larger_whole_gb(self, gb_a, gb_b):
+        a, b = _alloc(20.0, 0, gb_a), _alloc(30.0, 0, gb_b)
+        want = math.ceil(max(gb_a, gb_b) - 1e-9)
+        assert scheduler._boundary_gb(a, b) == want
+        assert max(scheduler._whole_gb(a), scheduler._whole_gb(b)) == want
+
+    def test_dp_merges_entries_sharing_a_whole_gb(self):
+        # the 20 and 30 dB entries both round to 3 subcarriers, so DP states
+        # that differ only in which of them the last-but-one band got merge
+        lut = LookupTable({
+            10.0: _alloc(10.0, 0, 1.0),
+            20.0: _alloc(20.0, 5, 2.2),
+            30.0: _alloc(30.0, 9, 2.8),
+            40.0: _alloc(40.0, 50, 8.0),
+            45.0: _alloc(45.0, 80, 12.0),
+        })
+        users = [_user("a", 0.0, 15.0), _user("b", 5.0, 20.0),
+                 _user("c", 10.0, 18.0), _user("d", 3.0, 25.0),
+                 _user("e", 8.0, 16.0)]
+        kernel = scheduler._OrderingCost(users, lut)
+        assert kernel.guards(0, 1, 2) == (3, 5)  # b at 20 dB
+        assert kernel.guards(0, 1, 3) == (3, 9)  # b at 27 dB, read at 30
+        got = [users[i] for i in scheduler._exact_order(kernel)]
+        assert got == _permutation_search(users, lut)
+
+
 class TestOutOfRangeTheta:
     """A threshold above the table maximum names the user in every path."""
 

@@ -11,6 +11,7 @@ from guardopt.spectrum import (
     band_edge_hz,
     band_power,
     estimate_psd,
+    least_welch_symbols,
     measure_aci,
     required_guard_band,
     suppression_db,
@@ -69,6 +70,21 @@ class TestEstimatePsd:
     def test_stream_too_short(self, small_cfg):
         with pytest.raises(ValueError, match="too short"):
             estimate_psd(np.zeros(100, dtype=complex), small_cfg)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.2])
+    def test_least_welch_symbols_fill_one_segment(self, small_cfg, alpha):
+        ocfg = small_cfg.oversampled(OVERSAMPLE)
+        win = WindowSpec.for_config(alpha, ocfg)
+        least = least_welch_symbols(alpha, small_cfg)
+        sizes = [symbol_stream(ocfg, win, n, 0).size for n in (least - 1, least)]
+        assert sizes[0] < SEGMENT_SYMBOLS * ocfg.n_fft <= sizes[1]
+
+    def test_least_welch_symbols_default(self, cfg):
+        assert least_welch_symbols(0.0, cfg) == 30
+
+    def test_expected_psd_rejects_extension_beyond_symbol(self, cfg):
+        with pytest.raises(ValueError, match="cyclic extension exceeds symbol"):
+            windowed_psd(0.95, cfg)
 
     def test_windowing_lowers_sidelobes(self, cfg):
         # leakage just outside the band drops when the roll-off grows
