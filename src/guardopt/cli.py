@@ -21,6 +21,7 @@ from .optimizer import (
     _theta_text,
     best_allocation,
     build_lookup_table,
+    checked_alpha_grid,
     checked_theta_list,
     config_fingerprint,
     efficiency_curve,
@@ -153,7 +154,7 @@ def _lookup_for(ec: ExperimentConfig, out: Path) -> LookupTable:
 
 def cmd_psd(args) -> int:
     ec = _load_config(args)
-    for alpha in ec.alpha_grid:
+    for alpha in checked_alpha_grid(ec.alpha_grid, ec.numerology):
         least = least_welch_symbols(alpha, ec.numerology)
         if ec.psd_symbols < least:
             raise ValueError(
@@ -172,6 +173,7 @@ def cmd_psd(args) -> int:
 def cmd_guards(args) -> int:
     ec = _load_config(args)
     thetas = checked_theta_list(ec.theta_list)
+    checked_alpha_grid(ec.alpha_grid, ec.numerology)
     out = _out_dir(ec)
     # one pass: the table is the optimum of each curve written
     curves = {}
@@ -196,7 +198,7 @@ def cmd_guards(args) -> int:
     if args.revalidate:
         for theta, supp in revalidate(table, ec.numerology).items():
             ok = supp >= theta - REVALIDATE_TOL_DB
-            print(f"theta={_fmt(theta)} achieved={supp:.2f} dB "
+            print(f"theta={_theta_text(theta)} achieved={supp:.2f} dB "
                   f"{'ok' if ok else 'VIOLATION'}")
             violations += not ok
     return 1 if violations else 0
@@ -205,6 +207,7 @@ def cmd_guards(args) -> int:
 def cmd_lookup_build(args) -> int:
     ec = _load_config(args)
     thetas = checked_theta_list(ec.theta_list)
+    checked_alpha_grid(ec.alpha_grid, ec.numerology)
     out = _out_dir(ec)
     _report_absent(thetas, _lookup_for(ec, out))
     return 0
@@ -216,7 +219,8 @@ def _report_absent(thetas, table: LookupTable) -> None:
     for theta in thetas:
         if theta not in table.entries:
             print(
-                f"theta={_fmt(theta)}: absent (unreachable at every alpha in the grid)",
+                f"theta={_theta_text(theta)}: absent "
+                "(unreachable at every alpha in the grid)",
                 file=sys.stderr,
             )
 
@@ -229,6 +233,7 @@ def cmd_schedule(args) -> int:
         users_path = Path(ec.users)
     users = load_users_yaml(users_path)
     checked_theta_list(ec.theta_list)
+    checked_alpha_grid(ec.alpha_grid, ec.numerology)
     out = _out_dir(ec)
     lookup = _lookup_for(ec, out)
     rows = compare_scenarios(users, ec.seed, lookup)

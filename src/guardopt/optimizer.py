@@ -18,18 +18,18 @@ from .numerology import NumerologyConfig, WindowSpec
 from .parallel import parallel_map
 from .spectrum import (
     OVERSAMPLE,
-    SEGMENT_SYMBOLS,
     TOL_SUBCARRIERS,
     ThetaUnreachableError,
     required_guard_band,
     suppression_db,
     windowed_psd,
 )
+from .waveform import pulse_weights
 
 DEFAULT_ALPHA_GRID = tuple(round(0.005 * i, 3) for i in range(41))  # 0 .. 0.2
 DEFAULT_THETA_LIST = (20.0, 25.0, 30.0, 35.0, 40.0, 45.0)
 # bump when the spectrum model or search changes a table's numbers
-SEARCH_VERSION = "expected-psd-1"
+SEARCH_VERSION = "closed-form-leakage-1"
 
 LOOKUP_COLUMNS = (
     "theta_db,alpha,gd_samples,gd_us,gb_subcarriers,gb_hz,eta_time,eta_freq,eta"
@@ -211,10 +211,26 @@ def checked_theta_list(theta_list) -> list:
     return theta_list
 
 
-def revalidate(table: LookupTable, cfg: NumerologyConfig) -> dict:
-    """Re-check each entry's suppression through the spectrum path.
+def checked_alpha_grid(alpha_grid, cfg: NumerologyConfig) -> list:
+    """alpha_grid as a list; raises ValueError unless non-empty and every
+    roll-off lies in [0, 1] with a cyclic extension, on the spectrum's
+    oversampled grid, shorter than the symbol."""
+    alpha_grid = list(alpha_grid)
+    if not alpha_grid:
+        raise ValueError("alpha_grid must be non-empty")
+    ocfg = cfg.oversampled(OVERSAMPLE)
+    for alpha in alpha_grid:
+        pulse_weights(ocfg, WindowSpec.for_config(alpha, ocfg).t_cp_win)
+    return alpha_grid
 
-    Returns theta -> achieved suppression (dB) at the tabulated guard band.
+
+def revalidate(table: LookupTable, cfg: NumerologyConfig) -> dict:
+    """Re-measure each entry's suppression on the grid expected PSD.
+
+    The search reads the closed-form LeakageModel; this path integrates the
+    FFT-sampled PSD with the trapezoid instead, so it checks the search
+    rather than re-reading its input. Returns theta -> achieved suppression
+    (dB) at the tabulated guard band.
     """
     out = {}
     for theta, a in table.entries.items():
@@ -234,7 +250,6 @@ def config_fingerprint(cfg: NumerologyConfig, alpha_grid, theta_list) -> str:
             "theta_list": list(theta_list),
             "search_version": SEARCH_VERSION,
             "oversample": OVERSAMPLE,
-            "segment_symbols": SEGMENT_SYMBOLS,
             "tol_subcarriers": TOL_SUBCARRIERS,
         },
         sort_keys=True,

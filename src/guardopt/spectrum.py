@@ -2,9 +2,11 @@
 """PSD models, adjacent-channel leakage measurement, and guard-band search.
 
 PSDs live on an oversampled grid (the base-rate Nyquist span cannot contain
-an adjacent victim band for dense numerologies). The guard search runs on the
-closed-form expected PSD; the Welch estimate of one synthesized draw serves
-the psd export and the tests. Leakage is integrated over the victim band.
+an adjacent victim band for dense numerologies). The guard search integrates
+the expected PSD over its victim slot in closed form (LeakageModel), without
+a frequency grid; revalidation re-measures its answers on the grid expected
+PSD, and the Welch estimate of one synthesized draw serves the psd export and
+the tests. Leakage is integrated over the victim band.
 
 Conventions:
 - The occupied band edge sits half a subcarrier spacing beyond the outermost
@@ -14,9 +16,10 @@ Conventions:
   the guard search has to resolve.
 - suppression_db is the one suppression metric: in-band mean density over
   victim-band mean density, so a threshold protects victims of any
-  bandwidth. The guard search bisects it and revalidation re-checks it; for
-  equal-width victims it coincides with the plain integrated power ratio
-  reported by measure_aci.
+  bandwidth. Revalidation re-checks the guard search with it, and
+  LeakageModel is its closed form on the expected PSD; for equal-width
+  victims it coincides with the plain integrated power ratio reported by
+  measure_aci.
 """
 from __future__ import annotations
 
@@ -32,10 +35,12 @@ from .waveform import occupied_bins, pulse_weights, symbol_stream
 OVERSAMPLE = 4  # time-grid factor: the victim band must fit in the PSD span
 SEGMENT_SYMBOLS = 32  # Welch segment length, in oversampled symbols
 TOL_SUBCARRIERS = 0.01  # guard-band bisection tolerance
+_BLOCK = 64  # lags per block when LeakageModel evaluates its power series
 
 
 class ThetaUnreachableError(ValueError):
-    """Requested suppression cannot be met within the PSD grid span."""
+    """Requested suppression cannot be met within the PSD grid span, or lies
+    beyond what the leakage model resolves."""
 
 
 @dataclass(frozen=True)
@@ -201,8 +206,8 @@ def windowed_psd(
     n_symbols=None: the expected PSD of i.i.d. zero-mean symbols (seed unused),
     sum_k |W(f - f_k)|^2 over the occupied subcarriers f_k, W the spectrum of
     the per-symbol weight pulse (van Waterschoot et al., IEEE SPL 17(4), 2010).
-    An integer n_symbols: the Welch estimate of one seeded draw. Cached so the
-    guard search computes one PSD per alpha.
+    An integer n_symbols: the Welch estimate of one seeded draw. Cached, so
+    revalidation computes one PSD per tabulated alpha.
     """
     ocfg = cfg.oversampled(OVERSAMPLE)
     win = WindowSpec.for_config(alpha, ocfg)
@@ -225,30 +230,104 @@ def suppression_db(
     return -_to_db(victim_density / in_band_density)
 
 
+@functools.lru_cache(maxsize=8)
+def _lag_kernels(ocfg: NumerologyConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-lag kernels of the expected PSD on the oversampled numerology ocfg,
+    for lags d = 0 .. 3 n_fft - 1 (a pulse is shorter than three symbols).
+
+    With D(d) = sum_k exp(2j pi k d / n_fft), the Dirichlet sum over the
+    occupied bins k, the PSD is sum_d r[d] Re[conj D(d) exp(j w_d f)], w_d =
+    2 pi d / fs, r the pulse autocorrelation, and lags +-d paired. Averaged
+    over a band, exp(j w_d f) becomes its value at the band centre times
+    sinc(d * width / fs). Returned: the victim kernel, whose dot product with
+    r times exp(j w_d g) is the mean density of the one-subcarrier slot at
+    guard g, and the in-band kernel, whose dot product with r is the mean
+    density over [-edge, edge].
+    """
+    n, fs = ocfg.n_fft, ocfg.sample_rate
+    comb = np.zeros(n)
+    comb[occupied_bins(ocfg)] = 1.0
+    lags = np.arange(3 * n)
+    dirichlet = np.tile(np.fft.ifft(comb) * n, 3)  # period n in d
+    pair = np.where(lags > 0, 2.0, 1.0)
+    edge, slot = band_edge_hz(ocfg), ocfg.subcarrier_spacing
+    victim = (pair * np.conj(dirichlet) * np.sinc(lags * (slot / fs))
+              * np.exp(2j * np.pi * lags * ((edge + slot / 2) / fs)))
+    in_band = pair * dirichlet.real * np.sinc(lags * (2 * edge / fs))
+    return victim, in_band
+
+
+@dataclass(frozen=True)
+class LeakageModel:
+    """suppression_db of the expected PSD against a one-subcarrier victim
+    slot, in closed form as a function of the guard band g.
+
+    The victim-over-in-band density ratio is Re sum_d c_d z^d with z =
+    exp(2j pi g / fs): one coefficient per pulse lag folds the slot width, the
+    band edge and the in-band normaliser together. Far out the sum cancels
+    to rounding noise. Each of the m terms is exact to within about m * eps
+    relative (its phase, below pi * m radians, is rounded once), which
+    bounds the error by m * eps * sum |c_d|; ceiling_db is the suppression of
+    that bound, and readings above it are clipped to it.
+    """
+
+    coeffs: np.ndarray  # c_d at d = _BLOCK * row + column, zero-padded
+    lag_step: float     # phase of z per Hz of guard band: 2 pi / fs
+    ceiling_db: float
+
+    @classmethod
+    def for_alpha(cls, alpha: float, cfg: NumerologyConfig) -> "LeakageModel":
+        ocfg = cfg.oversampled(OVERSAMPLE)
+        pulse = pulse_weights(ocfg, WindowSpec.for_config(alpha, ocfg).t_cp_win)
+        m = pulse.size
+        size = -(-(2 * m - 1) // ocfg.n_fft) * ocfg.n_fft  # fast FFT length
+        r = np.fft.irfft(np.abs(np.fft.rfft(pulse, size)) ** 2, size)[:m]
+        victim, in_band = _lag_kernels(ocfg)
+        coeffs = r * victim[:m] / (r @ in_band[:m])
+        bound = m * np.finfo(float).eps * np.abs(coeffs).sum()
+        rows = -(-m // _BLOCK)
+        coeffs = np.pad(coeffs, (0, rows * _BLOCK - m)).reshape(rows, _BLOCK)
+        return cls(coeffs, 2 * np.pi / ocfg.sample_rate, float(-_to_db(bound)))
+
+    def suppression_db(self, guard_band_hz: float) -> float:
+        """z^d = z^(_BLOCK * row) * z^column: two short exp vectors and one
+        matrix-vector product, every phase computed directly."""
+        phase = self.lag_step * guard_band_hz
+        column = np.exp(1j * phase * np.arange(_BLOCK))
+        row = np.exp(1j * (phase * _BLOCK) * np.arange(self.coeffs.shape[0]))
+        ratio = (row @ (self.coeffs @ column)).real
+        return min(float(-_to_db(ratio)), self.ceiling_db)
+
+
 def required_guard_band(alpha: float, theta: float, cfg: NumerologyConfig) -> float:
     """Smallest guard band (subcarriers, fractional) achieving suppression >= theta.
 
-    Suppression is suppression_db against a worst-case one-subcarrier victim
-    slot. Bisection over guard band on the expected PSD; raises
-    ThetaUnreachableError when even the largest guard fitting the grid fails.
+    Suppression is suppression_db of the expected PSD against a worst-case
+    one-subcarrier victim slot, read from LeakageModel. Bisection over the
+    guard band up to the oversampled Nyquist frequency; raises
+    ThetaUnreachableError when even the largest guard fails, or when theta
+    lies above the model's ceiling_db.
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
-    psd = windowed_psd(alpha, cfg)
+    model = LeakageModel.for_alpha(alpha, cfg)
     victim = spacing = cfg.subcarrier_spacing
-    gb_max = psd.freqs[-1] - psd.band_edge_hz - victim
+    gb_max = cfg.oversampled(OVERSAMPLE).sample_rate / 2 - band_edge_hz(cfg) - victim
     if gb_max < 0:
         raise ThetaUnreachableError("victim band alone exceeds the PSD grid span")
-    if suppression_db(psd, 0.0, victim) >= theta:
+    if model.suppression_db(0.0) >= theta:
         return 0.0
-    if suppression_db(psd, gb_max, victim) < theta:
+    top = model.suppression_db(gb_max)
+    if top < theta:
+        where = ("within the grid span" if top < model.ceiling_db else
+                 f"above the {model.ceiling_db:.1f} dB the leakage model resolves")
         raise ThetaUnreachableError(
-            f"theta={theta} dB unreachable at alpha={alpha} within the grid span"
+            f"theta={theta} dB unreachable at alpha={alpha} {where}"
         )
     lo, hi = 0.0, gb_max
     while (hi - lo) / spacing > TOL_SUBCARRIERS:
         mid = 0.5 * (lo + hi)
-        if suppression_db(psd, mid, victim) >= theta:
+        if model.suppression_db(mid) >= theta:
             hi = mid
         else:
             lo = mid

@@ -256,6 +256,34 @@ class TestGuardsCommand:
         assert keys == {"guard_curves.csv": {"44.9999996"},
                         "optimal_guards.csv": {"44.9999996"}}
 
+    def test_revalidate_and_absent_lines_write_the_table_theta(
+        self, tmp_path, capsys
+    ):
+        # %.6g would print these thresholds as 45 and 300
+        out = tmp_path / "o"
+        argv = ["guards", "--theta", "44.9999996,300.0000001",
+                "--alpha", "0.05,0.1", "--revalidate", "--out", str(out)]
+        assert _run(argv) == 0
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"theta=44\.9999996 achieved=\d+\.\d\d dB ok\n",
+                            captured.out)
+        assert captured.err == (
+            "theta=300.0000001: absent (unreachable at every alpha in the grid)\n"
+        )
+
+    def test_search_builds_no_grid_psd(self, tmp_path, monkeypatch):
+        # without --revalidate no grid PSD is built: the search is closed form
+        import guardopt.cli as cli
+        import guardopt.spectrum as spectrum
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid PSD built")
+
+        for owner in (spectrum, optimizer, cli):
+            monkeypatch.setattr(owner, "windowed_psd", no_grid)
+        argv = ["guards", "--theta", THETA, "--alpha", ALPHA]
+        assert _run(argv + ["--out", str(tmp_path / "o")]) == 0
+
     def test_revalidate_reports_ok(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = _run(
@@ -480,3 +508,18 @@ def test_alpha_beyond_symbol_rejected(tmp_path, capsys, command):
     assert capsys.readouterr().err == (
         "error: cyclic extension exceeds symbol length\n"
     )
+
+
+@pytest.mark.parametrize("command", ["guards", "lookup-build", "schedule", "psd"])
+@pytest.mark.parametrize("alpha, message", [
+    ("0,0.95", "cyclic extension exceeds symbol length"),
+    ("-0.1", "alpha must be in [0, 1]"),
+])
+def test_bad_alpha_grid_exits_1_without_files(
+    tmp_path, capsys, command, alpha, message
+):
+    out = tmp_path / "o"
+    code = main([command, "--theta", "20", f"--alpha={alpha}", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,7 @@ from guardopt.optimizer import (
     revalidate,
     spectral_efficiency,
 )
-from guardopt.spectrum import TOL_SUBCARRIERS, required_guard_band
+from guardopt.spectrum import TOL_SUBCARRIERS, LeakageModel, required_guard_band
 
 # coarse grid keeps the PSD cache small; acceptance runs the full default grid
 ALPHAS = (0.0, 0.02, 0.05, 0.1, 0.2)
@@ -125,6 +127,29 @@ class TestLookupTable:
         achieved = revalidate(table, cfg)
         for theta, supp in achieved.items():
             assert supp >= theta - 0.1
+
+    def test_revalidation_flags_a_short_guard(self, cfg, table):
+        # one subcarrier less guard than the search found: the re-measured
+        # suppression falls clearly short of that threshold only
+        entries = dict(table.entries)
+        entries[45.0] = dataclasses.replace(
+            entries[45.0], gb_subcarriers=entries[45.0].gb_subcarriers - 1.0
+        )
+        achieved = revalidate(LookupTable(entries), cfg)
+        assert achieved[45.0] < 45.0 - 0.1
+        assert all(achieved[t] >= t - 0.1 for t in (20.0, 30.0))
+
+    def test_revalidation_does_not_read_the_search_model(
+        self, cfg, table, monkeypatch
+    ):
+        def unavailable(*args):
+            raise AssertionError("the closed-form leakage model was read")
+
+        monkeypatch.setattr(LeakageModel, "for_alpha", unavailable)
+        with pytest.raises(AssertionError, match="leakage model was read"):
+            required_guard_band(0.05, 30.0, cfg)
+        achieved = revalidate(table, cfg)
+        assert all(achieved[t] >= t - 0.1 for t in THETAS)
 
     def test_ceil_lookup(self, table):
         assert table.ceil_lookup(22.0).theta_db == 30.0
@@ -240,11 +265,11 @@ def test_config_fingerprint_sensitivity(cfg):
 def test_default_fingerprint_pinned(cfg):
     # the name of every lookup_*.csv cache: a payload change must be deliberate
     digest = config_fingerprint(cfg, DEFAULT_ALPHA_GRID, DEFAULT_THETA_LIST)
-    assert digest == "c574db2c83d8"
+    assert digest == "76a0bb1c37b4"
 
 
 @pytest.mark.parametrize(
-    "name", ["SEARCH_VERSION", "OVERSAMPLE", "SEGMENT_SYMBOLS", "TOL_SUBCARRIERS"]
+    "name", ["SEARCH_VERSION", "OVERSAMPLE", "TOL_SUBCARRIERS"]
 )
 def test_config_fingerprint_covers_search(cfg, monkeypatch, name):
     # a table built by another spectrum model or search is never served

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from guardopt.numerology import NumerologyConfig, WindowSpec
+from guardopt.optimizer import DEFAULT_ALPHA_GRID, DEFAULT_THETA_LIST
 from guardopt.spectrum import (
     OVERSAMPLE,
     SEGMENT_SYMBOLS,
+    TOL_SUBCARRIERS,
     AciReport,
+    LeakageModel,
     PsdEstimate,
     ThetaUnreachableError,
     band_edge_hz,
@@ -261,6 +264,71 @@ class TestRequiredGuardBand:
             psd, gb * cfg.subcarrier_spacing, cfg.subcarrier_spacing
         )
         assert achieved >= theta - 0.1
+
+
+def _grid_guard_band(alpha, theta, cfg):
+    """The guard search on the grid expected PSD: bisection of suppression_db
+    up to the largest guard whose victim slot the grid covers. The PSD is
+    built uncached, so the oracle leaves windowed_psd's cache as it was."""
+    psd = windowed_psd.__wrapped__(alpha, cfg)
+    s = cfg.subcarrier_spacing
+    if suppression_db(psd, 0.0, s) >= theta:
+        return 0.0
+    lo, hi = 0.0, psd.freqs[-1] - psd.band_edge_hz - s
+    assert suppression_db(psd, hi, s) >= theta
+    while (hi - lo) / s > TOL_SUBCARRIERS:
+        mid = 0.5 * (lo + hi)
+        if suppression_db(psd, mid, s) >= theta:
+            hi = mid
+        else:
+            lo = mid
+    return hi / s
+
+
+class TestLeakageModel:
+    @pytest.mark.parametrize("alpha", [0.0, 0.05, 0.1, 0.2])
+    def test_matches_grid_suppression(self, cfg, alpha):
+        # oracle: the FFT-sampled expected PSD with the trapezoid, wherever
+        # it reads below 90 dB, at fractional guards of 0-400 subcarriers
+        psd = windowed_psd(alpha, cfg)
+        model = LeakageModel.for_alpha(alpha, cfg)
+        s = cfg.subcarrier_spacing
+        checked = 0
+        for gb in np.arange(0.0, 400.0, 0.37):
+            grid = suppression_db(psd, gb * s, s)
+            if grid < 90.0:
+                assert model.suppression_db(gb * s) == pytest.approx(grid, abs=0.01)
+                checked += 1
+        assert checked >= 20
+
+    def test_guard_band_matches_grid_bisection(self, cfg):
+        for alpha in DEFAULT_ALPHA_GRID:
+            for theta in DEFAULT_THETA_LIST:
+                assert required_guard_band(alpha, theta, cfg) == pytest.approx(
+                    _grid_guard_band(alpha, theta, cfg), abs=0.01
+                ), (alpha, theta)
+
+    def test_ceiling_on_default_numerology(self, cfg):
+        ceilings = [LeakageModel.for_alpha(a, cfg).ceiling_db
+                    for a in DEFAULT_ALPHA_GRID]
+        assert 112.9 < min(ceilings) <= max(ceilings) < 114.7
+
+    def test_far_readings_clip_to_ceiling(self, cfg):
+        # at alpha 0.1 the grid reads 142 dB at 800 subcarriers, where the
+        # sum has cancelled to rounding noise that may come out negative
+        model = LeakageModel.for_alpha(0.1, cfg)
+        s = cfg.subcarrier_spacing
+        far = [model.suppression_db(gb * s) for gb in range(800, 1750, 50)]
+        assert far == [model.ceiling_db] * len(far)
+
+    def test_theta_above_ceiling_unreachable(self, cfg):
+        # the grid reaches 178 dB at alpha 0.2, the model resolves 113 dB
+        psd = windowed_psd(0.2, cfg)
+        s = cfg.subcarrier_spacing
+        top = psd.freqs[-1] - psd.band_edge_hz - s
+        assert suppression_db(psd, top, s) > 150.0
+        with pytest.raises(ThetaUnreachableError, match="leakage model resolves"):
+            required_guard_band(0.2, 150.0, cfg)
 
 
 class TestExpectedPsd:
