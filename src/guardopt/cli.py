@@ -75,7 +75,7 @@ class ExperimentConfig:
             ec.alpha_grid = mapping_value(raw, "alpha_grid", _floats, ec.alpha_grid)
             ec.theta_list = mapping_value(raw, "theta_list", _floats, ec.theta_list)
             ec.users = mapping_value(raw, "users", _file_path, ec.users)
-            ec.seed = mapping_value(raw, "seed", int, ec.seed)
+            ec.seed = mapping_value(raw, "seed", _seed, ec.seed)
             ec.out_dir = mapping_value(raw, "out_dir", _file_path, ec.out_dir)
             ec.psd_symbols = mapping_value(
                 raw, "psd_symbols", _positive_int, ec.psd_symbols
@@ -87,6 +87,13 @@ class ExperimentConfig:
 
 def _floats(values) -> tuple:
     return tuple(float(v) for v in values)
+
+
+def _seed(value) -> int:
+    """A non-negative integer; 1.5 or a string is rejected, not converted."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value!r}")
+    return value
 
 
 def _positive_int(value) -> int:
@@ -102,12 +109,16 @@ def _file_path(value) -> str:
     return value
 
 
-def _flag_floats(flag: str, text: str) -> tuple:
-    """A comma-separated flag value; a bad number's error names the flag."""
+def _flag(flag: str, convert, value):
+    """convert(value); a bad flag value's error names the flag."""
     try:
-        return _floats(t for t in text.split(",") if t)
+        return convert(value)
     except ValueError as exc:
         raise ValueError(f"{flag}: {exc}") from None
+
+
+def _csv_floats(text: str) -> tuple:
+    return _floats(t for t in text.split(",") if t)
 
 
 def _fmt(x: float) -> str:
@@ -117,13 +128,13 @@ def _fmt(x: float) -> str:
 def _load_config(args) -> ExperimentConfig:
     ec = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
     if getattr(args, "seed", None) is not None:
-        ec.seed = args.seed
+        ec.seed = _flag("--seed", _seed, args.seed)
     if getattr(args, "out", None) is not None:
         ec.out_dir = args.out
     if getattr(args, "theta", None) is not None:
-        ec.theta_list = _flag_floats("--theta", args.theta)
+        ec.theta_list = _flag("--theta", _csv_floats, args.theta)
     if getattr(args, "alpha", None) is not None:
-        ec.alpha_grid = _flag_floats("--alpha", args.alpha)
+        ec.alpha_grid = _flag("--alpha", _csv_floats, args.alpha)
     if getattr(args, "users", None):
         ec.users = args.users
     return ec

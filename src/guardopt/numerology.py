@@ -34,8 +34,11 @@ class NumerologyConfig:
             raise ValueError("n_fft must be positive")
         if self.n_occupied <= 0 or self.n_occupied > self.n_fft:
             raise ValueError("n_occupied must be in [1, n_fft]")
-        if self.subcarrier_spacing <= 0:
-            raise ValueError("subcarrier_spacing must be positive")
+        if not (math.isfinite(self.subcarrier_spacing) and self.subcarrier_spacing > 0):
+            raise ValueError(
+                f"subcarrier_spacing must be finite and positive, "
+                f"got {self.subcarrier_spacing}"
+            )
         if self.t_cp_ch < 0 or self.t_cp_ch >= self.n_fft:
             raise ValueError("t_cp_ch must be in [0, n_fft)")
 

@@ -29,7 +29,7 @@ from .waveform import pulse_weights
 DEFAULT_ALPHA_GRID = tuple(round(0.005 * i, 3) for i in range(41))  # 0 .. 0.2
 DEFAULT_THETA_LIST = (20.0, 25.0, 30.0, 35.0, 40.0, 45.0)
 # bump when the spectrum model or search changes a table's numbers
-SEARCH_VERSION = "closed-form-leakage-1"
+SEARCH_VERSION = "charged-taper-1"
 
 LOOKUP_COLUMNS = (
     "theta_db,alpha,gd_samples,gd_us,gb_subcarriers,gb_hz,eta_time,eta_freq,eta"
@@ -213,14 +213,12 @@ def checked_theta_list(theta_list) -> list:
 
 def checked_alpha_grid(alpha_grid, cfg: NumerologyConfig) -> list:
     """alpha_grid as a list; raises ValueError unless non-empty and every
-    roll-off lies in [0, 1] with a cyclic extension, on the spectrum's
-    oversampled grid, shorter than the symbol."""
+    roll-off lies in [0, 1] with a cyclic extension shorter than the symbol."""
     alpha_grid = list(alpha_grid)
     if not alpha_grid:
         raise ValueError("alpha_grid must be non-empty")
-    ocfg = cfg.oversampled(OVERSAMPLE)
     for alpha in alpha_grid:
-        pulse_weights(ocfg, WindowSpec.for_config(alpha, ocfg).t_cp_win)
+        pulse_weights(cfg, WindowSpec.for_config(alpha, cfg).t_cp_win)
     return alpha_grid
 
 

@@ -37,6 +37,11 @@ class UserProfile:
     obw_subcarriers: int
 
     def __post_init__(self):
+        # the id is written unquoted into the layout CSV
+        if not self.id or any(c in self.id for c in ',"\r\n'):
+            raise ValueError(
+                f"id must be non-empty with no comma, quote, CR or LF, got {self.id!r}"
+            )
         if not math.isfinite(self.power_dbm):
             raise ValueError(f"power_dbm must be finite, got {self.power_dbm}")
         if not (math.isfinite(self.sir_req_db) and self.sir_req_db > 0):

@@ -1,12 +1,11 @@
 # guardopt/spectrum.py
 """PSD models, adjacent-channel leakage measurement, and guard-band search.
 
-PSDs live on an oversampled grid (the base-rate Nyquist span cannot contain
-an adjacent victim band for dense numerologies). The guard search integrates
-the expected PSD over its victim slot in closed form (LeakageModel), without
-a frequency grid; revalidation re-measures its answers on the grid expected
-PSD, and the Welch estimate of one synthesized draw serves the psd export and
-the tests. Leakage is integrated over the victim band.
+PSDs live on a grid OVERSAMPLE times denser than the base rate, whose Nyquist
+span cannot hold an adjacent victim band, with a taper of OVERSAMPLE times the
+guard duration the optimizer charges. The guard search reads the expected PSD
+in closed form (LeakageModel); revalidation re-measures it on the grid, and the
+Welch estimate of one synthesized draw serves the psd export and the tests.
 
 Conventions:
 - The occupied band edge sits half a subcarrier spacing beyond the outermost
@@ -105,10 +104,15 @@ def estimate_psd(stream: np.ndarray, cfg: NumerologyConfig) -> PsdEstimate:
 def least_welch_symbols(alpha: float, cfg: NumerologyConfig) -> int:
     """Fewest symbols whose windowed stream at alpha fills one Welch segment:
     n symbols span n * (n_fft + t_cp_ch + ramp) + ramp oversampled samples."""
-    ocfg = cfg.oversampled(OVERSAMPLE)
-    ramp = WindowSpec.for_config(alpha, ocfg).t_cp_win
-    hop = ocfg.n_fft + ocfg.t_cp_ch + ramp
-    return -(-(SEGMENT_SYMBOLS * ocfg.n_fft - ramp) // hop)
+    ocfg, win = _oversampled(alpha, cfg)
+    hop = ocfg.n_fft + ocfg.t_cp_ch + win.t_cp_win
+    return -(-(SEGMENT_SYMBOLS * ocfg.n_fft - win.t_cp_win) // hop)
+
+
+def _oversampled(alpha: float, cfg: NumerologyConfig):
+    """The oversampled numerology and the window the spectrum models at alpha."""
+    gd = WindowSpec.for_config(alpha, cfg).t_cp_win
+    return cfg.oversampled(OVERSAMPLE), WindowSpec(alpha, OVERSAMPLE * gd)
 
 
 def _to_db(power):
@@ -209,15 +213,12 @@ def windowed_psd(
     An integer n_symbols: the Welch estimate of one seeded draw. Cached, so
     revalidation computes one PSD per tabulated alpha.
     """
-    ocfg = cfg.oversampled(OVERSAMPLE)
-    win = WindowSpec.for_config(alpha, ocfg)
-    if n_symbols is None:
-        nfft = 4 * SEGMENT_SYMBOLS * ocfg.n_fft
-        power = np.abs(np.fft.fft(pulse_weights(ocfg, win.t_cp_win), n=nfft)) ** 2
-        return _normalized(
-            _comb_sum(power, occupied_bins(ocfg), nfft // ocfg.n_fft), ocfg
-        )
-    return estimate_psd(symbol_stream(ocfg, win, n_symbols, seed), ocfg)
+    ocfg, win = _oversampled(alpha, cfg)
+    if n_symbols is not None:
+        return estimate_psd(symbol_stream(ocfg, win, n_symbols, seed), ocfg)
+    nfft = 4 * SEGMENT_SYMBOLS * ocfg.n_fft
+    power = np.abs(np.fft.fft(pulse_weights(ocfg, win.t_cp_win), n=nfft)) ** 2
+    return _normalized(_comb_sum(power, occupied_bins(ocfg), nfft // ocfg.n_fft), ocfg)
 
 
 def suppression_db(
@@ -277,8 +278,8 @@ class LeakageModel:
 
     @classmethod
     def for_alpha(cls, alpha: float, cfg: NumerologyConfig) -> "LeakageModel":
-        ocfg = cfg.oversampled(OVERSAMPLE)
-        pulse = pulse_weights(ocfg, WindowSpec.for_config(alpha, ocfg).t_cp_win)
+        ocfg, win = _oversampled(alpha, cfg)
+        pulse = pulse_weights(ocfg, win.t_cp_win)
         m = pulse.size
         size = -(-(2 * m - 1) // ocfg.n_fft) * ocfg.n_fft  # fast FFT length
         r = np.fft.irfft(np.abs(np.fft.rfft(pulse, size)) ** 2, size)[:m]
@@ -312,7 +313,7 @@ def required_guard_band(alpha: float, theta: float, cfg: NumerologyConfig) -> fl
         raise ValueError("theta must be positive")
     model = LeakageModel.for_alpha(alpha, cfg)
     victim = spacing = cfg.subcarrier_spacing
-    gb_max = cfg.oversampled(OVERSAMPLE).sample_rate / 2 - band_edge_hz(cfg) - victim
+    gb_max = OVERSAMPLE * cfg.sample_rate / 2 - band_edge_hz(cfg) - victim
     if gb_max < 0:
         raise ThetaUnreachableError("victim band alone exceeds the PSD grid span")
     if model.suppression_db(0.0) >= theta:

@@ -137,6 +137,43 @@ class TestConfigLoading:
         )
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", [".nan", ".inf"])
+    def test_non_finite_spacing_names_file(self, tmp_path, capsys, value):
+        path = tmp_path / "exp.yaml"
+        path.write_text(f"subcarrier_spacing_hz: {value}\n")
+        out = tmp_path / "o"
+        code = main(["guards", "--config", str(path), "--theta", "20",
+                     "--alpha", "0,0.05", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: {path}: subcarrier_spacing must be finite and positive, got "
+        )
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["psd", "schedule"])
+    def test_negative_seed_flag_names_flag(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        code = main([command, "--alpha", "0", "--seed", "-1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --seed: expected a non-negative integer, got -1\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["-2", "1.5"])
+    def test_bad_seed_key_names_file_and_key(self, tmp_path, capsys, value):
+        path = tmp_path / "exp.yaml"
+        path.write_text(f"seed: {value}\n")
+        out = tmp_path / "o"
+        code = main(["schedule", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: seed: expected a non-negative integer, got {value}\n"
+        )
+        assert not out.exists()
+
 
 class TestPsdCommand:
     def test_too_few_symbols_names_key_and_least_count(self, tmp_path, capsys):

@@ -28,6 +28,12 @@ def test_invalid_configs(kwargs):
         NumerologyConfig(**kwargs)
 
 
+@pytest.mark.parametrize("spacing", [float("nan"), float("inf")])
+def test_non_finite_spacing_rejected(spacing):
+    with pytest.raises(ValueError, match="subcarrier_spacing must be finite"):
+        NumerologyConfig(subcarrier_spacing=spacing)
+
+
 def test_round_half_up():
     assert round_half_up(0.5) == 1
     assert round_half_up(1.5) == 2

@@ -17,7 +17,13 @@ from guardopt.optimizer import (
     revalidate,
     spectral_efficiency,
 )
-from guardopt.spectrum import TOL_SUBCARRIERS, LeakageModel, required_guard_band
+import guardopt.spectrum as spectrum
+from guardopt.spectrum import (
+    OVERSAMPLE,
+    TOL_SUBCARRIERS,
+    LeakageModel,
+    required_guard_band,
+)
 
 # coarse grid keeps the PSD cache small; acceptance runs the full default grid
 ALPHAS = (0.0, 0.02, 0.05, 0.1, 0.2)
@@ -151,6 +157,15 @@ class TestLookupTable:
         achieved = revalidate(table, cfg)
         assert all(achieved[t] >= t - 0.1 for t in THETAS)
 
+    def test_revalidation_models_the_charged_taper(self, cfg):
+        # this 45 dB entry was searched with the taper rounded again on the 4x
+        # grid (241 samples at alpha 0.055); the charged 60 samples taper over
+        # 240, which leaves it short
+        eta = spectral_efficiency(60, 16.769182, cfg)
+        entry = GuardAllocation(0.055, 60, 16.769182, *eta, 45.0)
+        achieved = revalidate(LookupTable({45.0: entry}), cfg)
+        assert achieved[45.0] < 45.0 - 0.1
+
     def test_ceil_lookup(self, table):
         assert table.ceil_lookup(22.0).theta_db == 30.0
         assert table.ceil_lookup(30.0).theta_db == 30.0
@@ -262,10 +277,40 @@ def test_config_fingerprint_sensitivity(cfg):
     assert a != config_fingerprint(NumerologyConfig(t_cp_ch=80), ALPHAS, THETAS)
 
 
+class _Recorded(Exception):
+    pass
+
+
+def test_spectrum_tapers_over_the_charged_gd(cfg, monkeypatch):
+    # the search model, the grid PSD and the Welch path each taper over
+    # OVERSAMPLE x the guard duration efficiency_curve charges
+    charged = {a.alpha: a.gd_samples for a in efficiency_curve(20.0, cfg)}
+    assert list(charged) == list(DEFAULT_ALPHA_GRID)
+    tapers = []
+
+    def record(taper):
+        tapers.append(taper)
+        raise _Recorded
+
+    monkeypatch.setattr(spectrum, "pulse_weights", lambda ocfg, ramp: record(ramp))
+    monkeypatch.setattr(
+        spectrum, "symbol_stream", lambda ocfg, win, *rest: record(win.t_cp_win)
+    )
+    uncached = spectrum.windowed_psd.__wrapped__
+    for alpha, gd in charged.items():
+        tapers.clear()
+        for view in (lambda: spectrum.LeakageModel.for_alpha(alpha, cfg),
+                     lambda: uncached(alpha, cfg),
+                     lambda: uncached(alpha, cfg, 1, 0)):
+            with pytest.raises(_Recorded):
+                view()
+        assert tapers == [OVERSAMPLE * gd] * 3, alpha
+
+
 def test_default_fingerprint_pinned(cfg):
     # the name of every lookup_*.csv cache: a payload change must be deliberate
     digest = config_fingerprint(cfg, DEFAULT_ALPHA_GRID, DEFAULT_THETA_LIST)
-    assert digest == "76a0bb1c37b4"
+    assert digest == "0c0f10623bfd"
 
 
 @pytest.mark.parametrize(

@@ -123,6 +123,21 @@ class TestUserProfile:
         with pytest.raises(ValueError, match=r"user 1: power_dbm must be finite"):
             load_users_yaml(path)
 
+    @pytest.mark.parametrize("uid", ['"a,b"', "'a\"b'", '"a\\nb"', '"a\\rb"', '""'])
+    def test_yaml_id_that_breaks_the_layout_csv(self, tmp_path, uid):
+        # the layout CSV writes ids unquoted: one row per user, one field each
+        path = tmp_path / "users.yaml"
+        path.write_text(
+            "users:\n"
+            "  - {id: u1, power_dbm: 10, sir_req_db: 20, use_case: eMBB,"
+            " obw_subcarriers: 600}\n"
+            f"  - {{id: {uid}, power_dbm: 1, sir_req_db: 15, use_case: mMTC,"
+            " obw_subcarriers: 72}\n"
+        )
+        with pytest.raises(ValueError, match=r"user 2: id must be non-empty") as exc:
+            load_users_yaml(path)
+        assert str(path) in str(exc.value)
+
 
 class TestThetaForAssignment:
     def test_two_users_hand_computed(self):

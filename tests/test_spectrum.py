@@ -76,8 +76,10 @@ class TestEstimatePsd:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.2])
     def test_least_welch_symbols_fill_one_segment(self, small_cfg, alpha):
+        # the stream tapers over OVERSAMPLE x the guard duration charged
         ocfg = small_cfg.oversampled(OVERSAMPLE)
-        win = WindowSpec.for_config(alpha, ocfg)
+        gd = WindowSpec.for_config(alpha, small_cfg).t_cp_win
+        win = WindowSpec(alpha, OVERSAMPLE * gd)
         least = least_welch_symbols(alpha, small_cfg)
         sizes = [symbol_stream(ocfg, win, n, 0).size for n in (least - 1, least)]
         assert sizes[0] < SEGMENT_SYMBOLS * ocfg.n_fft <= sizes[1]
@@ -335,9 +337,10 @@ class TestExpectedPsd:
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
     def test_matches_roll_loop(self, cfg, alpha):
         # reference: the pulse spectrum shifted onto every occupied
-        # subcarrier and summed term by term
+        # subcarrier and summed term by term, tapered over OVERSAMPLE x the
+        # guard duration charged
         ocfg = cfg.oversampled(OVERSAMPLE)
-        L = WindowSpec.for_config(alpha, ocfg).t_cp_win
+        L = OVERSAMPLE * WindowSpec.for_config(alpha, cfg).t_cp_win
         pulse = np.concatenate(
             [rising_taper(L), np.ones(ocfg.t_cp_ch + ocfg.n_fft), falling_taper(L)]
         )
