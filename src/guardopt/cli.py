@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .numerology import NumerologyConfig, load_yaml, mapping_value
+from .numerology import NumerologyConfig, config_int, load_yaml, mapping_value
 from .optimizer import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_THETA_LIST,
@@ -24,7 +24,8 @@ from .optimizer import (
     checked_alpha_grid,
     checked_theta_list,
     config_fingerprint,
-    efficiency_curve,
+    efficiency_curve,  # noqa: F401  unused here; perfbench's tracer wraps it
+    efficiency_curves,
     revalidate,
 )
 from .scheduler import (
@@ -33,12 +34,7 @@ from .scheduler import (
     write_comparison_csv,
     write_layout_csv,
 )
-from .spectrum import (
-    ThetaUnreachableError,
-    least_welch_symbols,
-    windowed_psd,
-    write_psd_csv,
-)
+from .spectrum import least_welch_symbols, windowed_psd, write_psd_csv
 
 # dB an entry's revalidated suppression may fall short of its threshold
 REVALIDATE_TOL_DB = 0.1
@@ -97,7 +93,7 @@ def _seed(value) -> int:
 
 
 def _positive_int(value) -> int:
-    n = int(value)
+    n = config_int(value)
     if n <= 0:
         raise ValueError(f"must be positive, got {n}")
     return n
@@ -186,13 +182,9 @@ def cmd_guards(args) -> int:
     thetas = checked_theta_list(ec.theta_list)
     checked_alpha_grid(ec.alpha_grid, ec.numerology)
     out = _out_dir(ec)
-    # one pass: the table is the optimum of each curve written
-    curves = {}
-    for theta in thetas:
-        try:
-            curves[theta] = efficiency_curve(theta, ec.numerology, ec.alpha_grid)
-        except ThetaUnreachableError:
-            pass  # reported as absent below, as lookup-build does
+    # one pass: the table is the optimum of each curve written, and a theta
+    # without a curve is reported as absent below, as lookup-build does
+    curves, _ = efficiency_curves(thetas, ec.numerology, ec.alpha_grid)
     with open(out / "guard_curves.csv", "w", newline="") as fh:
         fh.write("theta_db,alpha,gd_samples,gb_subcarriers,eta_time,eta_freq,eta\n")
         for theta, curve in curves.items():

@@ -73,13 +73,20 @@ class NumerologyConfig:
         t_cp_ch_samples); missing keys fall back to defaults."""
         d = cls()
         return cls(
-            n_fft=mapping_value(m, "n_fft", int, d.n_fft),
-            n_occupied=mapping_value(m, "n_occupied", int, d.n_occupied),
+            n_fft=mapping_value(m, "n_fft", config_int, d.n_fft),
+            n_occupied=mapping_value(m, "n_occupied", config_int, d.n_occupied),
             subcarrier_spacing=mapping_value(
                 m, "subcarrier_spacing_hz", float, d.subcarrier_spacing
             ),
-            t_cp_ch=mapping_value(m, "t_cp_ch_samples", int, d.t_cp_ch),
+            t_cp_ch=mapping_value(m, "t_cp_ch_samples", config_int, d.t_cp_ch),
         )
+
+
+def config_int(value) -> int:
+    """An integer config value; 40.7, true or "40" is rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 def mapping_value(m, key: str, convert, default):

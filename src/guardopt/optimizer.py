@@ -20,7 +20,8 @@ from .spectrum import (
     OVERSAMPLE,
     TOL_SUBCARRIERS,
     ThetaUnreachableError,
-    required_guard_band,
+    required_guard_band,  # noqa: F401  unused here; perfbench's tracer wraps it
+    required_guard_bands,
     suppression_db,
     windowed_psd,
 )
@@ -62,24 +63,46 @@ def spectral_efficiency(
     return eta_time, eta_freq, eta_time * eta_freq
 
 
-def _allocation_for_alpha(
-    alpha: float, theta: float, cfg: NumerologyConfig
-) -> GuardAllocation | None:
-    try:
-        gb = required_guard_band(alpha, theta, cfg)
-    except ThetaUnreachableError:
-        return None
+def _allocations_for_alpha(
+    alpha: float, thetas: list, cfg: NumerologyConfig
+) -> list[GuardAllocation | None]:
+    """One allocation per threshold at alpha, None where it is unreachable."""
     gd = WindowSpec.for_config(alpha, cfg).t_cp_win
-    eta_time, eta_freq, eta = spectral_efficiency(gd, gb, cfg)
-    return GuardAllocation(
-        alpha=alpha,
-        gd_samples=gd,
-        gb_subcarriers=gb,
-        eta_time=eta_time,
-        eta_freq=eta_freq,
-        eta=eta,
-        theta_db=theta,
+    return [
+        None if gb is None
+        else GuardAllocation(alpha, gd, gb, *spectral_efficiency(gd, gb, cfg), theta)
+        for theta, gb in zip(thetas, required_guard_bands(alpha, thetas, cfg))
+    ]
+
+
+def efficiency_curves(
+    theta_list,
+    cfg: NumerologyConfig,
+    alpha_grid=DEFAULT_ALPHA_GRID,
+) -> tuple[dict[float, list[GuardAllocation]], dict[float, str]]:
+    """Every threshold's efficiency curve, in one pass over the alpha grid.
+
+    Each alpha builds one leakage model and bisects every threshold on it.
+    Returns (theta -> curve, theta -> reason): a curve holds one allocation
+    per reachable alpha, in grid order, and a threshold unreachable at every
+    alpha gets a reason instead.
+    """
+    thetas = checked_theta_list(theta_list)
+    if not alpha_grid:
+        raise ValueError("alpha_grid must be non-empty")
+    columns = parallel_map(
+        lambda a: _allocations_for_alpha(a, thetas, cfg), alpha_grid
     )
+    curves, failures = {}, {}
+    for theta, allocs in zip(thetas, zip(*columns)):
+        curve = [a for a in allocs if a is not None]
+        if curve:
+            curves[theta] = curve
+        else:
+            failures[theta] = (
+                f"theta={theta} dB unreachable at every alpha in the grid"
+            )
+    return curves, failures
 
 
 def efficiency_curve(
@@ -88,17 +111,10 @@ def efficiency_curve(
     alpha_grid=DEFAULT_ALPHA_GRID,
 ) -> list[GuardAllocation]:
     """One allocation per reachable alpha, in grid order."""
-    if not alpha_grid:
-        raise ValueError("alpha_grid must be non-empty")
-    allocs = parallel_map(
-        lambda a: _allocation_for_alpha(a, theta, cfg), alpha_grid
-    )
-    curve = [a for a in allocs if a is not None]
-    if not curve:
-        raise ThetaUnreachableError(
-            f"theta={theta} dB unreachable at every alpha in the grid"
-        )
-    return curve
+    curves, failures = efficiency_curves([theta], cfg, alpha_grid)
+    if failures:
+        raise ThetaUnreachableError(failures[theta])
+    return curves[theta]
 
 
 def optimize_guards(
@@ -186,13 +202,8 @@ def build_lookup_table(
     alpha_grid=DEFAULT_ALPHA_GRID,
 ) -> LookupTable:
     """Optimal allocation per threshold; failures recorded, not raised."""
-    entries, failures = {}, {}
-    for theta in checked_theta_list(theta_list):
-        try:
-            entries[theta] = optimize_guards(theta, cfg, alpha_grid)
-        except ThetaUnreachableError as exc:
-            failures[theta] = str(exc)
-    return LookupTable(entries, failures)
+    curves, failures = efficiency_curves(theta_list, cfg, alpha_grid)
+    return LookupTable({t: best_allocation(c) for t, c in curves.items()}, failures)
 
 
 def checked_theta_list(theta_list) -> list:

@@ -139,18 +139,36 @@ def _normalized(power: np.ndarray, cfg: NumerologyConfig) -> PsdEstimate:
 def _comb_sum(power: np.ndarray, bins: np.ndarray, step: int) -> np.ndarray:
     """Sum of np.roll(power, k * step) over the subcarrier bins k.
 
-    Runs of consecutive bins are summed by pairwise doubling: no partial sum
-    is ever subtracted, so far out-of-band bins keep full relative precision
-    (a cumulative sum or FFT convolution is off by 1e-5 at -100 dB).
+    Runs of consecutive bins are summed by pairwise doubling: box w, the sum
+    of w adjacent shifts, gives box 2w as itself plus itself shifted w steps,
+    and a run adds, at its offsets, the boxes of the binary digits of its
+    length. All runs share one doubling sequence (the two halves around DC
+    are equally long), and every shifted add is two slice adds in place,
+    with no rolled copy. No partial sum is ever subtracted, so far
+    out-of-band bins keep full relative precision (a cumulative sum or FFT
+    convolution is off by 1e-5 at -100 dB).
     """
+    runs = np.split(bins, np.flatnonzero(np.diff(bins) != 1) + 1)
+    longest = max(run.size for run in runs)
+    done = [0] * len(runs)  # bins of each run already added
     out = np.zeros_like(power)
-    for run in np.split(bins, np.flatnonzero(np.diff(bins) != 1) + 1):
-        box, width, done = power, 1, 0  # box = sum of `width` adjacent shifts
-        while done < run.size:
+    box, width = power, 1
+    while True:
+        for i, run in enumerate(runs):
             if run.size & width:
-                out += np.roll(box, (run[0] + done) * step)
-                done += width
-            box, width = box + np.roll(box, width * step), 2 * width
+                _add_rolled(out, box, (run[0] + done[i]) * step, out)
+                done[i] += width
+        if 2 * width > longest:
+            return out
+        box = _add_rolled(box, box, width * step, np.empty_like(box))
+        width *= 2
+
+
+def _add_rolled(a: np.ndarray, b: np.ndarray, shift: int, out: np.ndarray):
+    """out = a + np.roll(b, shift) by two slice adds; out may be a, not b."""
+    s = shift % b.size
+    np.add(a[s:], b[:b.size - s], out=out[s:])
+    np.add(a[:s], b[b.size - s:], out=out[:s])
     return out
 
 
@@ -217,7 +235,8 @@ def windowed_psd(
     if n_symbols is not None:
         return estimate_psd(symbol_stream(ocfg, win, n_symbols, seed), ocfg)
     nfft = 4 * SEGMENT_SYMBOLS * ocfg.n_fft
-    power = np.abs(np.fft.fft(pulse_weights(ocfg, win.t_cp_win), n=nfft)) ** 2
+    half = np.abs(np.fft.rfft(pulse_weights(ocfg, win.t_cp_win), n=nfft)) ** 2
+    power = np.concatenate([half, half[-2:0:-1]])  # a real pulse: |W(-f)| = |W(f)|
     return _normalized(_comb_sum(power, occupied_bins(ocfg), nfft // ocfg.n_fft), ocfg)
 
 
@@ -309,26 +328,52 @@ def required_guard_band(alpha: float, theta: float, cfg: NumerologyConfig) -> fl
     ThetaUnreachableError when even the largest guard fails, or when theta
     lies above the model's ceiling_db.
     """
+    model = LeakageModel.for_alpha(alpha, cfg)
+    return _bisect_guard_band(model.suppression_db, model.ceiling_db, alpha, theta, cfg)
+
+
+def required_guard_bands(alpha: float, thetas, cfg: NumerologyConfig) -> list:
+    """required_guard_band at every theta, bisected on one LeakageModel; None
+    where theta is unreachable.
+
+    The bisections share their readings of the model: they start from the
+    same endpoints and often the same first midpoints, and each distinct
+    guard band is evaluated once.
+    """
+    model = LeakageModel.for_alpha(alpha, cfg)
+    read = functools.cache(model.suppression_db)
+    out = []
+    for theta in thetas:
+        try:
+            out.append(_bisect_guard_band(read, model.ceiling_db, alpha, theta, cfg))
+        except ThetaUnreachableError:
+            out.append(None)
+    return out
+
+
+def _bisect_guard_band(read, ceiling_db: float, alpha: float, theta: float,
+                       cfg: NumerologyConfig) -> float:
+    """The guard-band bisection: read(g) is the suppression at guard band g
+    Hz, ceiling_db the most it resolves."""
     if theta <= 0:
         raise ValueError("theta must be positive")
-    model = LeakageModel.for_alpha(alpha, cfg)
     victim = spacing = cfg.subcarrier_spacing
     gb_max = OVERSAMPLE * cfg.sample_rate / 2 - band_edge_hz(cfg) - victim
     if gb_max < 0:
         raise ThetaUnreachableError("victim band alone exceeds the PSD grid span")
-    if model.suppression_db(0.0) >= theta:
+    if read(0.0) >= theta:
         return 0.0
-    top = model.suppression_db(gb_max)
+    top = read(gb_max)
     if top < theta:
-        where = ("within the grid span" if top < model.ceiling_db else
-                 f"above the {model.ceiling_db:.1f} dB the leakage model resolves")
+        where = ("within the grid span" if top < ceiling_db else
+                 f"above the {ceiling_db:.1f} dB the leakage model resolves")
         raise ThetaUnreachableError(
             f"theta={theta} dB unreachable at alpha={alpha} {where}"
         )
     lo, hi = 0.0, gb_max
     while (hi - lo) / spacing > TOL_SUBCARRIERS:
         mid = 0.5 * (lo + hi)
-        if model.suppression_db(mid) >= theta:
+        if read(mid) >= theta:
             hi = mid
         else:
             lo = mid

@@ -8,6 +8,7 @@ import guardopt.optimizer as optimizer
 from guardopt.cli import CONFIG_KEYS, ExperimentConfig, main
 from guardopt.numerology import NumerologyConfig
 from guardopt.scheduler import load_users_yaml, schedule_interference_based
+from guardopt.spectrum import LeakageModel
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -137,6 +138,24 @@ class TestConfigLoading:
         )
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("psd_symbols", "40.7"), ("n_fft", "1024.9"), ("n_occupied", "true"),
+         ("t_cp_ch_samples", "72.0")],
+    )
+    def test_non_integer_key_names_file_and_key(self, tmp_path, capsys, key, value):
+        # read as written, never truncated: 40.7 symbols are not 40
+        path = tmp_path / "exp.yaml"
+        path.write_text(f"{key}: {value}\n")
+        out = tmp_path / "o"
+        code = main(["psd", "--config", str(path), "--alpha", "0", "--out", str(out)])
+        assert code == 1
+        written = {"true": "True"}.get(value, value)
+        assert capsys.readouterr().err == (
+            f"error: {path}: {key}: expected an integer, got {written}\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", [".nan", ".inf"])
     def test_non_finite_spacing_names_file(self, tmp_path, capsys, value):
         path = tmp_path / "exp.yaml"
@@ -209,6 +228,18 @@ class TestPsdCommand:
         assert oob_mean("psd_alpha0.1.csv") < oob_mean("psd_alpha0.csv")
 
 
+def _count_bisections(monkeypatch) -> list:
+    """The (alpha, theta) pairs the guard search bisects, as it runs."""
+    calls, real = [], optimizer.required_guard_bands
+
+    def counted(alpha, thetas, cfg):
+        calls.extend((alpha, theta) for theta in thetas)
+        return real(alpha, thetas, cfg)
+
+    monkeypatch.setattr(optimizer, "required_guard_bands", counted)
+    return calls
+
+
 class TestGuardsCommand:
     def test_outputs_and_determinism(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -221,13 +252,7 @@ class TestGuardsCommand:
 
     def test_one_curve_pass(self, tmp_path, monkeypatch):
         # each (alpha, theta) is searched once; the table is the curves' optimum
-        calls, real = [], optimizer.required_guard_band
-
-        def counted(*args):
-            calls.append(args[:2])
-            return real(*args)
-
-        monkeypatch.setattr(optimizer, "required_guard_band", counted)
+        calls = _count_bisections(monkeypatch)
         out = tmp_path / "o"
         argv = ["guards", "--theta", THETA, "--alpha", ALPHA, "--revalidate"]
         assert _run(argv + ["--out", str(out)]) == 0
@@ -243,13 +268,7 @@ class TestGuardsCommand:
     def test_unreachable_theta_reported_absent(self, tmp_path, capsys, monkeypatch):
         # theta=300 is out of reach: reported as lookup-build reports it,
         # while theta=20 still gets its curve and table row
-        calls, real = [], optimizer.required_guard_band
-
-        def counted(*args):
-            calls.append(args[:2])
-            return real(*args)
-
-        monkeypatch.setattr(optimizer, "required_guard_band", counted)
+        calls = _count_bisections(monkeypatch)
         out = tmp_path / "o"
         argv = ["guards", "--theta", "20,300", "--alpha", "0,0.1", "--out", str(out)]
         assert _run(argv) == 0
@@ -266,6 +285,18 @@ class TestGuardsCommand:
         assert (out / "optimal_guards.csv").read_bytes() == (
             tmp_path / "built.csv"
         ).read_bytes()
+
+    def test_one_leakage_model_per_alpha(self, tmp_path, monkeypatch):
+        # the default run builds each roll-off's model once, for all thetas
+        built, real = [], LeakageModel.for_alpha.__func__
+
+        def counted(cls, alpha, cfg):
+            built.append(alpha)
+            return real(cls, alpha, cfg)
+
+        monkeypatch.setattr(LeakageModel, "for_alpha", classmethod(counted))
+        assert _run(["guards", "--out", str(tmp_path / "o")]) == 0
+        assert built == list(optimizer.DEFAULT_ALPHA_GRID)
 
     def test_unsorted_theta_exits_1_without_files(self, tmp_path, capsys):
         out = tmp_path / "o"

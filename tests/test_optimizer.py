@@ -13,6 +13,7 @@ from guardopt.optimizer import (
     build_lookup_table,
     config_fingerprint,
     efficiency_curve,
+    efficiency_curves,
     optimize_guards,
     revalidate,
     spectral_efficiency,
@@ -22,6 +23,7 @@ from guardopt.spectrum import (
     OVERSAMPLE,
     TOL_SUBCARRIERS,
     LeakageModel,
+    ThetaUnreachableError,
     required_guard_band,
 )
 
@@ -198,14 +200,14 @@ class TestLookupTable:
     def test_failures_recorded(self, cfg, monkeypatch):
         import guardopt.optimizer as opt
 
-        real = opt.required_guard_band
+        real = opt.required_guard_bands
 
-        def flaky(alpha, theta, cfg_, **kw):
-            if theta == 30.0:
-                raise opt.ThetaUnreachableError("injected")
-            return real(alpha, theta, cfg_, **kw)
+        def flaky(alpha, thetas, cfg_):
+            # theta=30 unreachable at every alpha
+            gbs = real(alpha, thetas, cfg_)
+            return [None if t == 30.0 else gb for t, gb in zip(thetas, gbs)]
 
-        monkeypatch.setattr(opt, "required_guard_band", flaky)
+        monkeypatch.setattr(opt, "required_guard_bands", flaky)
         table = build_lookup_table([20.0, 30.0], cfg, ALPHAS)
         assert 30.0 in table.failures
         assert 30.0 not in table.entries
@@ -343,6 +345,35 @@ def test_guard_band_monotone(a0, a1, t0, t1):
     assert required_guard_band(a0, t1, cfg) >= (
         required_guard_band(a0, t0, cfg) - TOL_SUBCARRIERS
     )
+
+
+@settings(deadline=None, derandomize=True, max_examples=25)
+@given(
+    st.lists(st.sampled_from(DEFAULT_ALPHA_GRID), min_size=1, max_size=3,
+             unique=True),
+    # up to past the 113-114.6 dB the leakage model resolves
+    st.lists(st.floats(5.0, 130.0), min_size=1, max_size=4).map(sorted),
+)
+def test_one_pass_per_alpha_matches_one_theta_search(alphas, thetas):
+    cfg = NumerologyConfig()
+    curves, failures = efficiency_curves(thetas, cfg, alphas)
+    for theta in thetas:
+        expected = []
+        for alpha in alphas:
+            try:
+                gb = required_guard_band(alpha, theta, cfg)
+            except ThetaUnreachableError:
+                continue
+            gd = round_half_up(alpha * (cfg.n_fft + cfg.t_cp_ch))
+            expected.append(GuardAllocation(
+                alpha, gd, gb, *spectral_efficiency(gd, gb, cfg), theta
+            ))
+        if expected:
+            assert curves[theta] == expected
+            assert theta not in failures
+        else:
+            assert theta not in curves
+            assert failures[theta].startswith(f"theta={theta} dB unreachable")
 
 
 def test_guard_allocation_product_invariant(cfg):

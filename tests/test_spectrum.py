@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from guardopt.numerology import NumerologyConfig, WindowSpec
-from guardopt.optimizer import DEFAULT_ALPHA_GRID, DEFAULT_THETA_LIST
+from guardopt.optimizer import (
+    DEFAULT_ALPHA_GRID,
+    DEFAULT_THETA_LIST,
+    build_lookup_table,
+    revalidate,
+)
 from guardopt.spectrum import (
     OVERSAMPLE,
     SEGMENT_SYMBOLS,
@@ -333,6 +338,33 @@ class TestLeakageModel:
             required_guard_band(0.2, 150.0, cfg)
 
 
+def _rolled_comb_psd(alpha: float, cfg: NumerologyConfig) -> PsdEstimate:
+    """Reference expected PSD: the complex FFT of the whole pulse, summed over
+    the occupied subcarriers by pairwise doubling of np.roll copies."""
+    ocfg = cfg.oversampled(OVERSAMPLE)
+    L = OVERSAMPLE * WindowSpec.for_config(alpha, cfg).t_cp_win
+    pulse = np.concatenate(
+        [rising_taper(L), np.ones(ocfg.t_cp_ch + ocfg.n_fft), falling_taper(L)]
+    )
+    nfft = 4 * SEGMENT_SYMBOLS * ocfg.n_fft
+    step = nfft // ocfg.n_fft
+    power = np.abs(np.fft.fft(pulse, n=nfft)) ** 2
+    bins = occupied_bins(ocfg)
+    total = np.zeros(nfft)
+    for run in np.split(bins, np.flatnonzero(np.diff(bins) != 1) + 1):
+        box, width, done = power, 1, 0
+        while done < run.size:
+            if run.size & width:
+                total += np.roll(box, (run[0] + done) * step)
+                done += width
+            box, width = box + np.roll(box, width * step), 2 * width
+    freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / ocfg.sample_rate))
+    total = np.fft.fftshift(total)
+    edge = band_edge_hz(ocfg)
+    total /= total[np.abs(freqs) <= edge].mean()
+    return PsdEstimate(freqs, total, edge)
+
+
 class TestExpectedPsd:
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
     def test_matches_roll_loop(self, cfg, alpha):
@@ -355,6 +387,29 @@ class TestExpectedPsd:
         keep = ref > 1e-10  # above -100 dB
         assert keep.sum() > 0.1 * nfft
         np.testing.assert_allclose(psd.linear()[keep], ref[keep], rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.05, 0.2])
+    def test_matches_full_fft_and_rolled_comb(self, cfg, alpha):
+        ref = _rolled_comb_psd(alpha, cfg)
+        psd = windowed_psd(alpha, cfg)
+        np.testing.assert_array_equal(psd.freqs, ref.freqs)
+        keep = ref.power > 1e-12
+        assert keep.sum() > 0.1 * keep.size
+        np.testing.assert_allclose(
+            psd.power[keep], ref.power[keep], rtol=1e-9, atol=0
+        )
+
+    def test_revalidation_matches_rolled_comb(self, cfg):
+        # the default table re-measured on the reference PSD
+        table = build_lookup_table(DEFAULT_THETA_LIST, cfg)
+        s = cfg.subcarrier_spacing
+        achieved = revalidate(table, cfg)
+        assert list(achieved) == list(DEFAULT_THETA_LIST)
+        for theta, a in table.entries.items():
+            ref = _rolled_comb_psd(a.alpha, cfg)
+            assert achieved[theta] == pytest.approx(
+                suppression_db(ref, a.gb_subcarriers * s, s), abs=1e-9
+            ), theta
 
     def test_welch_mean_converges(self, small_cfg):
         # the mean of many Welch draws estimates the expected PSD
