@@ -13,16 +13,21 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .numerology import NumerologyConfig, config_int, load_yaml, mapping_value
+from .numerology import (
+    NumerologyConfig,
+    config_float,
+    config_int,
+    load_yaml,
+    mapping_value,
+)
 from .optimizer import (
+    ABSENT_THETA,
     DEFAULT_ALPHA_GRID,
     DEFAULT_THETA_LIST,
     LookupTable,
     _theta_text,
-    best_allocation,
     build_lookup_table,
     checked_alpha_grid,
-    checked_theta_list,
     config_fingerprint,
     efficiency_curve,  # noqa: F401  unused here; perfbench's tracer wraps it
     efficiency_curves,
@@ -82,7 +87,7 @@ class ExperimentConfig:
 
 
 def _floats(values) -> tuple:
-    return tuple(float(v) for v in values)
+    return tuple(config_float(v) for v in values)
 
 
 def _seed(value) -> int:
@@ -114,7 +119,7 @@ def _flag(flag: str, convert, value):
 
 
 def _csv_floats(text: str) -> tuple:
-    return _floats(t for t in text.split(",") if t)
+    return tuple(float(t) for t in text.split(",") if t)
 
 
 def _fmt(x: float) -> str:
@@ -142,15 +147,16 @@ def _out_dir(ec: ExperimentConfig) -> Path:
     return out
 
 
-def _lookup_for(ec: ExperimentConfig, out: Path) -> LookupTable:
-    """Load a persisted table matching the config hash, or build and persist
-    it through a temporary name outside lookup_*.csv and an atomic rename."""
+def _lookup_for(ec: ExperimentConfig) -> LookupTable:
+    """Load a persisted table matching the config hash, or build it, then
+    create the output directory and persist the table through a temporary
+    name outside lookup_*.csv and an atomic rename."""
     key = config_fingerprint(ec.numerology, ec.alpha_grid, ec.theta_list)
-    path = out / f"lookup_{key}.csv"
+    path = Path(ec.out_dir) / f"lookup_{key}.csv"
     if path.exists():
         return LookupTable.load_csv(path)
     table = build_lookup_table(ec.theta_list, ec.numerology, ec.alpha_grid)
-    tmp = out / f".{path.name}.{os.getpid()}.tmp"
+    tmp = _out_dir(ec) / f".{path.name}.{os.getpid()}.tmp"
     try:
         table.save_csv(tmp, ec.numerology)
         os.replace(tmp, path)
@@ -179,12 +185,10 @@ def cmd_psd(args) -> int:
 
 def cmd_guards(args) -> int:
     ec = _load_config(args)
-    thetas = checked_theta_list(ec.theta_list)
-    checked_alpha_grid(ec.alpha_grid, ec.numerology)
-    out = _out_dir(ec)
     # one pass: the table is the optimum of each curve written, and a theta
     # without a curve is reported as absent below, as lookup-build does
-    curves, _ = efficiency_curves(thetas, ec.numerology, ec.alpha_grid)
+    curves = efficiency_curves(ec.theta_list, ec.numerology, ec.alpha_grid)
+    out = _out_dir(ec)
     with open(out / "guard_curves.csv", "w", newline="") as fh:
         fh.write("theta_db,alpha,gd_samples,gb_subcarriers,eta_time,eta_freq,eta\n")
         for theta, curve in curves.items():
@@ -194,9 +198,9 @@ def cmd_guards(args) -> int:
                     f"{a.gb_subcarriers:.6f},{a.eta_time:.8f},"
                     f"{a.eta_freq:.8f},{a.eta:.8f}\n"
                 )
-    table = LookupTable({t: best_allocation(c) for t, c in curves.items()})
+    table = LookupTable.from_curves(ec.theta_list, curves)
     table.save_csv(out / "optimal_guards.csv", ec.numerology)
-    _report_absent(thetas, table)
+    _report_absent(ec.theta_list, table)
     violations = 0
     if args.revalidate:
         for theta, supp in revalidate(table, ec.numerology).items():
@@ -209,10 +213,7 @@ def cmd_guards(args) -> int:
 
 def cmd_lookup_build(args) -> int:
     ec = _load_config(args)
-    thetas = checked_theta_list(ec.theta_list)
-    checked_alpha_grid(ec.alpha_grid, ec.numerology)
-    out = _out_dir(ec)
-    _report_absent(thetas, _lookup_for(ec, out))
+    _report_absent(ec.theta_list, _lookup_for(ec))
     return 0
 
 
@@ -221,11 +222,7 @@ def _report_absent(thetas, table: LookupTable) -> None:
     not table.failures: a table loaded from the cache keeps no failures."""
     for theta in thetas:
         if theta not in table.entries:
-            print(
-                f"theta={_theta_text(theta)}: absent "
-                "(unreachable at every alpha in the grid)",
-                file=sys.stderr,
-            )
+            print(ABSENT_THETA.format(_theta_text(theta)), file=sys.stderr)
 
 
 def cmd_schedule(args) -> int:
@@ -235,10 +232,8 @@ def cmd_schedule(args) -> int:
     else:
         users_path = Path(ec.users)
     users = load_users_yaml(users_path)
-    checked_theta_list(ec.theta_list)
-    checked_alpha_grid(ec.alpha_grid, ec.numerology)
+    lookup = _lookup_for(ec)
     out = _out_dir(ec)
-    lookup = _lookup_for(ec, out)
     rows = compare_scenarios(users, ec.seed, lookup)
     for r in rows:
         write_layout_csv(r.plan, out / f"schedule_{r.scenario}.csv")

@@ -89,6 +89,13 @@ def config_int(value) -> int:
     return value
 
 
+def config_float(value) -> float:
+    """A real config value; true or "20" is rejected, not converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def mapping_value(m, key: str, convert, default):
     """convert(m[key]), default if absent; a bad value's error names the key."""
     if key not in m:

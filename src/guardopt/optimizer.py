@@ -8,10 +8,12 @@ alpha (less time-domain overhead).
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 from .numerology import NumerologyConfig, WindowSpec
@@ -19,9 +21,9 @@ from .parallel import parallel_map
 from .spectrum import (
     OVERSAMPLE,
     TOL_SUBCARRIERS,
+    LeakageModel,
     ThetaUnreachableError,
     required_guard_band,  # noqa: F401  unused here; perfbench's tracer wraps it
-    required_guard_bands,
     suppression_db,
     windowed_psd,
 )
@@ -31,6 +33,8 @@ DEFAULT_ALPHA_GRID = tuple(round(0.005 * i, 3) for i in range(41))  # 0 .. 0.2
 DEFAULT_THETA_LIST = (20.0, 25.0, 30.0, 35.0, 40.0, 45.0)
 # bump when the spectrum model or search changes a table's numbers
 SEARCH_VERSION = "charged-taper-1"
+# a threshold with no efficiency curve, formatted with its _theta_text
+ABSENT_THETA = "theta={}: absent (unreachable at every alpha in the grid)"
 
 LOOKUP_COLUMNS = (
     "theta_db,alpha,gd_samples,gd_us,gb_subcarriers,gb_hz,eta_time,eta_freq,eta"
@@ -63,46 +67,34 @@ def spectral_efficiency(
     return eta_time, eta_freq, eta_time * eta_freq
 
 
-def _allocations_for_alpha(
-    alpha: float, thetas: list, cfg: NumerologyConfig
-) -> list[GuardAllocation | None]:
-    """One allocation per threshold at alpha, None where it is unreachable."""
-    gd = WindowSpec.for_config(alpha, cfg).t_cp_win
-    return [
-        None if gb is None
-        else GuardAllocation(alpha, gd, gb, *spectral_efficiency(gd, gb, cfg), theta)
-        for theta, gb in zip(thetas, required_guard_bands(alpha, thetas, cfg))
-    ]
-
-
 def efficiency_curves(
     theta_list,
     cfg: NumerologyConfig,
     alpha_grid=DEFAULT_ALPHA_GRID,
-) -> tuple[dict[float, list[GuardAllocation]], dict[float, str]]:
+) -> dict[float, list[GuardAllocation]]:
     """Every threshold's efficiency curve, in one pass over the alpha grid.
 
-    Each alpha builds one leakage model and bisects every threshold on it.
-    Returns (theta -> curve, theta -> reason): a curve holds one allocation
-    per reachable alpha, in grid order, and a threshold unreachable at every
-    alpha gets a reason instead.
+    Checks both lists first (ValueError). Each alpha builds one leakage model
+    and bisects every threshold on it. Returns theta -> curve, one allocation
+    per reachable alpha in grid order; a threshold that no alpha reaches has
+    no key.
     """
     thetas = checked_theta_list(theta_list)
-    if not alpha_grid:
-        raise ValueError("alpha_grid must be non-empty")
-    columns = parallel_map(
-        lambda a: _allocations_for_alpha(a, thetas, cfg), alpha_grid
-    )
-    curves, failures = {}, {}
-    for theta, allocs in zip(thetas, zip(*columns)):
-        curve = [a for a in allocs if a is not None]
-        if curve:
-            curves[theta] = curve
-        else:
-            failures[theta] = (
-                f"theta={theta} dB unreachable at every alpha in the grid"
-            )
-    return curves, failures
+    alphas = checked_alpha_grid(alpha_grid, cfg)
+
+    def column(alpha):  # theta -> allocation, for each theta reachable at alpha
+        gd = WindowSpec.for_config(alpha, cfg).t_cp_win
+        model, out = LeakageModel.for_alpha(alpha, cfg), {}
+        for theta in thetas:
+            with contextlib.suppress(ThetaUnreachableError):
+                gb = model.guard_band(theta)
+                eta = spectral_efficiency(gd, gb, cfg)
+                out[theta] = GuardAllocation(alpha, gd, gb, *eta, theta)
+        return out
+
+    columns = parallel_map(column, alphas)
+    curves = {t: [col[t] for col in columns if t in col] for t in thetas}
+    return {t: curve for t, curve in curves.items() if curve}
 
 
 def efficiency_curve(
@@ -111,9 +103,9 @@ def efficiency_curve(
     alpha_grid=DEFAULT_ALPHA_GRID,
 ) -> list[GuardAllocation]:
     """One allocation per reachable alpha, in grid order."""
-    curves, failures = efficiency_curves([theta], cfg, alpha_grid)
-    if failures:
-        raise ThetaUnreachableError(failures[theta])
+    curves = efficiency_curves([theta], cfg, alpha_grid)
+    if theta not in curves:
+        raise ThetaUnreachableError(ABSENT_THETA.format(_theta_text(theta)))
     return curves[theta]
 
 
@@ -132,11 +124,17 @@ def best_allocation(curve) -> GuardAllocation:
 
 
 class LookupTable:
-    """theta -> optimal GuardAllocation, with reasons for any absent entries."""
+    """theta -> optimal GuardAllocation, and the thresholds absent from it."""
 
-    def __init__(self, entries: dict[float, GuardAllocation], failures=None):
+    def __init__(self, entries: dict[float, GuardAllocation], failures=()):
         self.entries = dict(sorted(entries.items()))
-        self.failures: dict[float, str] = dict(failures or {})
+        self.failures: tuple[float, ...] = tuple(failures)
+
+    @classmethod
+    def from_curves(cls, thetas, curves) -> "LookupTable":
+        """Each curve's optimum; a threshold without a curve is a failure."""
+        return cls({t: best_allocation(c) for t, c in curves.items()},
+                   [t for t in thetas if t not in curves])
 
     @property
     def max_theta(self) -> float:
@@ -202,8 +200,8 @@ def build_lookup_table(
     alpha_grid=DEFAULT_ALPHA_GRID,
 ) -> LookupTable:
     """Optimal allocation per threshold; failures recorded, not raised."""
-    curves, failures = efficiency_curves(theta_list, cfg, alpha_grid)
-    return LookupTable({t: best_allocation(c) for t, c in curves.items()}, failures)
+    thetas = list(theta_list)
+    return LookupTable.from_curves(thetas, efficiency_curves(thetas, cfg, alpha_grid))
 
 
 def checked_theta_list(theta_list) -> list:
@@ -223,13 +221,23 @@ def checked_theta_list(theta_list) -> list:
 
 
 def checked_alpha_grid(alpha_grid, cfg: NumerologyConfig) -> list:
-    """alpha_grid as a list; raises ValueError unless non-empty and every
-    roll-off lies in [0, 1] with a cyclic extension shorter than the symbol."""
+    """alpha_grid as a list; raises ValueError naming the value unless the
+    grid is non-empty and every roll-off is a number in [0, 1] with a cyclic
+    extension shorter than the symbol."""
     alpha_grid = list(alpha_grid)
     if not alpha_grid:
         raise ValueError("alpha_grid must be non-empty")
     for alpha in alpha_grid:
-        pulse_weights(cfg, WindowSpec.for_config(alpha, cfg).t_cp_win)
+        # bool is an int, and NaN fails every comparison
+        number = isinstance(alpha, numbers.Real) and not isinstance(alpha, bool)
+        if not (number and 0 <= alpha <= 1):
+            raise ValueError(
+                f"alpha_grid values must be numbers in [0, 1], got {alpha!r}"
+            )
+        try:
+            pulse_weights(cfg, WindowSpec.for_config(alpha, cfg).t_cp_win)
+        except ValueError as exc:
+            raise ValueError(f"alpha_grid value {alpha!r}: {exc}") from None
     return alpha_grid
 
 

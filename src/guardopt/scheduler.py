@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerology import load_yaml
+from .numerology import config_float, config_int, load_yaml, mapping_value
 from .optimizer import GuardAllocation, LookupTable
 
 USE_CASES = ("eMBB", "mMTC", "URLLC")
@@ -351,18 +351,20 @@ def load_users_yaml(path) -> list[UserProfile]:
     raw = load_yaml(path)
     if isinstance(raw, dict):
         raw = raw.get("users")
-    if not isinstance(raw, list):
-        raise ValueError(f"{path}: expected a `users:` list of mappings")
+    if not isinstance(raw, list) or not raw:
+        raise ValueError(f"{path}: expected a non-empty `users:` list of mappings")
     users, seen = [], set()
     for row, u in enumerate(raw, start=1):
         where = f"{path}: user {row}"
         try:
+            if not isinstance(u, dict):
+                raise ValueError(f"expected a mapping of user keys, got {u!r}")
             user = UserProfile(
-                id=str(u["id"]),
-                power_dbm=float(u["power_dbm"]),
-                sir_req_db=float(u["sir_req_db"]),
+                id=_user_field(u, "id", _user_id),
+                power_dbm=_user_field(u, "power_dbm", config_float),
+                sir_req_db=_user_field(u, "sir_req_db", config_float),
                 use_case=str(u["use_case"]),
-                obw_subcarriers=int(u["obw_subcarriers"]),
+                obw_subcarriers=_user_field(u, "obw_subcarriers", config_int),
             )
         except KeyError as exc:
             raise ValueError(f"{where}: missing key {exc}") from exc
@@ -373,6 +375,21 @@ def load_users_yaml(path) -> list[UserProfile]:
         seen.add(user.id)
         users.append(user)
     return users
+
+
+def _user_field(u: dict, key: str, convert):
+    """convert(u[key]): KeyError if the key is missing, and an error that
+    names the key if its value is bad."""
+    if key not in u:
+        raise KeyError(key)
+    return mapping_value(u, key, convert, None)
+
+
+def _user_id(value) -> str:
+    """An id as written, a string or an integer; null or true is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ValueError(f"expected a string or an integer, got {value!r}")
+    return str(value)
 
 
 def write_layout_csv(plan: SchedulePlan, path) -> None:

@@ -23,7 +23,7 @@ Conventions:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -280,7 +280,7 @@ def _lag_kernels(ocfg: NumerologyConfig) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class LeakageModel:
     """suppression_db of the expected PSD against a one-subcarrier victim
-    slot, in closed form as a function of the guard band g.
+    slot, in closed form as a function of the guard band g, and its search.
 
     The victim-over-in-band density ratio is Re sum_d c_d z^d with z =
     exp(2j pi g / fs): one coefficient per pulse lag folds the slot width, the
@@ -291,9 +291,13 @@ class LeakageModel:
     that bound, and readings above it are clipped to it.
     """
 
+    alpha: float
+    cfg: NumerologyConfig
     coeffs: np.ndarray  # c_d at d = _BLOCK * row + column, zero-padded
     lag_step: float     # phase of z per Hz of guard band: 2 pi / fs
     ceiling_db: float
+    # guard band (Hz) -> suppression_db, shared by every search on this model
+    _readings: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def for_alpha(cls, alpha: float, cfg: NumerologyConfig) -> "LeakageModel":
@@ -307,7 +311,8 @@ class LeakageModel:
         bound = m * np.finfo(float).eps * np.abs(coeffs).sum()
         rows = -(-m // _BLOCK)
         coeffs = np.pad(coeffs, (0, rows * _BLOCK - m)).reshape(rows, _BLOCK)
-        return cls(coeffs, 2 * np.pi / ocfg.sample_rate, float(-_to_db(bound)))
+        return cls(alpha, cfg, coeffs, 2 * np.pi / ocfg.sample_rate,
+                   float(-_to_db(bound)))
 
     def suppression_db(self, guard_band_hz: float) -> float:
         """z^d = z^(_BLOCK * row) * z^column: two short exp vectors and one
@@ -318,66 +323,50 @@ class LeakageModel:
         ratio = (row @ (self.coeffs @ column)).real
         return min(float(-_to_db(ratio)), self.ceiling_db)
 
+    def guard_band(self, theta: float) -> float:
+        """Smallest guard band (subcarriers, fractional) achieving suppression
+        >= theta.
+
+        Bisection over the guard band up to the oversampled Nyquist frequency;
+        raises ThetaUnreachableError when even the largest guard fails, or
+        when theta lies above ceiling_db. Searches on one model start from the
+        same endpoints and often the same first midpoints, so each distinct
+        guard band is read once per model.
+        """
+        if theta <= 0:
+            raise ValueError("theta must be positive")
+        cfg, read = self.cfg, self._read
+        victim = spacing = cfg.subcarrier_spacing
+        gb_max = OVERSAMPLE * cfg.sample_rate / 2 - band_edge_hz(cfg) - victim
+        if gb_max < 0:
+            raise ThetaUnreachableError("victim band alone exceeds the PSD grid span")
+        if read(0.0) >= theta:
+            return 0.0
+        top = read(gb_max)
+        if top < theta:
+            where = ("within the grid span" if top < self.ceiling_db else
+                     f"above the {self.ceiling_db:.1f} dB the leakage model resolves")
+            raise ThetaUnreachableError(
+                f"theta={theta} dB unreachable at alpha={self.alpha} {where}"
+            )
+        lo, hi = 0.0, gb_max
+        while (hi - lo) / spacing > TOL_SUBCARRIERS:
+            mid = 0.5 * (lo + hi)
+            if read(mid) >= theta:
+                hi = mid
+            else:
+                lo = mid
+        return hi / spacing
+
+    def _read(self, guard_band_hz: float) -> float:
+        if guard_band_hz not in self._readings:
+            self._readings[guard_band_hz] = self.suppression_db(guard_band_hz)
+        return self._readings[guard_band_hz]
+
 
 def required_guard_band(alpha: float, theta: float, cfg: NumerologyConfig) -> float:
-    """Smallest guard band (subcarriers, fractional) achieving suppression >= theta.
-
-    Suppression is suppression_db of the expected PSD against a worst-case
-    one-subcarrier victim slot, read from LeakageModel. Bisection over the
-    guard band up to the oversampled Nyquist frequency; raises
-    ThetaUnreachableError when even the largest guard fails, or when theta
-    lies above the model's ceiling_db.
-    """
-    model = LeakageModel.for_alpha(alpha, cfg)
-    return _bisect_guard_band(model.suppression_db, model.ceiling_db, alpha, theta, cfg)
-
-
-def required_guard_bands(alpha: float, thetas, cfg: NumerologyConfig) -> list:
-    """required_guard_band at every theta, bisected on one LeakageModel; None
-    where theta is unreachable.
-
-    The bisections share their readings of the model: they start from the
-    same endpoints and often the same first midpoints, and each distinct
-    guard band is evaluated once.
-    """
-    model = LeakageModel.for_alpha(alpha, cfg)
-    read = functools.cache(model.suppression_db)
-    out = []
-    for theta in thetas:
-        try:
-            out.append(_bisect_guard_band(read, model.ceiling_db, alpha, theta, cfg))
-        except ThetaUnreachableError:
-            out.append(None)
-    return out
-
-
-def _bisect_guard_band(read, ceiling_db: float, alpha: float, theta: float,
-                       cfg: NumerologyConfig) -> float:
-    """The guard-band bisection: read(g) is the suppression at guard band g
-    Hz, ceiling_db the most it resolves."""
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    victim = spacing = cfg.subcarrier_spacing
-    gb_max = OVERSAMPLE * cfg.sample_rate / 2 - band_edge_hz(cfg) - victim
-    if gb_max < 0:
-        raise ThetaUnreachableError("victim band alone exceeds the PSD grid span")
-    if read(0.0) >= theta:
-        return 0.0
-    top = read(gb_max)
-    if top < theta:
-        where = ("within the grid span" if top < ceiling_db else
-                 f"above the {ceiling_db:.1f} dB the leakage model resolves")
-        raise ThetaUnreachableError(
-            f"theta={theta} dB unreachable at alpha={alpha} {where}"
-        )
-    lo, hi = 0.0, gb_max
-    while (hi - lo) / spacing > TOL_SUBCARRIERS:
-        mid = 0.5 * (lo + hi)
-        if read(mid) >= theta:
-            hi = mid
-        else:
-            lo = mid
-    return hi / spacing
+    """LeakageModel.guard_band on the model of roll-off alpha."""
+    return LeakageModel.for_alpha(alpha, cfg).guard_band(theta)
 
 
 def write_psd_csv(psd: PsdEstimate, path) -> None:

@@ -230,13 +230,13 @@ class TestPsdCommand:
 
 def _count_bisections(monkeypatch) -> list:
     """The (alpha, theta) pairs the guard search bisects, as it runs."""
-    calls, real = [], optimizer.required_guard_bands
+    calls, real = [], LeakageModel.guard_band
 
-    def counted(alpha, thetas, cfg):
-        calls.extend((alpha, theta) for theta in thetas)
-        return real(alpha, thetas, cfg)
+    def counted(model, theta):
+        calls.append((model.alpha, theta))
+        return real(model, theta)
 
-    monkeypatch.setattr(optimizer, "required_guard_bands", counted)
+    monkeypatch.setattr(LeakageModel, "guard_band", counted)
     return calls
 
 
@@ -574,14 +574,16 @@ def test_alpha_beyond_symbol_rejected(tmp_path, capsys, command):
     argv = [command, "--theta", "20", "--alpha", "0,0.95", "--out", str(tmp_path)]
     assert main(argv) == 1
     assert capsys.readouterr().err == (
-        "error: cyclic extension exceeds symbol length\n"
+        "error: alpha_grid value 0.95: cyclic extension exceeds symbol length\n"
     )
 
 
 @pytest.mark.parametrize("command", ["guards", "lookup-build", "schedule", "psd"])
 @pytest.mark.parametrize("alpha, message", [
-    ("0,0.95", "cyclic extension exceeds symbol length"),
-    ("-0.1", "alpha must be in [0, 1]"),
+    ("0,0.95", "alpha_grid value 0.95: cyclic extension exceeds symbol length"),
+    ("-0.1", "alpha_grid values must be numbers in [0, 1], got -0.1"),
+    ("0,inf", "alpha_grid values must be numbers in [0, 1], got inf"),
+    ("nan", "alpha_grid values must be numbers in [0, 1], got nan"),
 ])
 def test_bad_alpha_grid_exits_1_without_files(
     tmp_path, capsys, command, alpha, message
@@ -590,4 +592,49 @@ def test_bad_alpha_grid_exits_1_without_files(
     code = main([command, "--theta", "20", f"--alpha={alpha}", "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["guards", "psd"])
+def test_boolean_alpha_in_config_names_key(tmp_path, capsys, command):
+    # YAML true is not the roll-off 1
+    path = tmp_path / "exp.yaml"
+    path.write_text("alpha_grid: [0, true]\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: alpha_grid: expected a number, got True\n"
+    )
+    assert not out.exists()
+
+
+def _user_row(**changes) -> str:
+    """One user row in flow style, with some values replaced as written."""
+    row = {"id": "u1", "power_dbm": "10", "sir_req_db": "20", "use_case": "eMBB",
+           "obw_subcarriers": "600", **changes}
+    return "{" + ", ".join(f"{k}: {v}" for k, v in row.items()) + "}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("users: []\n", "expected a non-empty `users:` list of mappings"),
+    ("users:\n  - " + _user_row() + "\n  - 5\n",
+     "user 2: expected a mapping of user keys, got 5"),
+    ("- " + _user_row(power_dbm="true") + "\n",
+     "user 1: power_dbm: expected a number, got True"),
+    ("- " + _user_row(sir_req_db="'20'") + "\n",
+     "user 1: sir_req_db: expected a number, got '20'"),
+    ("- " + _user_row(obw_subcarriers="40.7") + "\n",
+     "user 1: obw_subcarriers: expected an integer, got 40.7"),
+    ("- " + _user_row(id="null") + "\n",
+     "user 1: id: expected a string or an integer, got None"),
+])
+def test_bad_users_file_names_file_row_key(tmp_path, capsys, text, message):
+    # rejected before the lookup table is built or any output written
+    path = tmp_path / "users.yaml"
+    path.write_text(text)
+    out = tmp_path / "o"
+    code = main(["schedule", "--users", str(path), "--theta", THETA,
+                 "--alpha", ALPHA, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
     assert not out.exists()

@@ -176,7 +176,7 @@ class TestLookupTable:
             table.ceil_lookup(50.0)
 
     def test_empty_table_has_no_reachable_threshold(self):
-        empty = LookupTable({}, {300.0: "unreachable"})
+        empty = LookupTable({}, (300.0,))
         for read in (lambda: empty.max_theta, lambda: empty.ceil_lookup(20.0)):
             with pytest.raises(ValueError, match="no reachable threshold"):
                 read()
@@ -198,20 +198,34 @@ class TestLookupTable:
             build_lookup_table([30.0, 20.0], cfg, ALPHAS)
 
     def test_failures_recorded(self, cfg, monkeypatch):
-        import guardopt.optimizer as opt
+        real = LeakageModel.guard_band
 
-        real = opt.required_guard_bands
-
-        def flaky(alpha, thetas, cfg_):
+        def flaky(model, theta):
             # theta=30 unreachable at every alpha
-            gbs = real(alpha, thetas, cfg_)
-            return [None if t == 30.0 else gb for t, gb in zip(thetas, gbs)]
+            if theta == 30.0:
+                raise ThetaUnreachableError("flaky")
+            return real(model, theta)
 
-        monkeypatch.setattr(opt, "required_guard_bands", flaky)
+        monkeypatch.setattr(LeakageModel, "guard_band", flaky)
         table = build_lookup_table([20.0, 30.0], cfg, ALPHAS)
-        assert 30.0 in table.failures
+        assert table.failures == (30.0,)
         assert 30.0 not in table.entries
         assert 20.0 in table.entries
+
+
+def test_default_build_reads_each_guard_band_once_per_model(cfg, monkeypatch):
+    # the bisections share their model's readings: one model per alpha
+    reads, real = [], LeakageModel.suppression_db
+
+    def counted(model, guard_band_hz):
+        reads.append((model, guard_band_hz))  # keeps each model, and its id
+        return real(model, guard_band_hz)
+
+    monkeypatch.setattr(LeakageModel, "suppression_db", counted)
+    build_lookup_table(DEFAULT_THETA_LIST, cfg)
+    keys = [(id(model), g) for model, g in reads]
+    assert len(keys) == len(set(keys)) == 2659
+    assert len({id(model) for model, _ in reads}) == len(DEFAULT_ALPHA_GRID)
 
 
 def _entry(theta, gb):
@@ -356,7 +370,7 @@ def test_guard_band_monotone(a0, a1, t0, t1):
 )
 def test_one_pass_per_alpha_matches_one_theta_search(alphas, thetas):
     cfg = NumerologyConfig()
-    curves, failures = efficiency_curves(thetas, cfg, alphas)
+    curves = efficiency_curves(thetas, cfg, alphas)
     for theta in thetas:
         expected = []
         for alpha in alphas:
@@ -370,10 +384,10 @@ def test_one_pass_per_alpha_matches_one_theta_search(alphas, thetas):
             ))
         if expected:
             assert curves[theta] == expected
-            assert theta not in failures
         else:
             assert theta not in curves
-            assert failures[theta].startswith(f"theta={theta} dB unreachable")
+            with pytest.raises(ThetaUnreachableError, match="absent"):
+                efficiency_curve(theta, cfg, alphas)
 
 
 def test_guard_allocation_product_invariant(cfg):

@@ -338,6 +338,59 @@ class TestLeakageModel:
             required_guard_band(0.2, 150.0, cfg)
 
 
+def _reference_guard_band(model: LeakageModel, theta: float) -> float:
+    """The guard-band bisection as a plain scalar loop over
+    model.suppression_db, every reading evaluated afresh."""
+    cfg = model.cfg
+    s = cfg.subcarrier_spacing
+    gb_max = OVERSAMPLE * cfg.sample_rate / 2 - band_edge_hz(cfg) - s
+    if gb_max < 0:
+        raise ThetaUnreachableError("victim band alone exceeds the PSD grid span")
+    if model.suppression_db(0.0) >= theta:
+        return 0.0
+    top = model.suppression_db(gb_max)
+    if top < theta:
+        where = ("within the grid span" if top < model.ceiling_db else
+                 f"above the {model.ceiling_db:.1f} dB the leakage model resolves")
+        raise ThetaUnreachableError(
+            f"theta={theta} dB unreachable at alpha={model.alpha} {where}"
+        )
+    lo, hi = 0.0, gb_max
+    while (hi - lo) / s > TOL_SUBCARRIERS:
+        mid = 0.5 * (lo + hi)
+        if model.suppression_db(mid) >= theta:
+            hi = mid
+        else:
+            lo = mid
+    return hi / s
+
+
+def _outcome(search, theta):
+    try:
+        return search(theta)
+    except ThetaUnreachableError as exc:
+        return str(exc)
+
+
+def test_guard_band_matches_reference_bisection(cfg):
+    # identical floats or error texts: the memoised readings change nothing,
+    # whichever thresholds were searched on the model before
+    tiny = NumerologyConfig(n_fft=1, n_occupied=1, t_cp_ch=0)
+    outcomes = []
+    for numerology, alpha in [(cfg, 0.0), (cfg, 0.05), (cfg, 0.2), (tiny, 0.1)]:
+        model = LeakageModel.for_alpha(alpha, numerology)
+        for theta in (5.0, 20.0, 33.3, 45.0, 80.0, 150.0, 300.0):
+            got = _outcome(model.guard_band, theta)
+            assert got == _outcome(
+                lambda t: _reference_guard_band(model, t), theta
+            ), (alpha, theta)
+            outcomes.append(got)
+    assert 0.0 in outcomes
+    for text in ("within the grid span", "leakage model resolves",
+                 "victim band alone"):
+        assert any(text in str(o) for o in outcomes), text
+
+
 def _rolled_comb_psd(alpha: float, cfg: NumerologyConfig) -> PsdEstimate:
     """Reference expected PSD: the complex FFT of the whole pulse, summed over
     the occupied subcarriers by pairwise doubling of np.roll copies."""
