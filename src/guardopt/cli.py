@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .numerology import (
+    NUMEROLOGY_KEYS,
     NumerologyConfig,
     config_float,
     config_int,
     load_yaml,
-    mapping_value,
+    read_keys,
 )
 from .optimizer import (
     ABSENT_THETA,
@@ -43,11 +44,6 @@ from .spectrum import least_welch_symbols, windowed_psd, write_psd_csv
 
 # dB an entry's revalidated suppression may fall short of its threshold
 REVALIDATE_TOL_DB = 0.1
-# every key a config file may hold; any other key is rejected
-CONFIG_KEYS = (
-    "n_fft", "n_occupied", "subcarrier_spacing_hz", "t_cp_ch_samples",
-    "alpha_grid", "theta_list", "users", "seed", "out_dir", "psd_symbols",
-)
 
 
 @dataclass
@@ -63,27 +59,12 @@ class ExperimentConfig:
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
         """Read a YAML config; a bad value's error names the file and key."""
-        raw = load_yaml(path) or {}
         try:
-            if not isinstance(raw, dict):
-                raise ValueError("expected a mapping of config keys")
-            unknown = ", ".join(repr(k) for k in raw if k not in CONFIG_KEYS)
-            if unknown:
-                raise ValueError(
-                    f"unknown key {unknown} (accepted: {', '.join(CONFIG_KEYS)})"
-                )
-            ec = cls(numerology=NumerologyConfig.from_mapping(raw))
-            ec.alpha_grid = mapping_value(raw, "alpha_grid", _floats, ec.alpha_grid)
-            ec.theta_list = mapping_value(raw, "theta_list", _floats, ec.theta_list)
-            ec.users = mapping_value(raw, "users", _file_path, ec.users)
-            ec.seed = mapping_value(raw, "seed", _seed, ec.seed)
-            ec.out_dir = mapping_value(raw, "out_dir", _file_path, ec.out_dir)
-            ec.psd_symbols = mapping_value(
-                raw, "psd_symbols", _positive_int, ec.psd_symbols
-            )
+            values = read_keys(load_yaml(path) or {}, _CONFIG_READERS, "config")
+            grid = {key: values.pop(key) for key in NUMEROLOGY_KEYS if key in values}
+            return cls(numerology=NumerologyConfig.from_mapping(grid), **values)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        return ec
 
 
 def _floats(values) -> tuple:
@@ -108,6 +89,16 @@ def _file_path(value) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a path, got {value!r}")
     return value
+
+
+# every key a config file may hold, and its reader; any other key is rejected.
+# The numerology keys pass as written to NumerologyConfig.from_mapping.
+_CONFIG_READERS = {
+    **dict.fromkeys(NUMEROLOGY_KEYS, lambda value: value),
+    "alpha_grid": _floats, "theta_list": _floats, "users": _file_path,
+    "seed": _seed, "out_dir": _file_path, "psd_symbols": _positive_int,
+}
+CONFIG_KEYS = tuple(_CONFIG_READERS)
 
 
 def _flag(flag: str, convert, value):

@@ -69,17 +69,11 @@ class NumerologyConfig:
 
     @classmethod
     def from_mapping(cls, m) -> "NumerologyConfig":
-        """Build from config-file keys (n_fft, n_occupied, subcarrier_spacing_hz,
-        t_cp_ch_samples); missing keys fall back to defaults."""
-        d = cls()
-        return cls(
-            n_fft=mapping_value(m, "n_fft", config_int, d.n_fft),
-            n_occupied=mapping_value(m, "n_occupied", config_int, d.n_occupied),
-            subcarrier_spacing=mapping_value(
-                m, "subcarrier_spacing_hz", float, d.subcarrier_spacing
-            ),
-            t_cp_ch=mapping_value(m, "t_cp_ch_samples", config_int, d.t_cp_ch),
-        )
+        """Build from the config-file keys of NUMEROLOGY_KEYS; missing keys
+        fall back to defaults, and any other key is rejected."""
+        readers = {key: convert for key, (_, convert) in NUMEROLOGY_KEYS.items()}
+        values = read_keys(m, readers, "numerology")
+        return cls(**{NUMEROLOGY_KEYS[key][0]: v for key, v in values.items()})
 
 
 def config_int(value) -> int:
@@ -96,14 +90,33 @@ def config_float(value) -> float:
     return float(value)
 
 
-def mapping_value(m, key: str, convert, default):
-    """convert(m[key]), default if absent; a bad value's error names the key."""
-    if key not in m:
-        return default
-    try:
-        return convert(m[key])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{key}: {exc}") from None
+# config-file key -> (NumerologyConfig field, converter)
+NUMEROLOGY_KEYS = {
+    "n_fft": ("n_fft", config_int),
+    "n_occupied": ("n_occupied", config_int),
+    "subcarrier_spacing_hz": ("subcarrier_spacing", config_float),
+    "t_cp_ch_samples": ("t_cp_ch", config_int),
+}
+
+
+def read_keys(m, readers: dict, what: str) -> dict:
+    """{key: readers[key](value)} for each key of the mapping m.
+
+    A value that is not a mapping, a key outside readers or a bad value
+    raises one ValueError; a bad value's error names its key.
+    """
+    if not isinstance(m, dict):
+        raise ValueError(f"expected a mapping of {what} keys, got {m!r}")
+    unknown = ", ".join(repr(k) for k in m if k not in readers)
+    if unknown:
+        raise ValueError(f"unknown key {unknown} (accepted: {', '.join(readers)})")
+    values = {}
+    for key, value in m.items():
+        try:
+            values[key] = readers[key](value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    return values
 
 
 def load_yaml(path):

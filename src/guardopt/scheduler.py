@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerology import config_float, config_int, load_yaml, mapping_value
+from .numerology import config_float, load_yaml, read_keys
 from .optimizer import GuardAllocation, LookupTable
 
-USE_CASES = ("eMBB", "mMTC", "URLLC")
+USE_CASES = ("eMBB", "mMTC", "URLLC")  # read by perfbench only
 EXACT_LIMIT = 10  # largest user set the default search orders exactly
 
 
@@ -33,8 +33,10 @@ class UserProfile:
     id: str
     power_dbm: float
     sir_req_db: float
-    use_case: str
-    obw_subcarriers: int
+    # read by no computation: a service reaches the guards only through
+    # sir_req_db; kept as positional slots for callers that pass them
+    use_case: str | None = None
+    obw_subcarriers: int | None = None
 
     def __post_init__(self):
         # the id is written unquoted into the layout CSV
@@ -48,10 +50,6 @@ class UserProfile:
             raise ValueError(
                 f"sir_req_db must be positive and finite, got {self.sir_req_db}"
             )
-        if self.obw_subcarriers <= 0:
-            raise ValueError("obw_subcarriers must be positive")
-        if self.use_case not in USE_CASES:
-            raise ValueError(f"use_case must be one of {USE_CASES}")
 
 
 @dataclass(frozen=True)
@@ -357,18 +355,11 @@ def load_users_yaml(path) -> list[UserProfile]:
     for row, u in enumerate(raw, start=1):
         where = f"{path}: user {row}"
         try:
-            if not isinstance(u, dict):
-                raise ValueError(f"expected a mapping of user keys, got {u!r}")
-            user = UserProfile(
-                id=_user_field(u, "id", _user_id),
-                power_dbm=_user_field(u, "power_dbm", config_float),
-                sir_req_db=_user_field(u, "sir_req_db", config_float),
-                use_case=str(u["use_case"]),
-                obw_subcarriers=_user_field(u, "obw_subcarriers", config_int),
-            )
+            values = read_keys(u, _USER_READERS, "user")
+            user = UserProfile(*(values[key] for key in _USER_READERS))
         except KeyError as exc:
             raise ValueError(f"{where}: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from exc
         if user.id in seen:
             raise ValueError(f"{where}: duplicate id {user.id!r}")
@@ -377,19 +368,15 @@ def load_users_yaml(path) -> list[UserProfile]:
     return users
 
 
-def _user_field(u: dict, key: str, convert):
-    """convert(u[key]): KeyError if the key is missing, and an error that
-    names the key if its value is bad."""
-    if key not in u:
-        raise KeyError(key)
-    return mapping_value(u, key, convert, None)
-
-
 def _user_id(value) -> str:
     """An id as written, a string or an integer; null or true is rejected."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise ValueError(f"expected a string or an integer, got {value!r}")
     return str(value)
+
+
+# every key a user row holds, in UserProfile order; any other key is rejected
+_USER_READERS = {"id": _user_id, "power_dbm": config_float, "sir_req_db": config_float}
 
 
 def write_layout_csv(plan: SchedulePlan, path) -> None:

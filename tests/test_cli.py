@@ -171,6 +171,37 @@ class TestConfigLoading:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "value, written",
+        [("true", "True"), ('"15000"', "'15000'"), ("1.5e4", "'1.5e4'"),
+         ("15e3", "'15e3'")],
+    )
+    def test_non_number_spacing_names_file_and_key(
+        self, tmp_path, capsys, value, written
+    ):
+        # true is not 1 Hz, and text is not converted: YAML 1.1 reads 1.5e4
+        # and 15e3 as strings
+        path = tmp_path / "exp.yaml"
+        path.write_text(f"subcarrier_spacing_hz: {value}\n")
+        out = tmp_path / "o"
+        code = main(["guards", "--config", str(path), "--theta", "20",
+                     "--alpha", "0,0.05", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: subcarrier_spacing_hz: expected a number, got {written}\n"
+        )
+        assert not out.exists()
+
+    def test_non_mapping_config_names_file(self, tmp_path, capsys):
+        path = tmp_path / "exp.yaml"
+        path.write_text("- seed\n")
+        out = tmp_path / "o"
+        assert main(["lookup-build", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: expected a mapping of config keys, got ['seed']\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["psd", "schedule"])
     def test_negative_seed_flag_names_flag(self, tmp_path, capsys, command):
         out = tmp_path / "o"
@@ -440,8 +471,7 @@ class TestScheduleCommand:
         # the heuristic above
         path = tmp_path / "users.yaml"
         path.write_text("users:\n" + "".join(
-            f"  - {{id: u{i}, power_dbm: {7 * i % 13}, sir_req_db: {15 + 5 * i % 11},"
-            " use_case: eMBB, obw_subcarriers: 72}\n"
+            f"  - {{id: u{i}, power_dbm: {7 * i % 13}, sir_req_db: {15 + 5 * i % 11}}}\n"
             for i in range(n)
         ))
         out = tmp_path / "o"
@@ -493,13 +523,14 @@ class TestScheduleCommand:
         assert lookup.name in err and "line 3" in err
 
 
-def test_non_integer_threads_names_variable(tmp_path, monkeypatch, capsys):
+def test_threads_variable_is_not_read(tmp_path, monkeypatch):
+    # the search runs on one thread whatever the environment holds
+    argv = ["lookup-build", "--theta", THETA, "--alpha", ALPHA, "--out"]
+    monkeypatch.delenv("GUARDOPT_THREADS", raising=False)
+    assert main(argv + [str(tmp_path / "unset")]) == 0
     monkeypatch.setenv("GUARDOPT_THREADS", "two")
-    code = main(
-        ["lookup-build", "--theta", THETA, "--alpha", ALPHA, "--out", str(tmp_path)]
-    )
-    assert code == 1
-    assert "GUARDOPT_THREADS" in capsys.readouterr().err
+    assert main(argv + [str(tmp_path / "two")]) == 0
+    assert _read_csvs(tmp_path / "two") == _read_csvs(tmp_path / "unset")
 
 
 def test_lookup_build_command(tmp_path):
@@ -610,8 +641,7 @@ def test_boolean_alpha_in_config_names_key(tmp_path, capsys, command):
 
 def _user_row(**changes) -> str:
     """One user row in flow style, with some values replaced as written."""
-    row = {"id": "u1", "power_dbm": "10", "sir_req_db": "20", "use_case": "eMBB",
-           "obw_subcarriers": "600", **changes}
+    row = {"id": "u1", "power_dbm": "10", "sir_req_db": "20", **changes}
     return "{" + ", ".join(f"{k}: {v}" for k, v in row.items()) + "}"
 
 
@@ -623,8 +653,11 @@ def _user_row(**changes) -> str:
      "user 1: power_dbm: expected a number, got True"),
     ("- " + _user_row(sir_req_db="'20'") + "\n",
      "user 1: sir_req_db: expected a number, got '20'"),
-    ("- " + _user_row(obw_subcarriers="40.7") + "\n",
-     "user 1: obw_subcarriers: expected an integer, got 40.7"),
+    ("- " + _user_row(use_case="eMBB", obw_subcarriers="600") + "\n",
+     "user 1: unknown key 'use_case', 'obw_subcarriers' "
+     "(accepted: id, power_dbm, sir_req_db)"),
+    ("- " + _user_row(prio="3") + "\n",
+     "user 1: unknown key 'prio' (accepted: id, power_dbm, sir_req_db)"),
     ("- " + _user_row(id="null") + "\n",
      "user 1: id: expected a string or an integer, got None"),
 ])

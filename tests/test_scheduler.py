@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 import guardopt.scheduler as scheduler
@@ -48,14 +49,20 @@ def lut():
     )
 
 
-def _user(uid, power, sir, case="eMBB", obw=100):
-    return UserProfile(uid, power, sir, case, obw)
+def _user(uid, power, sir):
+    return UserProfile(uid, power, sir)
 
 
 class TestUserProfile:
     def test_valid(self):
-        u = _user("a", 10.0, 20.0, "URLLC", 300)
-        assert u.use_case == "URLLC"
+        u = _user("a", 10.0, 20.0)
+        assert (u.id, u.power_dbm, u.sir_req_db) == ("a", 10.0, 20.0)
+        assert (u.use_case, u.obw_subcarriers) == (None, None)
+
+    def test_unread_positional_fields_are_not_checked(self):
+        # no computation reads them, so any value is kept as given
+        u = UserProfile("a", 10.0, 20.0, "broadcast", 0)
+        assert (u.use_case, u.obw_subcarriers) == ("broadcast", 0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -66,39 +73,33 @@ class TestUserProfile:
             dict(sir=float("inf")),
             dict(power=float("nan")),
             dict(power=float("-inf")),
-            dict(obw=0),
-            dict(case="broadcast"),
         ],
     )
     def test_invalid(self, kwargs):
-        args = dict(power=0.0, sir=20.0, case="eMBB", obw=100)
+        args = dict(power=0.0, sir=20.0)
         args.update(kwargs)
         with pytest.raises(ValueError):
-            _user("bad", args["power"], args["sir"], args["case"], args["obw"])
+            _user("bad", args["power"], args["sir"])
 
     def test_yaml_round_trip(self, tmp_path):
         path = tmp_path / "users.yaml"
         path.write_text(
             "users:\n"
-            "  - {id: u1, power_dbm: 10, sir_req_db: 20, use_case: eMBB,"
-            " obw_subcarriers: 600}\n"
-            "  - {id: u2, power_dbm: -3.5, sir_req_db: 15, use_case: mMTC,"
-            " obw_subcarriers: 72}\n"
+            "  - {id: u1, power_dbm: 10, sir_req_db: 20}\n"
+            "  - {id: u2, power_dbm: -3.5, sir_req_db: 15}\n"
         )
         users = load_users_yaml(path)
         assert [u.id for u in users] == ["u1", "u2"]
         assert users[1].power_dbm == -3.5
-        assert users[1].use_case == "mMTC"
+        assert users[1].sir_req_db == 15.0
 
 
     def test_yaml_missing_key_names_file_row_key(self, tmp_path):
         path = tmp_path / "users.yaml"
         path.write_text(
             "users:\n"
-            "  - {id: u1, power_dbm: 10, sir_req_db: 20, use_case: eMBB,"
-            " obw_subcarriers: 600}\n"
-            "  - {power_dbm: 1, sir_req_db: 15, use_case: mMTC,"
-            " obw_subcarriers: 72}\n"
+            "  - {id: u1, power_dbm: 10, sir_req_db: 20}\n"
+            "  - {power_dbm: 1, sir_req_db: 15}\n"
         )
         with pytest.raises(ValueError) as exc:
             load_users_yaml(path)
@@ -107,8 +108,7 @@ class TestUserProfile:
 
     def test_yaml_duplicate_id(self, tmp_path):
         path = tmp_path / "users.yaml"
-        row = ("  - {id: u1, power_dbm: 10, sir_req_db: 20, use_case: eMBB,"
-               " obw_subcarriers: 600}\n")
+        row = "  - {id: u1, power_dbm: 10, sir_req_db: 20}\n"
         path.write_text("users:\n" + row + row)
         with pytest.raises(ValueError, match=r"user 2: duplicate id 'u1'") as exc:
             load_users_yaml(path)
@@ -117,8 +117,7 @@ class TestUserProfile:
     def test_yaml_bad_value_names_row(self, tmp_path):
         path = tmp_path / "users.yaml"
         path.write_text(
-            "- {id: u1, power_dbm: .nan, sir_req_db: 20, use_case: eMBB,"
-            " obw_subcarriers: 600}\n"
+            "- {id: u1, power_dbm: .nan, sir_req_db: 20}\n"
         )
         with pytest.raises(ValueError, match=r"user 1: power_dbm must be finite"):
             load_users_yaml(path)
@@ -129,10 +128,8 @@ class TestUserProfile:
         path = tmp_path / "users.yaml"
         path.write_text(
             "users:\n"
-            "  - {id: u1, power_dbm: 10, sir_req_db: 20, use_case: eMBB,"
-            " obw_subcarriers: 600}\n"
-            f"  - {{id: {uid}, power_dbm: 1, sir_req_db: 15, use_case: mMTC,"
-            " obw_subcarriers: 72}\n"
+            "  - {id: u1, power_dbm: 10, sir_req_db: 20}\n"
+            f"  - {{id: {uid}, power_dbm: 1, sir_req_db: 15}}\n"
         )
         with pytest.raises(ValueError, match=r"user 2: id must be non-empty") as exc:
             load_users_yaml(path)
@@ -260,11 +257,11 @@ class TestScheduleRandom:
 class TestScheduleInterferenceBased:
     def _mixed(self):
         return [
-            _user("e1", 15.0, 18.0, "eMBB", 600),
-            _user("m1", 0.0, 15.0, "mMTC", 72),
-            _user("r1", 10.0, 30.0, "URLLC", 300),
-            _user("m2", 1.0, 16.0, "mMTC", 72),
-            _user("e2", 14.0, 20.0, "eMBB", 600),
+            _user("e1", 15.0, 18.0),
+            _user("m1", 0.0, 15.0),
+            _user("r1", 10.0, 30.0),
+            _user("m2", 1.0, 16.0),
+            _user("e2", 14.0, 20.0),
         ]
 
     def test_exhaustive_beats_every_random_order(self, lut):
@@ -623,5 +620,7 @@ def test_packaged_fixture_loads():
         resources.files("guardopt.data") / "users_mixed8.yaml"
     ) as p:
         users = load_users_yaml(p)
+        rows = yaml.safe_load(p.read_text())["users"]
     assert len(users) == 8
-    assert {u.use_case for u in users} <= {"eMBB", "mMTC", "URLLC"}
+    # the three keys a user file holds; the old five-key format fails to load
+    assert all(set(row) == {"id", "power_dbm", "sir_req_db"} for row in rows)
