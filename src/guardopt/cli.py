@@ -13,14 +13,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .numerology import (
-    NUMEROLOGY_KEYS,
-    NumerologyConfig,
-    config_float,
-    config_int,
-    load_yaml,
-    read_keys,
-)
+from .numerology import NumerologyConfig, config_float, config_int, load_yaml, read_keys
 from .optimizer import (
     ABSENT_THETA,
     DEFAULT_ALPHA_GRID,
@@ -40,7 +33,7 @@ from .scheduler import (
     write_comparison_csv,
     write_layout_csv,
 )
-from .spectrum import least_welch_symbols, windowed_psd, write_psd_csv
+from .spectrum import PSD_SYMBOLS, windowed_psd, write_psd_csv
 
 # dB an entry's revalidated suppression may fall short of its threshold
 REVALIDATE_TOL_DB = 0.1
@@ -54,15 +47,17 @@ class ExperimentConfig:
     users: str | None = None
     seed: int = 0
     out_dir: str = "out"
-    psd_symbols: int = 128
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
         """Read a YAML config; a bad value's error names the file and key."""
         try:
             values = read_keys(load_yaml(path) or {}, _CONFIG_READERS, "config")
-            grid = {key: values.pop(key) for key in NUMEROLOGY_KEYS if key in values}
-            return cls(numerology=NumerologyConfig.from_mapping(grid), **values)
+            grid = {
+                name: values.pop(key)
+                for key, name in _NUMEROLOGY_FIELDS.items() if key in values
+            }
+            return cls(numerology=NumerologyConfig(**grid), **values)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
@@ -78,25 +73,23 @@ def _seed(value) -> int:
     return value
 
 
-def _positive_int(value) -> int:
-    n = config_int(value)
-    if n <= 0:
-        raise ValueError(f"must be positive, got {n}")
-    return n
-
-
 def _file_path(value) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a path, got {value!r}")
     return value
 
 
-# every key a config file may hold, and its reader; any other key is rejected.
-# The numerology keys pass as written to NumerologyConfig.from_mapping.
+# every key a config file may hold, and its reader; any other key is rejected
 _CONFIG_READERS = {
-    **dict.fromkeys(NUMEROLOGY_KEYS, lambda value: value),
+    "n_fft": config_int, "n_occupied": config_int,
+    "subcarrier_spacing_hz": config_float, "t_cp_ch_samples": config_int,
     "alpha_grid": _floats, "theta_list": _floats, "users": _file_path,
-    "seed": _seed, "out_dir": _file_path, "psd_symbols": _positive_int,
+    "seed": _seed, "out_dir": _file_path,
+}
+# config-file key -> NumerologyConfig field, for the numerology keys above
+_NUMEROLOGY_FIELDS = {
+    "n_fft": "n_fft", "n_occupied": "n_occupied",
+    "subcarrier_spacing_hz": "subcarrier_spacing", "t_cp_ch_samples": "t_cp_ch",
 }
 CONFIG_KEYS = tuple(_CONFIG_READERS)
 
@@ -158,18 +151,10 @@ def _lookup_for(ec: ExperimentConfig) -> LookupTable:
 
 def cmd_psd(args) -> int:
     ec = _load_config(args)
-    for alpha in checked_alpha_grid(ec.alpha_grid, ec.numerology):
-        least = least_welch_symbols(alpha, ec.numerology)
-        if ec.psd_symbols < least:
-            raise ValueError(
-                f"psd_symbols: {ec.psd_symbols} symbols fill no Welch segment "
-                f"at alpha={_fmt(alpha)}; at least {least} are needed"
-            )
+    alpha_grid = checked_alpha_grid(ec.alpha_grid, ec.numerology)
     out = _out_dir(ec)
-    for alpha in ec.alpha_grid:
-        psd = windowed_psd(
-            alpha, ec.numerology, n_symbols=ec.psd_symbols, seed=ec.seed
-        )
+    for alpha in alpha_grid:
+        psd = windowed_psd(alpha, ec.numerology, n_symbols=PSD_SYMBOLS, seed=ec.seed)
         write_psd_csv(psd, out / f"psd_alpha{_fmt(alpha)}.csv")
     return 0
 
@@ -244,15 +229,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="YAML experiment config")
         p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--theta", help="comma-separated thresholds, dB")
         p.add_argument("--alpha", help="comma-separated roll-off grid")
+
+    def search(p):  # the commands that run the guard search take its thresholds
+        common(p)
+        p.add_argument("--theta", help="comma-separated thresholds, dB")
 
     p = sub.add_parser("psd", help="emit PSD traces per alpha")
     common(p)
     p.set_defaults(fn=cmd_psd)
 
     p = sub.add_parser("guards", help="emit guard curves and optimal guards")
-    common(p)
+    search(p)
     p.add_argument(
         "--revalidate",
         action="store_true",
@@ -261,11 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_guards)
 
     p = sub.add_parser("lookup-build", help="build/persist the lookup table")
-    common(p)
+    search(p)
     p.set_defaults(fn=cmd_lookup_build)
 
     p = sub.add_parser("schedule", help="run the scheduling comparison")
-    common(p)
+    search(p)
     p.add_argument("--users", help="user-set YAML file")
     p.set_defaults(fn=cmd_schedule)
     return parser

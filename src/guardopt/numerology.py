@@ -67,14 +67,6 @@ class NumerologyConfig:
             t_cp_ch=self.t_cp_ch * factor,
         )
 
-    @classmethod
-    def from_mapping(cls, m) -> "NumerologyConfig":
-        """Build from the config-file keys of NUMEROLOGY_KEYS; missing keys
-        fall back to defaults, and any other key is rejected."""
-        readers = {key: convert for key, (_, convert) in NUMEROLOGY_KEYS.items()}
-        values = read_keys(m, readers, "numerology")
-        return cls(**{NUMEROLOGY_KEYS[key][0]: v for key, v in values.items()})
-
 
 def config_int(value) -> int:
     """An integer config value; 40.7, true or "40" is rejected, not truncated."""
@@ -88,15 +80,6 @@ def config_float(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"expected a number, got {value!r}")
     return float(value)
-
-
-# config-file key -> (NumerologyConfig field, converter)
-NUMEROLOGY_KEYS = {
-    "n_fft": ("n_fft", config_int),
-    "n_occupied": ("n_occupied", config_int),
-    "subcarrier_spacing_hz": ("subcarrier_spacing", config_float),
-    "t_cp_ch_samples": ("t_cp_ch", config_int),
-}
 
 
 def read_keys(m, readers: dict, what: str) -> dict:

@@ -342,13 +342,16 @@ def compare_scenarios(
 
 
 def load_users_yaml(path) -> list[UserProfile]:
-    """User-set file: a `users:` list (or bare list) of per-user mappings.
+    """User-set file: a `users:` list (its only key) or a bare list of users.
 
     Errors name the file, the row (1-based) and the offending key.
     """
     raw = load_yaml(path)
     if isinstance(raw, dict):
-        raw = raw.get("users")
+        try:
+            raw = read_keys(raw, {"users": lambda rows: rows}, "user-file").get("users")
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(raw, list) or not raw:
         raise ValueError(f"{path}: expected a non-empty `users:` list of mappings")
     users, seen = [], set()

@@ -33,6 +33,9 @@ from .waveform import occupied_bins, pulse_weights, symbol_stream
 
 OVERSAMPLE = 4  # time-grid factor: the victim band must fit in the PSD span
 SEGMENT_SYMBOLS = 32  # Welch segment length, in oversampled symbols
+# n windowed symbols span at least n * n_fft oversampled samples, so any
+# n >= SEGMENT_SYMBOLS fills a Welch segment at every valid alpha and numerology
+PSD_SYMBOLS = 128  # symbols in the psd export's one Welch draw
 TOL_SUBCARRIERS = 0.01  # guard-band bisection tolerance
 _BLOCK = 64  # lags per block when LeakageModel evaluates its power series
 
@@ -99,14 +102,6 @@ def estimate_psd(stream: np.ndarray, cfg: NumerologyConfig) -> PsdEstimate:
         spec = np.fft.fft(seg * window, n=nfft)
         acc += np.abs(spec) ** 2
     return _normalized(acc / n_segments, cfg)
-
-
-def least_welch_symbols(alpha: float, cfg: NumerologyConfig) -> int:
-    """Fewest symbols whose windowed stream at alpha fills one Welch segment:
-    n symbols span n * (n_fft + t_cp_ch + ramp) + ramp oversampled samples."""
-    ocfg, win = _oversampled(alpha, cfg)
-    hop = ocfg.n_fft + ocfg.t_cp_ch + win.t_cp_win
-    return -(-(SEGMENT_SYMBOLS * ocfg.n_fft - win.t_cp_win) // hop)
 
 
 def _oversampled(alpha: float, cfg: NumerologyConfig):

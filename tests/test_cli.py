@@ -43,6 +43,45 @@ class TestConfigLoading:
         assert ec.theta_list == (25.0, 35.0)
         assert ec.alpha_grid == (0.0, 0.1)
 
+    def test_numerology_keys(self, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_text(
+            "n_fft: 512\nn_occupied: 300\nsubcarrier_spacing_hz: 30000.0\n"
+            "t_cp_ch_samples: 36\n"
+        )
+        assert ExperimentConfig.load(path).numerology == NumerologyConfig(
+            n_fft=512, n_occupied=300, subcarrier_spacing=30e3, t_cp_ch=36
+        )
+
+    @pytest.mark.parametrize("key", ["n_fft", "n_occupied", "t_cp_ch_samples"])
+    @pytest.mark.parametrize(
+        "value, written",
+        [("512.9", "512.9"), ("512.0", "512.0"), ("true", "True"),
+         ('"512"', "'512'")],
+    )
+    def test_non_integer_numerology_key_fails_by_key(
+        self, tmp_path, key, value, written
+    ):
+        path = tmp_path / "exp.yaml"
+        path.write_text(f"{key}: {value}\n")
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig.load(path)
+        assert str(exc.value) == f"{path}: {key}: expected an integer, got {written}"
+
+    @pytest.mark.parametrize(
+        "text, reported",
+        [("n_fft: 1.5\nt_cp_ch_samples: true\n", "n_fft: expected an integer, got 1.5"),
+         ("t_cp_ch_samples: true\nn_fft: 1.5\n",
+          "t_cp_ch_samples: expected an integer, got True")],
+    )
+    def test_first_bad_key_in_file_order_is_reported(self, tmp_path, text, reported):
+        # one reading pass over the file: the first bad value stops it
+        path = tmp_path / "exp.yaml"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig.load(path)
+        assert str(exc.value) == f"{path}: {reported}"
+
     def test_empty_yaml_is_defaults(self, tmp_path):
         path = tmp_path / "empty.yaml"
         path.write_text("")
@@ -74,7 +113,8 @@ class TestConfigLoading:
     @pytest.mark.parametrize(
         "text, keys",
         [("mode: heuristic\n", "'mode'"),
-         ("thetalist: [20]\nseed: 1\nmode: x\n", "'thetalist', 'mode'")],
+         ("thetalist: [20]\nseed: 1\nmode: x\n", "'thetalist', 'mode'"),
+         ("psd_symbols: 256\n", "'psd_symbols'")],
     )
     def test_unknown_keys_rejected(self, tmp_path, capsys, text, keys):
         path = tmp_path / "exp.yaml"
@@ -101,6 +141,17 @@ class TestConfigLoading:
             f"error: {flag}: could not convert string to float: '{bad}'\n"
         )
 
+    @pytest.mark.parametrize("command", ["guards", "lookup-build", "schedule"])
+    def test_theta_flag_is_read_by(self, tmp_path, capsys, command):
+        # the commands that use a threshold parse --theta; psd takes none
+        out = tmp_path / "o"
+        code = main([command, "--theta", "20,abc", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --theta: could not convert string to float: 'abc'\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--config", "--users"])
     def test_malformed_yaml_names_file(self, tmp_path, capsys, flag):
         path = tmp_path / "broken.yaml"
@@ -125,26 +176,12 @@ class TestConfigLoading:
         assert len(err.strip().splitlines()) == 1
         assert list(tmp_path.iterdir()) == [path]
 
-    @pytest.mark.parametrize("value", ["-3", "0"])
-    def test_non_positive_psd_symbols_names_file_and_key(
-        self, tmp_path, capsys, value
-    ):
-        path = tmp_path / "exp.yaml"
-        path.write_text(f"psd_symbols: {value}\n")
-        code = main(["psd", "--config", str(path), "--out", str(tmp_path / "o")])
-        assert code == 1
-        assert capsys.readouterr().err == (
-            f"error: {path}: psd_symbols: must be positive, got {value}\n"
-        )
-        assert not (tmp_path / "o").exists()
-
     @pytest.mark.parametrize(
         "key, value",
-        [("psd_symbols", "40.7"), ("n_fft", "1024.9"), ("n_occupied", "true"),
-         ("t_cp_ch_samples", "72.0")],
+        [("n_fft", "1024.9"), ("n_occupied", "true"), ("t_cp_ch_samples", "72.0")],
     )
     def test_non_integer_key_names_file_and_key(self, tmp_path, capsys, key, value):
-        # read as written, never truncated: 40.7 symbols are not 40
+        # read as written, never truncated: 1024.9 points are not 1024
         path = tmp_path / "exp.yaml"
         path.write_text(f"{key}: {value}\n")
         out = tmp_path / "o"
@@ -226,18 +263,12 @@ class TestConfigLoading:
 
 
 class TestPsdCommand:
-    def test_too_few_symbols_names_key_and_least_count(self, tmp_path, capsys):
-        path = tmp_path / "exp.yaml"
-        path.write_text("psd_symbols: 10\n")
-        out = tmp_path / "o"
-        code = main(["psd", "--config", str(path), "--alpha", "0,0.1",
-                     "--out", str(out)])
-        assert code == 1
-        assert capsys.readouterr().err == (
-            "error: psd_symbols: 10 symbols fill no Welch segment at alpha=0; "
-            "at least 30 are needed\n"
-        )
-        assert not out.exists()
+    def test_theta_flag_is_a_usage_error(self, tmp_path):
+        # psd reads no threshold, so it takes no --theta
+        with pytest.raises(SystemExit) as exc:
+            main(["psd", "--theta", "20", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
 
     def test_writes_one_file_per_alpha(self, tmp_path):
         out = tmp_path / "o"
@@ -620,7 +651,8 @@ def test_bad_alpha_grid_exits_1_without_files(
     tmp_path, capsys, command, alpha, message
 ):
     out = tmp_path / "o"
-    code = main([command, "--theta", "20", f"--alpha={alpha}", "--out", str(out)])
+    theta = [] if command == "psd" else ["--theta", "20"]
+    code = main([command, *theta, f"--alpha={alpha}", "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
@@ -660,6 +692,8 @@ def _user_row(**changes) -> str:
      "user 1: unknown key 'prio' (accepted: id, power_dbm, sir_req_db)"),
     ("- " + _user_row(id="null") + "\n",
      "user 1: id: expected a string or an integer, got None"),
+    ("users:\n  - " + _user_row() + "\nseed: 3\nuser: [oops]\n",
+     "unknown key 'seed', 'user' (accepted: users)"),
 ])
 def test_bad_users_file_names_file_row_key(tmp_path, capsys, text, message):
     # rejected before the lookup table is built or any output written

@@ -67,21 +67,3 @@ def test_oversampled(cfg):
     with pytest.raises(ValueError):
         cfg.oversampled(0)
 
-
-def test_from_mapping():
-    cfg = NumerologyConfig.from_mapping(
-        {"n_fft": 512, "n_occupied": 300, "subcarrier_spacing_hz": 30e3,
-         "t_cp_ch_samples": 36}
-    )
-    assert cfg.n_fft == 512
-    assert cfg.t_cp_ch == 36
-    assert cfg.subcarrier_spacing == 30e3
-    # missing keys fall back to defaults
-    assert NumerologyConfig.from_mapping({}).n_fft == 1024
-
-
-@pytest.mark.parametrize("key", ["n_fft", "n_occupied", "t_cp_ch_samples"])
-@pytest.mark.parametrize("value", [512.9, 512.0, True, "512"])
-def test_from_mapping_rejects_non_integers(key, value):
-    with pytest.raises(ValueError, match=f"^{key}: expected an integer, got "):
-        NumerologyConfig.from_mapping({key: value})

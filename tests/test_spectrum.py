@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from guardopt.numerology import NumerologyConfig, WindowSpec
 from guardopt.optimizer import (
@@ -10,6 +11,7 @@ from guardopt.optimizer import (
 )
 from guardopt.spectrum import (
     OVERSAMPLE,
+    PSD_SYMBOLS,
     SEGMENT_SYMBOLS,
     TOL_SUBCARRIERS,
     AciReport,
@@ -19,7 +21,6 @@ from guardopt.spectrum import (
     band_edge_hz,
     band_power,
     estimate_psd,
-    least_welch_symbols,
     measure_aci,
     required_guard_band,
     suppression_db,
@@ -79,18 +80,24 @@ class TestEstimatePsd:
         with pytest.raises(ValueError, match="too short"):
             estimate_psd(np.zeros(100, dtype=complex), small_cfg)
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.2])
-    def test_least_welch_symbols_fill_one_segment(self, small_cfg, alpha):
-        # the stream tapers over OVERSAMPLE x the guard duration charged
-        ocfg = small_cfg.oversampled(OVERSAMPLE)
-        gd = WindowSpec.for_config(alpha, small_cfg).t_cp_win
-        win = WindowSpec(alpha, OVERSAMPLE * gd)
-        least = least_welch_symbols(alpha, small_cfg)
-        sizes = [symbol_stream(ocfg, win, n, 0).size for n in (least - 1, least)]
-        assert sizes[0] < SEGMENT_SYMBOLS * ocfg.n_fft <= sizes[1]
-
-    def test_least_welch_symbols_default(self, cfg):
-        assert least_welch_symbols(0.0, cfg) == 30
+    @given(
+        log2_fft=st.integers(min_value=3, max_value=7),
+        occupied=st.floats(min_value=0.0, max_value=1.0),
+        cp=st.floats(min_value=0.0, max_value=0.99),
+        alpha=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_psd_symbols_fill_one_segment(self, log2_fft, occupied, cp, alpha):
+        # the psd export's draw fills a Welch segment at any valid alpha on
+        # any numerology, tapered over OVERSAMPLE x the guard duration charged
+        n_fft = 2 ** log2_fft
+        base = NumerologyConfig(n_fft=n_fft, n_occupied=1 + int(occupied * (n_fft - 1)),
+                                t_cp_ch=int(cp * n_fft))
+        gd = WindowSpec.for_config(alpha, base).t_cp_win
+        assume(gd + base.t_cp_ch < base.n_fft)  # a valid alpha
+        ocfg = base.oversampled(OVERSAMPLE)
+        stream = symbol_stream(ocfg, WindowSpec(alpha, OVERSAMPLE * gd), PSD_SYMBOLS, 0)
+        assert stream.size >= SEGMENT_SYMBOLS * ocfg.n_fft
 
     def test_expected_psd_rejects_extension_beyond_symbol(self, cfg):
         with pytest.raises(ValueError, match="cyclic extension exceeds symbol"):
