@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,7 +58,13 @@ class ExperimentConfig:
                 name: values.pop(key)
                 for key, name in _NUMEROLOGY_FIELDS.items() if key in values
             }
-            return cls(numerology=NumerologyConfig(**grid), **values)
+            try:
+                numerology = NumerologyConfig(**grid)
+            except ValueError as exc:  # it names fields; the file has keys
+                raise ValueError(
+                    _FIELD_NAMES.sub(lambda m: _FIELD_KEYS[m[0]], str(exc))
+                ) from None
+            return cls(numerology=numerology, **values)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
@@ -91,6 +98,8 @@ _NUMEROLOGY_FIELDS = {
     "n_fft": "n_fft", "n_occupied": "n_occupied",
     "subcarrier_spacing_hz": "subcarrier_spacing", "t_cp_ch_samples": "t_cp_ch",
 }
+_FIELD_KEYS = {name: key for key, name in _NUMEROLOGY_FIELDS.items()}
+_FIELD_NAMES = re.compile(rf"\b({'|'.join(_FIELD_KEYS)})\b")
 CONFIG_KEYS = tuple(_CONFIG_READERS)
 
 

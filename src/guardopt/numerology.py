@@ -31,16 +31,16 @@ class NumerologyConfig:
 
     def __post_init__(self):
         if self.n_fft <= 0:
-            raise ValueError("n_fft must be positive")
+            raise ValueError(f"n_fft must be positive, got {self.n_fft}")
         if self.n_occupied <= 0 or self.n_occupied > self.n_fft:
-            raise ValueError("n_occupied must be in [1, n_fft]")
+            raise ValueError(f"n_occupied must be in [1, n_fft], got {self.n_occupied}")
         if not (math.isfinite(self.subcarrier_spacing) and self.subcarrier_spacing > 0):
             raise ValueError(
                 f"subcarrier_spacing must be finite and positive, "
                 f"got {self.subcarrier_spacing}"
             )
         if self.t_cp_ch < 0 or self.t_cp_ch >= self.n_fft:
-            raise ValueError("t_cp_ch must be in [0, n_fft)")
+            raise ValueError(f"t_cp_ch must be in [0, n_fft), got {self.t_cp_ch}")
 
     @property
     def sample_rate(self) -> float:

@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import numbers
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .numerology import NumerologyConfig, WindowSpec
@@ -129,6 +130,9 @@ class LookupTable:
     def __init__(self, entries: dict[float, GuardAllocation], failures=()):
         self.entries = dict(sorted(entries.items()))
         self.failures: tuple[float, ...] = tuple(failures)
+        # the entries' thresholds, ascending, and their allocations
+        self._thetas = list(self.entries)
+        self._allocs = list(self.entries.values())
 
     @classmethod
     def from_curves(cls, thetas, curves) -> "LookupTable":
@@ -145,9 +149,11 @@ class LookupTable:
 
     def ceil_lookup(self, theta: float) -> GuardAllocation:
         """Entry at the smallest table theta >= the request (conservative)."""
-        for t, alloc in self.entries.items():
-            if t >= theta - 1e-9:
-                return alloc
+        floor = theta - 1e-9
+        k = bisect_left(self._thetas, floor)
+        # the check rejects a NaN request, which bisects to the first entry
+        if k < len(self._thetas) and self._thetas[k] >= floor:
+            return self._allocs[k]
         raise KeyError(
             f"theta={theta:.2f} dB exceeds the lookup table maximum "
             f"({self.max_theta:.2f} dB)"

@@ -82,14 +82,16 @@ def theta_for_assignment(assignment) -> list[float]:
         candidates = []
         for j in (i - 1, i + 1):
             if 0 <= j < len(users):
-                candidates.append(_theta_term(u, users[j]))
+                nb = users[j]
+                candidates.append(_theta_term(u.power_dbm, nb.power_dbm, nb.sir_req_db))
         thetas.append(max(candidates))
     return thetas
 
 
-def _theta_term(u: UserProfile, nb: UserProfile) -> float:
-    """Threshold band u needs toward neighbor nb: nb's SIR demand plus PO."""
-    return nb.sir_req_db + (u.power_dbm - nb.power_dbm)
+def _theta_term(power, nb_power, nb_sir):
+    """Threshold a band of `power` needs toward a neighbor of `nb_power` and
+    `nb_sir`: the neighbor's SIR demand plus PO. Floats or numpy arrays."""
+    return nb_sir + (power - nb_power)
 
 
 def allocate_guards(assignment, lookup: LookupTable) -> SchedulePlan:
@@ -155,8 +157,10 @@ class _OrderingCost:
     def __init__(self, users, lookup: LookupTable):
         self.users = users
         self.lookup = lookup
+        power = np.array([u.power_dbm for u in users])
+        sir = np.array([u.sir_req_db for u in users])
         # term[i][j]: threshold of band i toward neighbor j
-        self.term = [[_theta_term(u, nb) for nb in users] for u in users]
+        self.term = _theta_term(power[:, None], power, sir).tolist()
         self._pairs: dict[float, tuple[int, int]] = {}
 
     def guards(self, a: int, b: int, c: int) -> tuple[int, int]:
@@ -170,15 +174,73 @@ class _OrderingCost:
             pair = self._pairs[theta] = (_whole_gb(g), g.gd_samples)
         return pair
 
-    def cost(self, order) -> tuple[int, int]:
-        pairs = [
-            self.guards(a, b, c)
-            for a, b, c in zip([order[1], *order], order, [*order[1:], order[-2]])
+    def bands(self, order, lo: int, hi: int) -> list[tuple[int, int]]:
+        """(whole GB, GD) of bands lo .. hi-1 of `order`, read in index order;
+        an edge band's only neighbor is mirrored."""
+        last = len(order) - 1
+        return [
+            self.guards(order[k - 1] if k else order[1], order[k],
+                        order[k + 1] if k < last else order[k - 1])
+            for k in range(lo, hi)
         ]
-        return (
-            sum(max(x[0], y[0]) for x, y in zip(pairs, pairs[1:])),
-            sum(gd for _, gd in pairs),
-        )
+
+    def cost(self, order) -> tuple[int, int]:
+        """(total GB, total GD) of a whole ordering."""
+        return _run_cost(self.bands(order, 0, len(order)))
+
+
+def _run_cost(pairs) -> tuple[int, int]:
+    """(GB of the boundaries between consecutive bands, GD of every band) of
+    a run of band (whole GB, GD) pairs."""
+    gb_a, total_gd = pairs[0]
+    total_gb = 0
+    for gb_b, gd_b in pairs[1:]:
+        total_gb += gb_a if gb_a > gb_b else gb_b  # max(), but faster
+        total_gd += gd_b
+        gb_a = gb_b
+    return total_gb, total_gd
+
+
+def _swap_window(kernel: _OrderingCost, order, pairs, i: int):
+    """Swap bands i and i+1 of `order` in place and cost the swap locally.
+
+    `pairs` holds every band's (whole GB, GD) before the swap. Only bands
+    i-1 .. i+2 change user or neighbor, so the swap changes the cost of bands
+    i-2 .. i+3 and of the boundaries between them, and nothing else; costs
+    are integers, so comparing the window's cost before and after decides as
+    comparing whole orderings does. The changed bands are read in index order
+    and every other band's threshold was read before, so a threshold beyond
+    the table raises the error a full re-cost would, for the same user.
+
+    Returns (before, after, lo, new): the window's cost before and after the
+    swap, and the new pairs of bands lo, lo+1, ...
+    """
+    order[i], order[i + 1] = order[i + 1], order[i]
+    lo, hi = max(i - 1, 0), min(i + 3, len(order))
+    new = kernel.bands(order, lo, hi)
+    left, right = pairs[max(lo - 1, 0):lo], pairs[hi:hi + 1]
+    return (
+        _run_cost(left + pairs[lo:hi] + right),
+        _run_cost(left + new + right),
+        lo,
+        new,
+    )
+
+
+def _swap_order(kernel: _OrderingCost, order: list[int]) -> list[int]:
+    """Adjacent-swap passes over `order` until no swap lowers the cost."""
+    pairs = kernel.bands(order, 0, len(order))
+    improved = True
+    while improved:
+        improved = False
+        for i in range(len(order) - 1):
+            before, after, lo, new = _swap_window(kernel, order, pairs, i)
+            if after < before:
+                pairs[lo:lo + len(new)] = new
+                improved = True
+            else:
+                order[i], order[i + 1] = order[i + 1], order[i]
+    return order
 
 
 def _exact_order(kernel: _OrderingCost) -> list[int]:
@@ -260,7 +322,8 @@ def schedule_interference_based(
     exhaustive: among equal-cost orderings it returns the first in input
     order, as a search over `itertools.permutations(users)` would.
     heuristic: sort by power (SIR requirement as tie-break), then adjacent-swap
-    passes until no swap improves the cost.
+    passes until no swap improves the cost, each swap costed over the six
+    bands it can change (`_swap_window`).
     A threshold above the table maximum raises ValueError naming the user;
     exhaustive mode raises the error of the first ordering, in input order,
     that leaves the table, as the permutation search would.
@@ -286,19 +349,7 @@ def schedule_interference_based(
             range(len(users)),
             key=lambda i: (users[i].power_dbm, users[i].sir_req_db),
         )
-        cost = kernel.cost(order)
-        improved = True
-        while improved:
-            improved = False
-            for i in range(len(order) - 1):
-                order[i], order[i + 1] = order[i + 1], order[i]
-                trial = kernel.cost(order)
-                if trial < cost:
-                    cost = trial
-                    improved = True
-                else:
-                    order[i], order[i + 1] = order[i + 1], order[i]
-        return [users[i] for i in order]
+        return [users[i] for i in _swap_order(kernel, order)]
     raise ValueError("mode must be 'exhaustive' or 'heuristic'")
 
 

@@ -203,9 +203,32 @@ class TestConfigLoading:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(
-            f"error: {path}: subcarrier_spacing must be finite and positive, got "
+            f"error: {path}: subcarrier_spacing_hz must be finite and positive, got "
         )
         assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t_cp_ch_samples: 1024\n",
+             "t_cp_ch_samples must be in [0, n_fft), got 1024"),
+            ("t_cp_ch_samples: 2000\n",
+             "t_cp_ch_samples must be in [0, n_fft), got 2000"),
+            ("n_occupied: 1025\n", "n_occupied must be in [1, n_fft], got 1025"),
+            ("n_fft: 256\nn_occupied: 300\n",
+             "n_occupied must be in [1, n_fft], got 300"),
+        ],
+    )
+    def test_bad_numerology_names_file_and_key(self, tmp_path, capsys, text, message):
+        # the numerology's own checks name its fields; a config file's
+        # error names the file's keys
+        path = tmp_path / "exp.yaml"
+        path.write_text(text)
+        out = tmp_path / "o"
+        code = main(["psd", "--config", str(path), "--alpha", "0", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from guardopt.numerology import NumerologyConfig, round_half_up
 from guardopt.optimizer import (
@@ -270,6 +270,42 @@ def test_csv_round_trip_preserves_keys_and_lookups(keys, gbs, queries, tmp_path_
 
     for q in queries + keys + [k + 1e-9 for k in keys] + [k - 2e-9 for k in keys]:
         assert answer(back, q) == answer(built, q)
+
+
+def _scan_ceil_lookup(table, theta):
+    """Oracle: the linear scan over ascending keys that bisection replaced."""
+    for t, alloc in table.entries.items():
+        if t >= theta - 1e-9:
+            return alloc
+    raise KeyError(
+        f"theta={theta:.2f} dB exceeds the lookup table maximum "
+        f"({table.max_theta:.2f} dB)"
+    )
+
+
+def _lookup_outcome(lookup, table, theta):
+    """The entry read, or the KeyError's text."""
+    try:
+        return lookup(table, theta)
+    except KeyError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(keys=st.lists(_thetas, min_size=1, max_size=8, unique=True),
+       queries=st.lists(_thetas, max_size=6))
+@example(keys=[0.0, 1.0], queries=[1e-9])  # 1e-9 - 1e-9 is the key 0.0 exactly
+def test_ceil_lookup_matches_linear_scan(keys, queries):
+    table = LookupTable({t: _entry(t, float(i)) for i, t in enumerate(keys)})
+    near = [k + d for k in keys for d in (-2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 2e-9)]
+    extremes = [min(keys) - 1.0, max(keys) + 1e-8, max(keys) + 1.0,
+                float("inf"), float("-inf"), float("nan")]
+    for theta in near + extremes + queries:
+        got = _lookup_outcome(LookupTable.ceil_lookup, table, theta)
+        assert got == _lookup_outcome(_scan_ceil_lookup, table, theta), theta
+    assert "exceeds the lookup table maximum" in _lookup_outcome(
+        LookupTable.ceil_lookup, table, max(keys) + 1.0
+    )
 
 
 def test_csv_near_integer_theta_not_rounded(tmp_path):

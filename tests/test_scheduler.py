@@ -427,6 +427,15 @@ class TestOrderingSearchOracles:
             schedule_interference_based, users, lut, "heuristic"
         ) == _outcome(_adjacent_swap_search, users, lut)
 
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(users=_user_sets(14), lut=_tables(st.floats(10.0, 45.0)))
+    def test_heuristic_out_of_range_same_error_up_to_14_users(self, users, lut):
+        # a swap reads only the bands it changes: the first one off the
+        # table must be the one the plan-costed loop meets first
+        assert _outcome(
+            schedule_interference_based, users, lut, "heuristic"
+        ) == _outcome(_adjacent_swap_search, users, lut)
+
     @pytest.mark.parametrize("mode", ["exhaustive", "heuristic"])
     def test_one_user(self, lut, mode):
         u = _user("solo", 0.0, 60.0)
@@ -458,6 +467,43 @@ class TestOrderingSearchOracles:
         monkeypatch.setattr(scheduler, "SchedulePlan", no_plan)
         assert schedule_interference_based(users, lut, mode) == want
         assert len(thetas) == len(set(thetas))  # one table read per theta
+
+
+def _check_swap_window(users, lut, order):
+    """At every i, the swap window's cost change is the whole ordering's, and
+    only the bands it returns change."""
+    kernel = scheduler._OrderingCost(users, lut)
+    n = len(order)
+    for i in range(n - 1):
+        swapped = list(order)
+        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+        trial, pairs = list(order), kernel.bands(order, 0, n)
+        before, after, lo, new = scheduler._swap_window(kernel, trial, pairs, i)
+        assert trial == swapped
+        full_before, full_after = kernel.cost(order), kernel.cost(swapped)
+        assert (after[0] - before[0], after[1] - before[1]) == (
+            full_after[0] - full_before[0], full_after[1] - full_before[1]
+        )
+        assert pairs[:lo] + new + pairs[lo + len(new):] == kernel.bands(swapped, 0, n)
+
+
+class TestSwapWindow:
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(rows=st.lists(st.tuples(_levels, _sirs), min_size=2, max_size=14),
+           lut=_tables(), rng=st.randoms(use_true_random=False))
+    def test_window_delta_is_full_cost_delta(self, rows, lut, rng):
+        users = [_user(f"u{i}", p, s) for i, (p, s) in enumerate(rows)]
+        order = list(range(len(users)))
+        rng.shuffle(order)
+        _check_swap_window(users, lut, order)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_mirrored_ends(self, lut, n):
+        # every ordering of 2-4 users: each window reaches a mirrored end band
+        rows = [(10.0, 30.0), (0.0, 15.0), (15.0, 20.0), (5.0, 25.0)][:n]
+        users = [_user(f"u{i}", p, s) for i, (p, s) in enumerate(rows)]
+        for order in itertools.permutations(range(n)):
+            _check_swap_window(users, lut, list(order))
 
 
 _gbs = st.one_of(
