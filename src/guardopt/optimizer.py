@@ -24,9 +24,9 @@ from .spectrum import (
     TOL_SUBCARRIERS,
     LeakageModel,
     ThetaUnreachableError,
+    grid_suppression_db,
     required_guard_band,  # noqa: F401  unused here; perfbench's tracer wraps it
-    suppression_db,
-    windowed_psd,
+    windowed_psd,  # noqa: F401  unused here; perfbench's tracer wraps it
 )
 from .waveform import pulse_weights
 
@@ -173,8 +173,9 @@ class LookupTable:
 
     @classmethod
     def load_csv(cls, path) -> "LookupTable":
-        """Read a table written by save_csv; a damaged row raises ValueError
-        naming the file and line."""
+        """Read a table written by save_csv; a damaged row (unparsable, a
+        repeated or non-finite theta, a negative or non-finite alpha, GD or
+        GB) raises ValueError naming the file and line."""
         entries = {}
         with open(path, newline="") as fh:
             header = fh.readline().strip()
@@ -184,10 +185,20 @@ class LookupTable:
                 fields = line.strip().split(",")
                 try:
                     theta, alpha, gd, _, gb, _, eta_t, eta_f, eta = fields
-                    entries[float(theta)] = GuardAllocation(
+                    a = GuardAllocation(
                         float(alpha), int(gd), float(gb),
                         float(eta_t), float(eta_f), float(eta), float(theta),
                     )
+                    if not math.isfinite(a.theta_db):
+                        raise ValueError(f"theta_db must be finite, got {theta}")
+                    if a.theta_db in entries:
+                        raise ValueError(f"repeated theta_db {theta}")
+                    for name in ("alpha", "gd_samples", "gb_subcarriers"):
+                        value = getattr(a, name)
+                        if not (math.isfinite(value) and value >= 0):
+                            raise ValueError(
+                                f"{name} must be finite and non-negative, got {value}")
+                    entries[a.theta_db] = a
                 except ValueError as exc:
                     raise ValueError(f"{path}, line {lineno}: {exc}") from exc
         return cls(entries)
@@ -251,17 +262,14 @@ def revalidate(table: LookupTable, cfg: NumerologyConfig) -> dict:
     """Re-measure each entry's suppression on the grid expected PSD.
 
     The search reads the closed-form LeakageModel; this path integrates the
-    FFT-sampled PSD with the trapezoid instead, so it checks the search
-    rather than re-reading its input. Returns theta -> achieved suppression
-    (dB) at the tabulated guard band.
+    FFT-sampled PSD with the trapezoid instead (grid_suppression_db, one FFT
+    per distinct alpha), so it checks the search rather than re-reading its
+    input. Returns theta -> achieved suppression (dB) at the tabulated guard
+    band, in table order.
     """
-    out = {}
-    for theta, a in table.entries.items():
-        psd = windowed_psd(a.alpha, cfg)
-        out[theta] = suppression_db(
-            psd, a.gb_subcarriers * cfg.subcarrier_spacing, cfg.subcarrier_spacing
-        )
-    return out
+    s = cfg.subcarrier_spacing
+    readings = [(a.alpha, a.gb_subcarriers * s) for a in table.entries.values()]
+    return dict(zip(table.entries, grid_suppression_db(cfg, readings, s)))
 
 
 def config_fingerprint(cfg: NumerologyConfig, alpha_grid, theta_list) -> str:

@@ -15,10 +15,10 @@ Conventions:
   the guard search has to resolve.
 - suppression_db is the one suppression metric: in-band mean density over
   victim-band mean density, so a threshold protects victims of any
-  bandwidth. Revalidation re-checks the guard search with it, and
-  LeakageModel is its closed form on the expected PSD; for equal-width
-  victims it coincides with the plain integrated power ratio reported by
-  measure_aci.
+  bandwidth. Revalidation re-checks the guard search with it, read over
+  the two bands it integrates (grid_suppression_db), and LeakageModel is
+  its closed form on the expected PSD; for equal-width victims it coincides
+  with the plain integrated power ratio reported by measure_aci.
 """
 from __future__ import annotations
 
@@ -137,11 +137,11 @@ def _comb_sum(power: np.ndarray, bins: np.ndarray, step: int) -> np.ndarray:
     Runs of consecutive bins are summed by pairwise doubling: box w, the sum
     of w adjacent shifts, gives box 2w as itself plus itself shifted w steps,
     and a run adds, at its offsets, the boxes of the binary digits of its
-    length. All runs share one doubling sequence (the two halves around DC
-    are equally long), and every shifted add is two slice adds in place,
-    with no rolled copy. No partial sum is ever subtracted, so far
-    out-of-band bins keep full relative precision (a cumulative sum or FFT
-    convolution is off by 1e-5 at -100 dB).
+    length. All runs share one doubling sequence, up to the longest run (an
+    odd n_occupied makes the two halves around DC differ by one), and every
+    shifted add is two slice adds in place, with no rolled copy. No partial
+    sum is ever subtracted, so far out-of-band bins keep full relative
+    precision (a cumulative sum or FFT convolution is off by 1e-5 at -100 dB).
     """
     runs = np.split(bins, np.flatnonzero(np.diff(bins) != 1) + 1)
     longest = max(run.size for run in runs)
@@ -173,23 +173,35 @@ def band_edge_hz(cfg: NumerologyConfig) -> float:
     return (half_hi + 0.5) * cfg.subcarrier_spacing
 
 
-def band_power(psd: PsdEstimate, f_lo: float, f_hi: float) -> float:
-    """Trapezoidal power of the linear PSD over [f_lo, f_hi] Hz.
+def _trapezoid(freqs: np.ndarray, f_lo: float, f_hi: float):
+    """(lo, w): the trapezoidal power over [f_lo, f_hi] Hz of a PSD p on the
+    ascending uniform grid freqs is w @ p[lo:lo + w.size].
 
-    Only the bins the band touches are integrated; a partially covered bin
-    contributes its trapezoid area in proportion to the covered width.
+    Only the bins the band touches get weight; a partially covered bin
+    interval contributes its trapezoid area in proportion to the covered width.
     """
-    freqs = psd.freqs
     if f_lo < freqs[0] or f_hi > freqs[-1]:
         raise ValueError(
             f"band [{f_lo:.3e}, {f_hi:.3e}] Hz exceeds PSD grid coverage"
         )
     lo = int(np.searchsorted(freqs, f_lo, side="right")) - 1
     hi = int(np.searchsorted(freqs, f_hi, side="left")) + 1
-    p = psd.power[lo:hi]
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * psd.resolution)])
-    a, b = np.interp([f_lo, f_hi], freqs[lo:hi], cum)
-    return float(b - a)
+    x = freqs[lo:hi]
+    share = np.ones(x.size - 1)  # covered share of each bin interval
+    if share.size:
+        share[0] -= (f_lo - x[0]) / (x[1] - x[0])
+        share[-1] -= (x[-1] - f_hi) / (x[-1] - x[-2])
+    area = 0.5 * (freqs[1] - freqs[0]) * share  # per end bin of an interval
+    w = np.zeros(x.size)
+    w[:-1] += area
+    w[1:] += area
+    return lo, w
+
+
+def band_power(psd: PsdEstimate, f_lo: float, f_hi: float) -> float:
+    """Trapezoidal power of the linear PSD over [f_lo, f_hi] Hz (_trapezoid)."""
+    lo, w = _trapezoid(psd.freqs, f_lo, f_hi)
+    return float(w @ psd.power[lo:lo + w.size])
 
 
 def measure_aci(
@@ -223,16 +235,86 @@ def windowed_psd(
     n_symbols=None: the expected PSD of i.i.d. zero-mean symbols (seed unused),
     sum_k |W(f - f_k)|^2 over the occupied subcarriers f_k, W the spectrum of
     the per-symbol weight pulse (van Waterschoot et al., IEEE SPL 17(4), 2010).
-    An integer n_symbols: the Welch estimate of one seeded draw. Cached, so
-    revalidation computes one PSD per tabulated alpha.
+    An integer n_symbols: the Welch estimate of one seeded draw. Cached.
     """
     ocfg, win = _oversampled(alpha, cfg)
     if n_symbols is not None:
         return estimate_psd(symbol_stream(ocfg, win, n_symbols, seed), ocfg)
-    nfft = 4 * SEGMENT_SYMBOLS * ocfg.n_fft
-    half = np.abs(np.fft.rfft(pulse_weights(ocfg, win.t_cp_win), n=nfft)) ** 2
+    half = _pulse_power(ocfg, win)
     power = np.concatenate([half, half[-2:0:-1]])  # a real pulse: |W(-f)| = |W(f)|
-    return _normalized(_comb_sum(power, occupied_bins(ocfg), nfft // ocfg.n_fft), ocfg)
+    return _normalized(_comb_sum(power, occupied_bins(ocfg), power.size // ocfg.n_fft), ocfg)
+
+
+def _grid_size(ocfg: NumerologyConfig) -> int:
+    """Bins of the PSD grid: one Welch segment, zero-padded 4x."""
+    return 4 * SEGMENT_SYMBOLS * ocfg.n_fft
+
+
+def _pulse_power(ocfg: NumerologyConfig, win: WindowSpec, padded=None) -> np.ndarray:
+    """|W|^2 of the weight pulse at the non-negative bins of the PSD grid,
+    from one real FFT of the pulse zero-padded to the grid size. padded: a
+    zeroed array of that size to pad in, left zeroed for the next call (a
+    fresh one costs about a quarter of the FFT); None allocates one."""
+    pulse = pulse_weights(ocfg, win.t_cp_win)
+    padded = np.zeros(_grid_size(ocfg)) if padded is None else padded
+    padded[:pulse.size] = pulse
+    power = np.abs(np.fft.rfft(padded)) ** 2
+    padded[:pulse.size] = 0.0
+    return power
+
+
+def grid_suppression_db(cfg: NumerologyConfig, readings, victim_obw_hz: float) -> list:
+    """suppression_db(windowed_psd(alpha, cfg), g, victim_obw_hz) for each
+    (alpha, g) of readings, g in Hz: one FFT per distinct alpha, and only the
+    two bands the metric integrates.
+
+    Unnormalised, the grid PSD at bin i is S[i] = sum_k P[i - k step] over
+    the occupied bins k, circularly, with P the pulse power spectrum in grid
+    order. A band's trapezoid sum_i w_i S[i] is thus sum_q P[q] c[q], c the
+    band's weights folded over the comb; the normaliser cancels in the ratio.
+    The victim slot is summed over non-negative terms only, as in _comb_sum;
+    the in-band weights are folded per residue mod step by cumulative sums,
+    once for every alpha. A victim slot past the grid raises band_power's
+    ValueError.
+    """
+    readings = list(readings)
+    ocfg = cfg.oversampled(OVERSAMPLE)
+    size = _grid_size(ocfg)
+    step = size // ocfg.n_fft
+    freqs = _frequency_grid(size, ocfg.sample_rate)
+    edge = band_edge_hz(ocfg)
+    bins = occupied_bins(ocfg)
+
+    def rfft_bin(i):  # where P at grid bins i sits in the rfft half spectrum
+        return np.abs(i % size - size // 2)
+
+    lo, w = _trapezoid(freqs, -edge, edge)
+    runs = np.split(bins, np.flatnonzero(np.diff(bins) != 1) + 1)
+    rows = -(-w.size // step) + max(run.size for run in runs)
+    strided = np.zeros(rows * step)
+    strided[:w.size] = w
+    cum = np.cumsum(strided.reshape(rows, step), axis=0).ravel()  # sum_d w[r - d step]
+    in_band = np.zeros(size // 2 + 1)  # the in-band weights on the rfft bins
+    for run in runs:
+        # c[r] = sum_{d < run.size} w[r - d step] weighs grid bin lo - run[-1] step + r
+        span = run.size * step
+        c = cum[:w.size + span].copy()
+        c[span:] -= cum[:w.size]
+        at = rfft_bin(lo - run[-1] * step + np.arange(c.size))
+        in_band += np.bincount(at, c, in_band.size)
+
+    shifts = bins[:, None] * step
+    padded, out = np.zeros(size), [0.0] * len(readings)
+    for alpha in dict.fromkeys(a for a, _ in readings):
+        half = _pulse_power(*_oversampled(alpha, cfg), padded)
+        reference = float(in_band @ half)
+        for i, (a, guard) in enumerate(readings):
+            if a == alpha:
+                lo, w = _trapezoid(freqs, edge + guard, edge + guard + victim_obw_hz)
+                terms = half[rfft_bin(lo + np.arange(w.size) - shifts)] @ w
+                out[i] = _density_ratio_db(
+                    float(terms.sum()), victim_obw_hz, reference, edge)
+    return out
 
 
 def suppression_db(
@@ -240,8 +322,14 @@ def suppression_db(
 ) -> float:
     """Leakage suppression in dB: in-band mean density over victim mean density."""
     f_lo = psd.band_edge_hz + guard_band_hz
-    victim_density = band_power(psd, f_lo, f_lo + victim_obw_hz) / victim_obw_hz
-    in_band_density = psd.in_band_power / (2 * psd.band_edge_hz)
+    victim = band_power(psd, f_lo, f_lo + victim_obw_hz)
+    return _density_ratio_db(victim, victim_obw_hz, psd.in_band_power, psd.band_edge_hz)
+
+
+def _density_ratio_db(victim_power, victim_obw_hz, in_band_power, edge_hz) -> float:
+    """The suppression formula of suppression_db, on integrated powers."""
+    victim_density = victim_power / victim_obw_hz
+    in_band_density = in_band_power / (2 * edge_hz)
     return -_to_db(victim_density / in_band_density)
 
 
@@ -328,8 +416,8 @@ class LeakageModel:
         same endpoints and often the same first midpoints, so each distinct
         guard band is read once per model.
         """
-        if theta <= 0:
-            raise ValueError("theta must be positive")
+        if not 0 < theta < np.inf:  # false for NaN too: it fails every comparison
+            raise ValueError(f"theta must be finite and positive, got {theta}")
         cfg, read = self.cfg, self._read
         victim = spacing = cfg.subcarrier_spacing
         gb_max = OVERSAMPLE * cfg.sample_rate / 2 - band_edge_hz(cfg) - victim

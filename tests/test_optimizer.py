@@ -321,6 +321,35 @@ def test_csv_near_integer_theta_not_rounded(tmp_path):
             table.ceil_lookup(45.0)
 
 
+@pytest.mark.parametrize("column, text, message", [
+    (0, "20", "repeated theta_db 20"),
+    (0, "nan", "theta_db must be finite"),
+    (1, "-0.01", "alpha must be finite and non-negative"),
+    (1, "nan", "alpha must be finite and non-negative"),
+    (1, "inf", "alpha must be finite and non-negative"),
+    (2, "-3", "gd_samples must be finite and non-negative"),
+    (2, "nan", "invalid literal for int"),
+    (4, "-1.5", "gb_subcarriers must be finite and non-negative"),
+    (4, "inf", "gb_subcarriers must be finite and non-negative"),
+    (4, "nan", "gb_subcarriers must be finite and non-negative"),
+], ids=["repeated-theta", "nan-theta", "negative-alpha", "nan-alpha", "inf-alpha",
+        "negative-gd", "nan-gd", "negative-gb", "inf-gb", "nan-gb"])
+def test_load_csv_rejects_damaged_row(tmp_path, column, text, message):
+    # a damaged last row (line 3): a repeated key used to replace the first
+    # row, and a NaN key left the entries unsorted for ceil_lookup's bisection
+    path = tmp_path / "t.csv"
+    LookupTable({20.0: _entry(20.0, 4.0), 30.0: _entry(30.0, 6.0)}).save_csv(
+        path, NumerologyConfig())
+    lines = path.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[column] = text
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message) as info:
+        LookupTable.load_csv(path)
+    assert str(info.value).startswith(f"{path}, line 3: ")
+
+
 def test_config_fingerprint_sensitivity(cfg):
     a = config_fingerprint(cfg, ALPHAS, THETAS)
     assert a == config_fingerprint(cfg, ALPHAS, THETAS)

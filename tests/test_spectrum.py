@@ -1,11 +1,17 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import guardopt.optimizer as optimizer
+import guardopt.spectrum as spectrum
 from guardopt.numerology import NumerologyConfig, WindowSpec
 from guardopt.optimizer import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_THETA_LIST,
+    GuardAllocation,
+    LookupTable,
     build_lookup_table,
     revalidate,
 )
@@ -21,6 +27,7 @@ from guardopt.spectrum import (
     band_edge_hz,
     band_power,
     estimate_psd,
+    grid_suppression_db,
     measure_aci,
     required_guard_band,
     suppression_db,
@@ -270,6 +277,16 @@ class TestRequiredGuardBand:
         with pytest.raises(ValueError):
             required_guard_band(0.1, -3.0, cfg)
 
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_theta_rejected(self, cfg, theta):
+        # NaN fails every comparison, so unchecked its bisection ended at the
+        # grid top (1746.5 subcarriers) instead of failing
+        model = LeakageModel.for_alpha(0.05, cfg)
+        for search in (model.guard_band, lambda t: required_guard_band(0.05, t, cfg)):
+            with pytest.raises(ValueError, match="finite and positive") as info:
+                search(theta)
+            assert not isinstance(info.value, ThetaUnreachableError)
+
     def test_result_achieves_threshold(self, cfg):
         theta = 30.0
         gb = required_guard_band(0.05, theta, cfg)
@@ -482,6 +499,86 @@ class TestExpectedPsd:
             assert suppression_db(avg, gb * s, s) == pytest.approx(
                 suppression_db(expected, gb * s, s), abs=0.3
             )
+
+
+# two runs of subcarriers around DC, 37 and 38 long
+ODD_CFG = NumerologyConfig(n_fft=128, n_occupied=75, t_cp_ch=8)
+
+
+@functools.lru_cache(maxsize=1)
+def _full_grid_psd(alpha, numerology):
+    """windowed_psd built uncached, so the oracle leaves its cache as it was;
+    the one entry kept serves the examples of one parametrized case."""
+    return windowed_psd.__wrapped__(alpha, numerology)
+
+
+def _top_guard_hz(psd, s):
+    """The largest guard band whose one-subcarrier victim slot the grid holds."""
+    return psd.freqs[-1] - psd.band_edge_hz - s
+
+
+@pytest.mark.parametrize("numerology", [NumerologyConfig(), ODD_CFG],
+                         ids=["default", "odd"])
+@pytest.mark.parametrize("alpha", DEFAULT_ALPHA_GRID)
+@settings(deadline=None, derandomize=True, max_examples=3)
+@given(shares=st.lists(st.floats(0.0, 1.0), max_size=4),
+       aligned=st.lists(st.integers(0, 10**6), max_size=4))
+def test_grid_suppression_matches_full_grid_psd(numerology, alpha, shares, aligned):
+    # the band-only reading of the two integrated bands against suppression_db
+    # on the whole grid PSD, from no guard to the grid top, at fractional
+    # guards and at guards whose victim slot starts on a grid bin
+    psd = _full_grid_psd(alpha, numerology)
+    s = numerology.subcarrier_spacing
+    top = _top_guard_hz(psd, s)
+    bins = int(top // psd.resolution)
+    guards = ([0.0, top] + [u * top for u in shares]
+              + [(j % (bins + 1)) * psd.resolution for j in aligned])
+    got = grid_suppression_db(numerology, [(alpha, g) for g in guards], s)
+    for g, value in zip(guards, got):
+        assert value == pytest.approx(suppression_db(psd, g, s), abs=1e-9), g
+
+
+@pytest.mark.parametrize("numerology", [NumerologyConfig(), ODD_CFG],
+                         ids=["default", "odd"])
+def test_grid_suppression_victim_past_grid(numerology):
+    psd = _full_grid_psd(0.05, numerology)
+    s = numerology.subcarrier_spacing
+    past = _top_guard_hz(psd, s) + 0.5 * psd.resolution
+    with pytest.raises(ValueError, match="exceeds PSD grid coverage") as oracle:
+        suppression_db(psd, past, s)
+    with pytest.raises(ValueError) as band_only:
+        grid_suppression_db(numerology, [(0.05, 0.0), (0.05, past)], s)
+    assert str(band_only.value) == str(oracle.value)
+
+
+def test_revalidate_takes_one_fft_per_alpha_and_no_grid_psd(cfg, monkeypatch):
+    # two entries share alpha 0.05: two FFTs for three entries, and no grid
+    # PSD built or read from windowed_psd's cache
+    table = LookupTable({
+        20.0: GuardAllocation(0.05, 55, 3.25, 0.9, 0.9, 0.81, 20.0),
+        30.0: GuardAllocation(0.1, 110, 2.5, 0.9, 0.9, 0.81, 30.0),
+        45.0: GuardAllocation(0.05, 55, 15.5, 0.9, 0.9, 0.81, 45.0),
+    })
+    s = cfg.subcarrier_spacing
+    expected = {t: suppression_db(_full_grid_psd(a.alpha, cfg), a.gb_subcarriers * s, s)
+                for t, a in table.entries.items()}
+    ffts = []
+
+    def counted(fft):
+        return lambda *args, **kwargs: ffts.append(fft.__name__) or fft(*args, **kwargs)
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid PSD built")
+
+    for name in ("fft", "rfft"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    for owner in (spectrum, optimizer):
+        monkeypatch.setattr(owner, "windowed_psd", no_grid)
+    achieved = revalidate(table, cfg)
+    assert ffts == ["rfft", "rfft"]
+    assert list(achieved) == [20.0, 30.0, 45.0]
+    for theta, value in achieved.items():
+        assert value == pytest.approx(expected[theta], abs=1e-9), theta
 
 
 def test_welch_averages_the_last_segment(small_cfg):
