@@ -222,8 +222,8 @@ def build_lookup_table(
 
 
 def checked_theta_list(theta_list) -> list:
-    """theta_list as a list; raises ValueError unless non-empty, ascending,
-    and every threshold finite and above 0 dB."""
+    """theta_list as a list; raises ValueError unless non-empty, strictly
+    ascending, and every threshold finite and above 0 dB."""
     theta_list = list(theta_list)
     if not theta_list:
         raise ValueError("theta_list must be non-empty")
@@ -234,17 +234,20 @@ def checked_theta_list(theta_list) -> list:
             )
     if sorted(theta_list) != theta_list:
         raise ValueError("theta_list must be sorted ascending")
+    for previous, theta in zip(theta_list, theta_list[1:]):
+        if theta == previous:
+            raise ValueError(f"theta_list repeats {theta}")
     return theta_list
 
 
 def checked_alpha_grid(alpha_grid, cfg: NumerologyConfig) -> list:
     """alpha_grid as a list; raises ValueError naming the value unless the
-    grid is non-empty and every roll-off is a number in [0, 1] with a cyclic
-    extension shorter than the symbol."""
+    grid is non-empty and every roll-off is a distinct number in [0, 1] with
+    a cyclic extension shorter than the symbol."""
     alpha_grid = list(alpha_grid)
     if not alpha_grid:
         raise ValueError("alpha_grid must be non-empty")
-    for alpha in alpha_grid:
+    for i, alpha in enumerate(alpha_grid):
         # bool is an int, and NaN fails every comparison
         number = isinstance(alpha, numbers.Real) and not isinstance(alpha, bool)
         if not (number and 0 <= alpha <= 1):
@@ -255,6 +258,8 @@ def checked_alpha_grid(alpha_grid, cfg: NumerologyConfig) -> list:
             pulse_weights(cfg, WindowSpec.for_config(alpha, cfg).t_cp_win)
         except ValueError as exc:
             raise ValueError(f"alpha_grid value {alpha!r}: {exc}") from None
+        if alpha in alpha_grid[:i]:
+            raise ValueError(f"alpha_grid repeats {alpha!r}")
     return alpha_grid
 
 
@@ -269,7 +274,7 @@ def revalidate(table: LookupTable, cfg: NumerologyConfig) -> dict:
     """
     s = cfg.subcarrier_spacing
     readings = [(a.alpha, a.gb_subcarriers * s) for a in table.entries.values()]
-    return dict(zip(table.entries, grid_suppression_db(cfg, readings, s)))
+    return dict(zip(table.entries, grid_suppression_db(cfg, readings)))
 
 
 def config_fingerprint(cfg: NumerologyConfig, alpha_grid, theta_list) -> str:

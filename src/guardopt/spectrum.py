@@ -4,8 +4,10 @@
 PSDs live on a grid OVERSAMPLE times denser than the base rate, whose Nyquist
 span cannot hold an adjacent victim band, with a taper of OVERSAMPLE times the
 guard duration the optimizer charges. The guard search reads the expected PSD
-in closed form (LeakageModel); revalidation re-measures it on the grid, and the
-Welch estimate of one synthesized draw serves the psd export and the tests.
+in closed form (LeakageModel); revalidation re-reads it on the grid, over only
+the two bands it integrates (grid_suppression_db), so no full expected-PSD
+grid is ever built. The Welch estimate of one synthesized draw (windowed_psd)
+serves the psd export.
 
 Conventions:
 - The occupied band edge sits half a subcarrier spacing beyond the outermost
@@ -15,10 +17,10 @@ Conventions:
   the guard search has to resolve.
 - suppression_db is the one suppression metric: in-band mean density over
   victim-band mean density, so a threshold protects victims of any
-  bandwidth. Revalidation re-checks the guard search with it, read over
-  the two bands it integrates (grid_suppression_db), and LeakageModel is
-  its closed form on the expected PSD; for equal-width victims it coincides
-  with the plain integrated power ratio reported by measure_aci.
+  bandwidth. Revalidation re-checks the guard search with it, and
+  LeakageModel is its closed form on the expected PSD; for equal-width
+  victims it coincides with the plain integrated power ratio reported by
+  measure_aci.
 """
 from __future__ import annotations
 
@@ -131,42 +133,6 @@ def _normalized(power: np.ndarray, cfg: NumerologyConfig) -> PsdEstimate:
     return PsdEstimate(freqs=freqs, power=psd, band_edge_hz=edge)
 
 
-def _comb_sum(power: np.ndarray, bins: np.ndarray, step: int) -> np.ndarray:
-    """Sum of np.roll(power, k * step) over the subcarrier bins k.
-
-    Runs of consecutive bins are summed by pairwise doubling: box w, the sum
-    of w adjacent shifts, gives box 2w as itself plus itself shifted w steps,
-    and a run adds, at its offsets, the boxes of the binary digits of its
-    length. All runs share one doubling sequence, up to the longest run (an
-    odd n_occupied makes the two halves around DC differ by one), and every
-    shifted add is two slice adds in place, with no rolled copy. No partial
-    sum is ever subtracted, so far out-of-band bins keep full relative
-    precision (a cumulative sum or FFT convolution is off by 1e-5 at -100 dB).
-    """
-    runs = np.split(bins, np.flatnonzero(np.diff(bins) != 1) + 1)
-    longest = max(run.size for run in runs)
-    done = [0] * len(runs)  # bins of each run already added
-    out = np.zeros_like(power)
-    box, width = power, 1
-    while True:
-        for i, run in enumerate(runs):
-            if run.size & width:
-                _add_rolled(out, box, (run[0] + done[i]) * step, out)
-                done[i] += width
-        if 2 * width > longest:
-            return out
-        box = _add_rolled(box, box, width * step, np.empty_like(box))
-        width *= 2
-
-
-def _add_rolled(a: np.ndarray, b: np.ndarray, shift: int, out: np.ndarray):
-    """out = a + np.roll(b, shift) by two slice adds; out may be a, not b."""
-    s = shift % b.size
-    np.add(a[s:], b[:b.size - s], out=out[s:])
-    np.add(a[:s], b[b.size - s:], out=out[:s])
-    return out
-
-
 def band_edge_hz(cfg: NumerologyConfig) -> float:
     """Upper occupied-band edge: outermost subcarrier center + half a slot."""
     half_hi = cfg.n_occupied - cfg.n_occupied // 2
@@ -226,63 +192,40 @@ def measure_aci(
     return AciReport(leak_power_db=leak_db, achieved_sir_db=-leak_db - po)
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=1)
 def windowed_psd(
-    alpha: float, cfg: NumerologyConfig, n_symbols: int | None = None, seed: int = 0
+    alpha: float, cfg: NumerologyConfig, n_symbols: int, seed: int = 0
 ) -> PsdEstimate:
-    """PSD of the windowed random-QPSK stream on the oversampled Welch grid.
-
-    n_symbols=None: the expected PSD of i.i.d. zero-mean symbols (seed unused),
-    sum_k |W(f - f_k)|^2 over the occupied subcarriers f_k, W the spectrum of
-    the per-symbol weight pulse (van Waterschoot et al., IEEE SPL 17(4), 2010).
-    An integer n_symbols: the Welch estimate of one seeded draw. Cached.
-    """
+    """Welch estimate of one seeded draw of n_symbols windowed random-QPSK
+    symbols on the oversampled grid. The cache keeps only the last draw: no
+    command repeats one, and its statistics are what perfbench reads."""
     ocfg, win = _oversampled(alpha, cfg)
-    if n_symbols is not None:
-        return estimate_psd(symbol_stream(ocfg, win, n_symbols, seed), ocfg)
-    half = _pulse_power(ocfg, win)
-    power = np.concatenate([half, half[-2:0:-1]])  # a real pulse: |W(-f)| = |W(f)|
-    return _normalized(_comb_sum(power, occupied_bins(ocfg), power.size // ocfg.n_fft), ocfg)
+    return estimate_psd(symbol_stream(ocfg, win, n_symbols, seed), ocfg)
 
 
-def _grid_size(ocfg: NumerologyConfig) -> int:
-    """Bins of the PSD grid: one Welch segment, zero-padded 4x."""
-    return 4 * SEGMENT_SYMBOLS * ocfg.n_fft
+def grid_suppression_db(cfg: NumerologyConfig, readings) -> list:
+    """suppression_db of the expected PSD on the grid, against a one-subcarrier
+    victim slot, for each (alpha, g) of readings, g in Hz: one FFT per
+    distinct alpha, and only the two bands the metric integrates.
 
-
-def _pulse_power(ocfg: NumerologyConfig, win: WindowSpec, padded=None) -> np.ndarray:
-    """|W|^2 of the weight pulse at the non-negative bins of the PSD grid,
-    from one real FFT of the pulse zero-padded to the grid size. padded: a
-    zeroed array of that size to pad in, left zeroed for the next call (a
-    fresh one costs about a quarter of the FFT); None allocates one."""
-    pulse = pulse_weights(ocfg, win.t_cp_win)
-    padded = np.zeros(_grid_size(ocfg)) if padded is None else padded
-    padded[:pulse.size] = pulse
-    power = np.abs(np.fft.rfft(padded)) ** 2
-    padded[:pulse.size] = 0.0
-    return power
-
-
-def grid_suppression_db(cfg: NumerologyConfig, readings, victim_obw_hz: float) -> list:
-    """suppression_db(windowed_psd(alpha, cfg), g, victim_obw_hz) for each
-    (alpha, g) of readings, g in Hz: one FFT per distinct alpha, and only the
-    two bands the metric integrates.
-
-    Unnormalised, the grid PSD at bin i is S[i] = sum_k P[i - k step] over
-    the occupied bins k, circularly, with P the pulse power spectrum in grid
-    order. A band's trapezoid sum_i w_i S[i] is thus sum_q P[q] c[q], c the
-    band's weights folded over the comb; the normaliser cancels in the ratio.
-    The victim slot is summed over non-negative terms only, as in _comb_sum;
-    the in-band weights are folded per residue mod step by cumulative sums,
-    once for every alpha. A victim slot past the grid raises band_power's
-    ValueError.
+    The grid is the Welch one (one segment, zero-padded 4x). Unnormalised,
+    the expected PSD of i.i.d. zero-mean symbols at grid bin i is S[i] =
+    sum_k P[i - k step] over the occupied bins k, circularly, with P = |W|^2
+    the pulse power spectrum in grid order and step the bins per subcarrier
+    (van Waterschoot et al., IEEE SPL 17(4), 2010). A band's trapezoid
+    sum_i w_i S[i] is thus sum_q P[q] c[q], c the band's weights folded over
+    the comb; the normaliser cancels in the ratio. The victim slot is summed
+    over non-negative terms only, so far-out readings keep full relative
+    precision; the in-band weights are folded per residue mod step by
+    cumulative sums, once for every alpha. A victim slot past the grid
+    raises band_power's ValueError.
     """
     readings = list(readings)
     ocfg = cfg.oversampled(OVERSAMPLE)
-    size = _grid_size(ocfg)
+    size = 4 * SEGMENT_SYMBOLS * ocfg.n_fft
     step = size // ocfg.n_fft
     freqs = _frequency_grid(size, ocfg.sample_rate)
-    edge = band_edge_hz(ocfg)
+    edge, slot = band_edge_hz(ocfg), cfg.subcarrier_spacing
     bins = occupied_bins(ocfg)
 
     def rfft_bin(i):  # where P at grid bins i sits in the rfft half spectrum
@@ -306,14 +249,17 @@ def grid_suppression_db(cfg: NumerologyConfig, readings, victim_obw_hz: float) -
     shifts = bins[:, None] * step
     padded, out = np.zeros(size), [0.0] * len(readings)
     for alpha in dict.fromkeys(a for a, _ in readings):
-        half = _pulse_power(*_oversampled(alpha, cfg), padded)
+        _, win = _oversampled(alpha, cfg)
+        pulse = pulse_weights(ocfg, win.t_cp_win)
+        padded[:pulse.size] = pulse
+        half = np.abs(np.fft.rfft(padded)) ** 2  # P at the non-negative bins
+        padded[:pulse.size] = 0.0  # zeroed again for the next alpha
         reference = float(in_band @ half)
         for i, (a, guard) in enumerate(readings):
             if a == alpha:
-                lo, w = _trapezoid(freqs, edge + guard, edge + guard + victim_obw_hz)
+                lo, w = _trapezoid(freqs, edge + guard, edge + guard + slot)
                 terms = half[rfft_bin(lo + np.arange(w.size) - shifts)] @ w
-                out[i] = _density_ratio_db(
-                    float(terms.sum()), victim_obw_hz, reference, edge)
+                out[i] = _density_ratio_db(float(terms.sum()), slot, reference, edge)
     return out
 
 

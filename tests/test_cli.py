@@ -312,6 +312,18 @@ class TestPsdCommand:
 
         assert oob_mean("psd_alpha0.1.csv") < oob_mean("psd_alpha0.csv")
 
+    def test_keeps_at_most_one_draw_cached(self, tmp_path):
+        # no command reads a draw twice, so a run holds one draw, not each alpha's
+        from guardopt.spectrum import windowed_psd
+
+        config = tmp_path / "small.yaml"
+        config.write_text("n_fft: 128\nn_occupied: 48\nt_cp_ch_samples: 8\n")
+        windowed_psd.cache_clear()
+        argv = ["psd", "--config", str(config), "--alpha", ALPHA,
+                "--out", str(tmp_path / "o")]
+        assert _run(argv) == 0
+        assert windowed_psd.cache_info().currsize <= 1
+
 
 def _count_bisections(monkeypatch) -> list:
     """The (alpha, theta) pairs the guard search bisects, as it runs."""
@@ -642,6 +654,8 @@ def test_unknown_command_usage_error():
     ("-5,20", "theta_list values must be finite and positive, got -5.0"),
     ("20,inf", "theta_list values must be finite and positive, got inf"),
     ("30,20", "theta_list must be sorted ascending"),
+    ("20,20", "theta_list repeats 20.0"),
+    ("20,20,300,300", "theta_list repeats 20.0"),
 ])
 def test_bad_theta_list_exits_1_without_files(
     tmp_path, capsys, command, theta, message
@@ -669,6 +683,8 @@ def test_alpha_beyond_symbol_rejected(tmp_path, capsys, command):
     ("-0.1", "alpha_grid values must be numbers in [0, 1], got -0.1"),
     ("0,inf", "alpha_grid values must be numbers in [0, 1], got inf"),
     ("nan", "alpha_grid values must be numbers in [0, 1], got nan"),
+    ("0.05,0.05,0.1", "alpha_grid repeats 0.05"),
+    ("0,0.1,0.0", "alpha_grid repeats 0.0"),
 ])
 def test_bad_alpha_grid_exits_1_without_files(
     tmp_path, capsys, command, alpha, message

@@ -363,8 +363,8 @@ class _Recorded(Exception):
 
 
 def test_spectrum_tapers_over_the_charged_gd(cfg, monkeypatch):
-    # the search model, the grid PSD and the Welch path each taper over
-    # OVERSAMPLE x the guard duration efficiency_curve charges
+    # the search model, revalidation's grid reading and the Welch path each
+    # taper over OVERSAMPLE x the guard duration efficiency_curve charges
     charged = {a.alpha: a.gd_samples for a in efficiency_curve(20.0, cfg)}
     assert list(charged) == list(DEFAULT_ALPHA_GRID)
     tapers = []
@@ -381,7 +381,7 @@ def test_spectrum_tapers_over_the_charged_gd(cfg, monkeypatch):
     for alpha, gd in charged.items():
         tapers.clear()
         for view in (lambda: spectrum.LeakageModel.for_alpha(alpha, cfg),
-                     lambda: uncached(alpha, cfg),
+                     lambda: spectrum.grid_suppression_db(cfg, [(alpha, 0.0)]),
                      lambda: uncached(alpha, cfg, 1, 0)):
             with pytest.raises(_Recorded):
                 view()
@@ -430,8 +430,9 @@ def test_guard_band_monotone(a0, a1, t0, t1):
 @given(
     st.lists(st.sampled_from(DEFAULT_ALPHA_GRID), min_size=1, max_size=3,
              unique=True),
-    # up to past the 113-114.6 dB the leakage model resolves
-    st.lists(st.floats(5.0, 130.0), min_size=1, max_size=4).map(sorted),
+    # up to past the 113-114.6 dB the leakage model resolves; distinct, as
+    # checked_theta_list requires
+    st.lists(st.floats(5.0, 130.0), min_size=1, max_size=4, unique=True).map(sorted),
 )
 def test_one_pass_per_alpha_matches_one_theta_search(alphas, thetas):
     cfg = NumerologyConfig()

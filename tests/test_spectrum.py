@@ -60,6 +60,37 @@ def _full_grid_band_power(psd: PsdEstimate, f_lo: float, f_hi: float) -> float:
     return float(hi - lo)
 
 
+@functools.lru_cache(maxsize=2)
+def _rolled_comb_psd(alpha: float, cfg: NumerologyConfig) -> PsdEstimate:
+    """Reference expected PSD on the Welch grid: the pulse power spectrum,
+    mirrored from a real FFT, summed over the occupied subcarriers by
+    pairwise doubling of np.roll copies. Cached for the few alphas a test
+    reads in turn."""
+    ocfg = cfg.oversampled(OVERSAMPLE)
+    L = OVERSAMPLE * WindowSpec.for_config(alpha, cfg).t_cp_win
+    pulse = np.concatenate(
+        [rising_taper(L), np.ones(ocfg.t_cp_ch + ocfg.n_fft), falling_taper(L)]
+    )
+    nfft = 4 * SEGMENT_SYMBOLS * ocfg.n_fft
+    step = nfft // ocfg.n_fft
+    half = np.abs(np.fft.rfft(pulse, n=nfft)) ** 2
+    power = np.concatenate([half, half[-2:0:-1]])  # a real pulse: |W(-f)| = |W(f)|
+    bins = occupied_bins(ocfg)
+    total = np.zeros(nfft)
+    for run in np.split(bins, np.flatnonzero(np.diff(bins) != 1) + 1):
+        box, width, done = power, 1, 0
+        while done < run.size:
+            if run.size & width:
+                total += np.roll(box, (run[0] + done) * step)
+                done += width
+            box, width = box + np.roll(box, width * step), 2 * width
+    freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / ocfg.sample_rate))
+    total = np.fft.fftshift(total)
+    edge = band_edge_hz(ocfg)
+    total /= total[np.abs(freqs) <= edge].mean()
+    return PsdEstimate(freqs, total, edge)
+
+
 class TestEstimatePsd:
     def test_pure_tone_peak_location(self, small_cfg):
         k = 10
@@ -106,14 +137,14 @@ class TestEstimatePsd:
         stream = symbol_stream(ocfg, WindowSpec(alpha, OVERSAMPLE * gd), PSD_SYMBOLS, 0)
         assert stream.size >= SEGMENT_SYMBOLS * ocfg.n_fft
 
-    def test_expected_psd_rejects_extension_beyond_symbol(self, cfg):
+    def test_windowed_psd_rejects_extension_beyond_symbol(self, cfg):
         with pytest.raises(ValueError, match="cyclic extension exceeds symbol"):
-            windowed_psd(0.95, cfg)
+            windowed_psd(0.95, cfg, PSD_SYMBOLS)
 
     def test_windowing_lowers_sidelobes(self, cfg):
         # leakage just outside the band drops when the roll-off grows
-        p0 = windowed_psd(0.0, cfg)
-        p1 = windowed_psd(0.1, cfg)
+        p0 = _rolled_comb_psd(0.0, cfg)
+        p1 = _rolled_comb_psd(0.1, cfg)
         gb = 2 * cfg.subcarrier_spacing
         leak0 = measure_aci(p0, gb, cfg.obw_hz, 0.0).leak_power_db
         leak1 = measure_aci(p1, gb, cfg.obw_hz, 0.0).leak_power_db
@@ -150,19 +181,19 @@ class TestMeasureAci:
         assert rep.achieved_sir_db == pytest.approx(10.0, abs=0.1)
 
     def test_guard_doubling_non_increasing(self, cfg):
-        psd = windowed_psd(0.05, cfg)
+        psd = _rolled_comb_psd(0.05, cfg)
         for gb in (1e3, 30e3, 150e3, 600e3):
             a = measure_aci(psd, gb, cfg.obw_hz / 4, 0.0).leak_power_db
             b = measure_aci(psd, 2 * gb, cfg.obw_hz / 4, 0.0).leak_power_db
             assert b <= a
 
     def test_leak_below_in_band(self, cfg):
-        psd = windowed_psd(0.0, cfg)
+        psd = _rolled_comb_psd(0.0, cfg)
         rep = measure_aci(psd, cfg.subcarrier_spacing, cfg.obw_hz, 0.0)
         assert rep.leak_power_db < 0
 
     def test_victim_beyond_grid(self, cfg):
-        psd = windowed_psd(0.0, cfg)
+        psd = _rolled_comb_psd(0.0, cfg)
         with pytest.raises(ValueError, match="grid"):
             measure_aci(psd, 100 * cfg.obw_hz, cfg.obw_hz, 0.0)
 
@@ -173,7 +204,7 @@ class TestMeasureAci:
 
     def test_matches_trapezoid_oracle(self, cfg):
         # independent numerical integration on the raw grid, to 0.1 dB
-        psd = windowed_psd(0.1, cfg)
+        psd = _rolled_comb_psd(0.1, cfg)
         gb, vic = 5 * cfg.subcarrier_spacing, cfg.obw_hz / 2
         rep = measure_aci(psd, gb, vic, 0.0)
         lin = psd.linear()
@@ -193,7 +224,7 @@ class TestBandPower:
     def test_matches_full_grid_formula(self, cfg):
         # fractional band edges, in band and where leakage is still strong;
         # farther out the full-grid cumsum loses digits to cancellation
-        psd = windowed_psd(0.1, cfg)
+        psd = _rolled_comb_psd(0.1, cfg)
         edge, s = psd.band_edge_hz, cfg.subcarrier_spacing
         bands = [
             (-edge, edge),
@@ -210,7 +241,7 @@ class TestBandPower:
     def test_grid_aligned_band_is_trapezoid(self, cfg):
         # far from the band the local sum keeps the precision a
         # whole-grid cumulative sum would lose
-        psd = windowed_psd(0.1, cfg)
+        psd = _rolled_comb_psd(0.1, cfg)
         lin = psd.linear()
         for i, j in ((100, 400), (psd.freqs.size - 500, psd.freqs.size - 1)):
             expected = np.trapezoid(lin[i:j + 1], psd.freqs[i:j + 1])
@@ -223,7 +254,7 @@ class TestBandPower:
             band_power(psd, psd.freqs[0] - 1.0, 0.0)
 
     def test_in_band_power_is_band_power(self, cfg):
-        psd = windowed_psd(0.05, cfg)
+        psd = _rolled_comb_psd(0.05, cfg)
         edge = psd.band_edge_hz
         assert psd.in_band_power == band_power(psd, -edge, edge)
 
@@ -232,7 +263,7 @@ class TestSuppressionDb:
     def test_agrees_with_measure_aci(self, cfg):
         # same leakage, scored as a density ratio: differs from the power
         # ratio only by the in-band / victim width factor
-        psd = windowed_psd(0.05, cfg)
+        psd = _rolled_comb_psd(0.05, cfg)
         for gb, vic in ((0.0, cfg.subcarrier_spacing),
                         (3.3 * cfg.subcarrier_spacing, cfg.obw_hz / 4)):
             leak = measure_aci(psd, gb, vic, 0.0).leak_power_db
@@ -290,7 +321,7 @@ class TestRequiredGuardBand:
     def test_result_achieves_threshold(self, cfg):
         theta = 30.0
         gb = required_guard_band(0.05, theta, cfg)
-        psd = windowed_psd(0.05, cfg)
+        psd = _rolled_comb_psd(0.05, cfg)
         achieved = suppression_db(
             psd, gb * cfg.subcarrier_spacing, cfg.subcarrier_spacing
         )
@@ -299,9 +330,8 @@ class TestRequiredGuardBand:
 
 def _grid_guard_band(alpha, theta, cfg):
     """The guard search on the grid expected PSD: bisection of suppression_db
-    up to the largest guard whose victim slot the grid covers. The PSD is
-    built uncached, so the oracle leaves windowed_psd's cache as it was."""
-    psd = windowed_psd.__wrapped__(alpha, cfg)
+    up to the largest guard whose victim slot the grid covers."""
+    psd = _rolled_comb_psd(alpha, cfg)
     s = cfg.subcarrier_spacing
     if suppression_db(psd, 0.0, s) >= theta:
         return 0.0
@@ -321,7 +351,7 @@ class TestLeakageModel:
     def test_matches_grid_suppression(self, cfg, alpha):
         # oracle: the FFT-sampled expected PSD with the trapezoid, wherever
         # it reads below 90 dB, at fractional guards of 0-400 subcarriers
-        psd = windowed_psd(alpha, cfg)
+        psd = _rolled_comb_psd(alpha, cfg)
         model = LeakageModel.for_alpha(alpha, cfg)
         s = cfg.subcarrier_spacing
         checked = 0
@@ -354,7 +384,7 @@ class TestLeakageModel:
 
     def test_theta_above_ceiling_unreachable(self, cfg):
         # the grid reaches 178 dB at alpha 0.2, the model resolves 113 dB
-        psd = windowed_psd(0.2, cfg)
+        psd = _rolled_comb_psd(0.2, cfg)
         s = cfg.subcarrier_spacing
         top = psd.freqs[-1] - psd.band_edge_hz - s
         assert suppression_db(psd, top, s) > 150.0
@@ -415,39 +445,12 @@ def test_guard_band_matches_reference_bisection(cfg):
         assert any(text in str(o) for o in outcomes), text
 
 
-def _rolled_comb_psd(alpha: float, cfg: NumerologyConfig) -> PsdEstimate:
-    """Reference expected PSD: the complex FFT of the whole pulse, summed over
-    the occupied subcarriers by pairwise doubling of np.roll copies."""
-    ocfg = cfg.oversampled(OVERSAMPLE)
-    L = OVERSAMPLE * WindowSpec.for_config(alpha, cfg).t_cp_win
-    pulse = np.concatenate(
-        [rising_taper(L), np.ones(ocfg.t_cp_ch + ocfg.n_fft), falling_taper(L)]
-    )
-    nfft = 4 * SEGMENT_SYMBOLS * ocfg.n_fft
-    step = nfft // ocfg.n_fft
-    power = np.abs(np.fft.fft(pulse, n=nfft)) ** 2
-    bins = occupied_bins(ocfg)
-    total = np.zeros(nfft)
-    for run in np.split(bins, np.flatnonzero(np.diff(bins) != 1) + 1):
-        box, width, done = power, 1, 0
-        while done < run.size:
-            if run.size & width:
-                total += np.roll(box, (run[0] + done) * step)
-                done += width
-            box, width = box + np.roll(box, width * step), 2 * width
-    freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / ocfg.sample_rate))
-    total = np.fft.fftshift(total)
-    edge = band_edge_hz(ocfg)
-    total /= total[np.abs(freqs) <= edge].mean()
-    return PsdEstimate(freqs, total, edge)
-
-
 class TestExpectedPsd:
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
     def test_matches_roll_loop(self, cfg, alpha):
-        # reference: the pulse spectrum shifted onto every occupied
-        # subcarrier and summed term by term, tapered over OVERSAMPLE x the
-        # guard duration charged
+        # the reference's doubling against the pulse spectrum shifted onto
+        # every occupied subcarrier and summed term by term, tapered over
+        # OVERSAMPLE x the guard duration charged
         ocfg = cfg.oversampled(OVERSAMPLE)
         L = OVERSAMPLE * WindowSpec.for_config(alpha, cfg).t_cp_win
         pulse = np.concatenate(
@@ -459,22 +462,11 @@ class TestExpectedPsd:
         for k in occupied_bins(ocfg):
             ref += np.roll(power, k * (nfft // ocfg.n_fft))
         ref = np.fft.fftshift(ref)
-        psd = windowed_psd(alpha, cfg)
+        psd = _rolled_comb_psd(alpha, cfg)
         ref /= ref[np.abs(psd.freqs) <= psd.band_edge_hz].mean()
         keep = ref > 1e-10  # above -100 dB
         assert keep.sum() > 0.1 * nfft
         np.testing.assert_allclose(psd.linear()[keep], ref[keep], rtol=1e-9, atol=0)
-
-    @pytest.mark.parametrize("alpha", [0.0, 0.05, 0.2])
-    def test_matches_full_fft_and_rolled_comb(self, cfg, alpha):
-        ref = _rolled_comb_psd(alpha, cfg)
-        psd = windowed_psd(alpha, cfg)
-        np.testing.assert_array_equal(psd.freqs, ref.freqs)
-        keep = ref.power > 1e-12
-        assert keep.sum() > 0.1 * keep.size
-        np.testing.assert_allclose(
-            psd.power[keep], ref.power[keep], rtol=1e-9, atol=0
-        )
 
     def test_revalidation_matches_rolled_comb(self, cfg):
         # the default table re-measured on the reference PSD
@@ -493,7 +485,7 @@ class TestExpectedPsd:
         draws = [windowed_psd(0.05, small_cfg, 128, seed) for seed in range(16)]
         mean = np.mean([d.linear() for d in draws], axis=0)
         avg = PsdEstimate(draws[0].freqs, mean, draws[0].band_edge_hz)
-        expected = windowed_psd(0.05, small_cfg)
+        expected = _rolled_comb_psd(0.05, small_cfg)
         s = small_cfg.subcarrier_spacing
         for gb in (0, 2, 5):
             assert suppression_db(avg, gb * s, s) == pytest.approx(
@@ -503,13 +495,6 @@ class TestExpectedPsd:
 
 # two runs of subcarriers around DC, 37 and 38 long
 ODD_CFG = NumerologyConfig(n_fft=128, n_occupied=75, t_cp_ch=8)
-
-
-@functools.lru_cache(maxsize=1)
-def _full_grid_psd(alpha, numerology):
-    """windowed_psd built uncached, so the oracle leaves its cache as it was;
-    the one entry kept serves the examples of one parametrized case."""
-    return windowed_psd.__wrapped__(alpha, numerology)
 
 
 def _top_guard_hz(psd, s):
@@ -525,15 +510,15 @@ def _top_guard_hz(psd, s):
        aligned=st.lists(st.integers(0, 10**6), max_size=4))
 def test_grid_suppression_matches_full_grid_psd(numerology, alpha, shares, aligned):
     # the band-only reading of the two integrated bands against suppression_db
-    # on the whole grid PSD, from no guard to the grid top, at fractional
-    # guards and at guards whose victim slot starts on a grid bin
-    psd = _full_grid_psd(alpha, numerology)
+    # on the whole reference grid PSD, from no guard to the grid top, at
+    # fractional guards and at guards whose victim slot starts on a grid bin
+    psd = _rolled_comb_psd(alpha, numerology)
     s = numerology.subcarrier_spacing
     top = _top_guard_hz(psd, s)
     bins = int(top // psd.resolution)
     guards = ([0.0, top] + [u * top for u in shares]
               + [(j % (bins + 1)) * psd.resolution for j in aligned])
-    got = grid_suppression_db(numerology, [(alpha, g) for g in guards], s)
+    got = grid_suppression_db(numerology, [(alpha, g) for g in guards])
     for g, value in zip(guards, got):
         assert value == pytest.approx(suppression_db(psd, g, s), abs=1e-9), g
 
@@ -541,26 +526,26 @@ def test_grid_suppression_matches_full_grid_psd(numerology, alpha, shares, align
 @pytest.mark.parametrize("numerology", [NumerologyConfig(), ODD_CFG],
                          ids=["default", "odd"])
 def test_grid_suppression_victim_past_grid(numerology):
-    psd = _full_grid_psd(0.05, numerology)
+    psd = _rolled_comb_psd(0.05, numerology)
     s = numerology.subcarrier_spacing
     past = _top_guard_hz(psd, s) + 0.5 * psd.resolution
     with pytest.raises(ValueError, match="exceeds PSD grid coverage") as oracle:
         suppression_db(psd, past, s)
     with pytest.raises(ValueError) as band_only:
-        grid_suppression_db(numerology, [(0.05, 0.0), (0.05, past)], s)
+        grid_suppression_db(numerology, [(0.05, 0.0), (0.05, past)])
     assert str(band_only.value) == str(oracle.value)
 
 
 def test_revalidate_takes_one_fft_per_alpha_and_no_grid_psd(cfg, monkeypatch):
-    # two entries share alpha 0.05: two FFTs for three entries, and no grid
-    # PSD built or read from windowed_psd's cache
+    # two entries share alpha 0.05: two FFTs for three entries, and no
+    # Welch draw built or read from windowed_psd's cache
     table = LookupTable({
         20.0: GuardAllocation(0.05, 55, 3.25, 0.9, 0.9, 0.81, 20.0),
         30.0: GuardAllocation(0.1, 110, 2.5, 0.9, 0.9, 0.81, 30.0),
         45.0: GuardAllocation(0.05, 55, 15.5, 0.9, 0.9, 0.81, 45.0),
     })
     s = cfg.subcarrier_spacing
-    expected = {t: suppression_db(_full_grid_psd(a.alpha, cfg), a.gb_subcarriers * s, s)
+    expected = {t: suppression_db(_rolled_comb_psd(a.alpha, cfg), a.gb_subcarriers * s, s)
                 for t, a in table.entries.items()}
     ffts = []
 
@@ -599,25 +584,25 @@ def test_welch_averages_the_last_segment(small_cfg):
     assert level_db(-10) > level_db(3) - 20.0
 
 
-def test_windowed_psd_cached_identity(cfg):
-    assert windowed_psd(0.05, cfg) is windowed_psd(0.05, cfg)
+def test_windowed_psd_cached_identity(small_cfg):
+    assert windowed_psd(0.05, small_cfg, 128, 0) is windowed_psd(0.05, small_cfg, 128, 0)
 
 
 class TestPsdRepresentation:
-    def test_one_grid_per_size_and_rate(self, cfg, small_cfg):
-        assert windowed_psd(0.0, cfg).freqs is windowed_psd(0.1, cfg).freqs
-        # the Welch estimate lies on the expected PSD's grid
+    def test_one_grid_per_size_and_rate(self, small_cfg):
         welch = windowed_psd(0.05, small_cfg, 128, 0)
-        assert welch.freqs is windowed_psd(0.05, small_cfg).freqs
+        assert windowed_psd(0.0, small_cfg, 128, 1).freqs is welch.freqs
+        # the Welch estimate lies on the grid the expected PSD is read on
+        np.testing.assert_array_equal(welch.freqs, _rolled_comb_psd(0.05, small_cfg).freqs)
 
-    def test_arrays_read_only(self, cfg):
-        psd = windowed_psd(0.05, cfg)
+    def test_arrays_read_only(self, small_cfg):
+        psd = windowed_psd(0.05, small_cfg, 128, 0)
         for array in (psd.freqs, psd.power):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
 
-    def test_power_db_is_derived(self, cfg):
-        psd = windowed_psd(0.05, cfg)
+    def test_power_db_is_derived(self, small_cfg):
+        psd = windowed_psd(0.05, small_cfg, 128, 0)
         assert psd.linear() is psd.power
         np.testing.assert_array_equal(psd.power_db, 10.0 * np.log10(psd.power))
 
