@@ -23,6 +23,7 @@ from .optimizer import (
     _theta_text,
     build_lookup_table,
     checked_alpha_grid,
+    checked_theta_list,
     config_fingerprint,
     efficiency_curve,  # noqa: F401  unused here; perfbench's tracer wraps it
     efficiency_curves,
@@ -141,14 +142,16 @@ def _out_dir(ec: ExperimentConfig) -> Path:
 
 
 def _lookup_for(ec: ExperimentConfig) -> LookupTable:
-    """Load a persisted table matching the config hash, or build it, then
-    create the output directory and persist the table through a temporary
-    name outside lookup_*.csv and an atomic rename."""
-    key = config_fingerprint(ec.numerology, ec.alpha_grid, ec.theta_list)
+    """Check both lists (ValueError), then load a persisted table matching the
+    config hash, or build it, create the output directory and persist the
+    table through a temporary name outside lookup_*.csv and an atomic rename."""
+    thetas = checked_theta_list(ec.theta_list)
+    alphas = checked_alpha_grid(ec.alpha_grid, ec.numerology)
+    key = config_fingerprint(ec.numerology, alphas, thetas)
     path = Path(ec.out_dir) / f"lookup_{key}.csv"
     if path.exists():
         return LookupTable.load_csv(path)
-    table = build_lookup_table(ec.theta_list, ec.numerology, ec.alpha_grid)
+    table = build_lookup_table(thetas, ec.numerology, alphas)
     tmp = _out_dir(ec) / f".{path.name}.{os.getpid()}.tmp"
     try:
         table.save_csv(tmp, ec.numerology)

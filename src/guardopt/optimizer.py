@@ -82,20 +82,22 @@ def efficiency_curves(
     """
     thetas = checked_theta_list(theta_list)
     alphas = checked_alpha_grid(alpha_grid, cfg)
-
-    def column(alpha):  # theta -> allocation, for each theta reachable at alpha
-        gd = WindowSpec.for_config(alpha, cfg).t_cp_win
-        model, out = LeakageModel.for_alpha(alpha, cfg), {}
-        for theta in thetas:
-            with contextlib.suppress(ThetaUnreachableError):
-                gb = model.guard_band(theta)
-                eta = spectral_efficiency(gd, gb, cfg)
-                out[theta] = GuardAllocation(alpha, gd, gb, *eta, theta)
-        return out
-
-    columns = parallel_map(column, alphas)
+    columns = parallel_map(lambda alpha: _column(alpha, thetas, cfg), alphas)
     curves = {t: [col[t] for col in columns if t in col] for t in thetas}
     return {t: curve for t, curve in curves.items() if curve}
+
+
+def _column(alpha, thetas, cfg: NumerologyConfig) -> dict[float, GuardAllocation]:
+    """theta -> allocation at roll-off alpha, for each of thetas it reaches:
+    one leakage model, one bisection per threshold."""
+    gd = WindowSpec.for_config(alpha, cfg).t_cp_win
+    model, out = LeakageModel.for_alpha(alpha, cfg), {}
+    for theta in thetas:
+        with contextlib.suppress(ThetaUnreachableError):
+            gb = model.guard_band(theta)
+            eta = spectral_efficiency(gd, gb, cfg)
+            out[theta] = GuardAllocation(alpha, gd, gb, *eta, theta)
+    return out
 
 
 def efficiency_curve(
@@ -116,7 +118,10 @@ def optimize_guards(
     alpha_grid=DEFAULT_ALPHA_GRID,
 ) -> GuardAllocation:
     """Max-eta allocation over the alpha grid; ties go to the smaller alpha."""
-    return best_allocation(efficiency_curve(theta, cfg, alpha_grid))
+    table = build_lookup_table([theta], cfg, alpha_grid)
+    if theta not in table.entries:
+        raise ThetaUnreachableError(ABSENT_THETA.format(_theta_text(theta)))
+    return table.entries[theta]
 
 
 def best_allocation(curve) -> GuardAllocation:
@@ -216,9 +221,26 @@ def build_lookup_table(
     cfg: NumerologyConfig,
     alpha_grid=DEFAULT_ALPHA_GRID,
 ) -> LookupTable:
-    """Optimal allocation per threshold; failures recorded, not raised."""
-    thetas = list(theta_list)
-    return LookupTable.from_curves(thetas, efficiency_curves(thetas, cfg, alpha_grid))
+    """Optimal allocation per threshold; failures recorded, not raised.
+
+    The table of LookupTable.from_curves over efficiency_curves, found by
+    branch and bound: eta_freq <= 1, so no allocation at alpha has an eta
+    above eta_time(alpha), in floating point too. Walking the grid in
+    ascending alpha, a threshold whose best eta already reaches that bound is
+    not bisected, and an alpha with no threshold left builds no model. An
+    allocation found later has the larger alpha, so it loses every tie, as
+    best_allocation rules.
+    """
+    thetas = checked_theta_list(theta_list)
+    best: dict[float, GuardAllocation] = {}
+    for alpha in sorted(checked_alpha_grid(alpha_grid, cfg)):
+        gd = WindowSpec.for_config(alpha, cfg).t_cp_win
+        bound = spectral_efficiency(gd, 0.0, cfg)[0]
+        open_thetas = [t for t in thetas if t not in best or best[t].eta < bound]
+        if open_thetas:
+            for t, a in _column(alpha, open_thetas, cfg).items():
+                best[t] = best_allocation((best.get(t, a), a))
+    return LookupTable(best, [t for t in thetas if t not in best])
 
 
 def checked_theta_list(theta_list) -> list:

@@ -625,6 +625,33 @@ def test_lookup_hit_reports_absent_theta_like_miss(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("command", ["lookup-build", "schedule"])
+@pytest.mark.parametrize("theta, alpha, message", [
+    ("20,20", "0,0.1", "theta_list repeats 20.0"),
+    ("20", "0,0.1,0.1", "alpha_grid repeats 0.1"),
+])
+def test_cached_table_does_not_pass_a_bad_list(
+    tmp_path, capsys, command, theta, alpha, message
+):
+    # a table planted under the bad lists' fingerprint is neither read nor
+    # rewritten: the lists are checked before the cache is
+    cfg = NumerologyConfig()
+    key = optimizer.config_fingerprint(
+        cfg, [float(a) for a in alpha.split(",")],
+        [float(t) for t in theta.split(",")])
+    out = tmp_path / "o"
+    out.mkdir()
+    planted = out / f"lookup_{key}.csv"
+    planted.write_text(
+        optimizer.LOOKUP_COLUMNS + "\n20,0,0,0,1,1,0.9,0.9,0.81\n")
+    before = planted.read_bytes(), planted.stat().st_mtime_ns
+    code = main([command, "--theta", theta, "--alpha", alpha, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert (planted.read_bytes(), planted.stat().st_mtime_ns) == before
+    assert list(out.iterdir()) == [planted]
+
+
 def test_failed_lookup_write_leaves_no_file(tmp_path, monkeypatch, capsys):
     from guardopt.optimizer import LookupTable
 

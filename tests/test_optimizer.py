@@ -213,19 +213,37 @@ class TestLookupTable:
         assert 20.0 in table.entries
 
 
-def test_default_build_reads_each_guard_band_once_per_model(cfg, monkeypatch):
-    # the bisections share their model's readings: one model per alpha
+def _counted_reads(monkeypatch) -> list:
+    """The (model, guard band Hz) pairs the leakage models read, as they run;
+    each model is kept, so its id stays its own."""
     reads, real = [], LeakageModel.suppression_db
 
     def counted(model, guard_band_hz):
-        reads.append((model, guard_band_hz))  # keeps each model, and its id
+        reads.append((model, guard_band_hz))
         return real(model, guard_band_hz)
 
     monkeypatch.setattr(LeakageModel, "suppression_db", counted)
-    build_lookup_table(DEFAULT_THETA_LIST, cfg)
+    return reads
+
+
+def test_default_build_reads_each_guard_band_once_per_model(cfg, monkeypatch):
+    # every curve point, as guards computes them: the bisections share their
+    # model's readings, one model per alpha
+    reads = _counted_reads(monkeypatch)
+    efficiency_curves(DEFAULT_THETA_LIST, cfg)
     keys = [(id(model), g) for model, g in reads]
     assert len(keys) == len(set(keys)) == 2659
     assert len({id(model) for model, _ in reads}) == len(DEFAULT_ALPHA_GRID)
+
+
+def test_bounded_build_skips_the_pairs_that_cannot_win(cfg, monkeypatch):
+    # the table build bisects only where eta_time(alpha) still beats the
+    # threshold's best eta, and builds no model for an alpha with none left
+    reads = _counted_reads(monkeypatch)
+    build_lookup_table(DEFAULT_THETA_LIST, cfg)
+    keys = [(id(model), g) for model, g in reads]
+    assert len(keys) == len(set(keys)) == 1158
+    assert len({id(model) for model, _ in reads}) == 23
 
 
 def _entry(theta, gb):
@@ -460,3 +478,40 @@ def test_guard_allocation_product_invariant(cfg):
     best = optimize_guards(30.0, cfg, ALPHAS)
     assert best.eta == best.eta_time * best.eta_freq
     assert isinstance(best, GuardAllocation)
+
+
+_NUMEROLOGIES = (
+    NumerologyConfig(), NumerologyConfig(n_fft=128, n_occupied=75, t_cp_ch=9)
+)
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(
+    st.sampled_from(_NUMEROLOGIES),
+    # unsorted: the bounded build walks the grid in its own order
+    st.lists(st.sampled_from(DEFAULT_ALPHA_GRID), min_size=1, max_size=8,
+             unique=True),
+    # up to past the 113-114.6 dB the leakage model resolves
+    st.lists(st.floats(5.0, 130.0), min_size=1, max_size=4, unique=True).map(sorted),
+)
+@example(_NUMEROLOGIES[0], [0.2, 0.0, 0.05, 0.01], [20.0, 45.0, 120.0])
+@example(_NUMEROLOGIES[1], [0.1, 0.005, 0.0], [25.0, 116.0])
+def test_bounded_build_matches_the_curves_optimum(cfg, alphas, thetas):
+    built = build_lookup_table(thetas, cfg, alphas)
+    expected = LookupTable.from_curves(thetas, efficiency_curves(thetas, cfg, alphas))
+    assert built.entries == expected.entries
+    assert built.failures == expected.failures
+
+
+def test_bounded_build_breaks_a_tie_toward_the_smaller_alpha(cfg):
+    # both roll-offs round to no taper, so their guard bands and eta agree;
+    # 9 dB needs no guard band, so its eta meets the bound and the tie is
+    # settled by the walk's order, 30 dB by the merge
+    alphas = (0.0004, 0.0)
+    curves = efficiency_curves([9.0, 30.0], cfg, alphas)
+    for theta, gb in ((9.0, 0.0), (30.0, curves[30.0][0].gb_subcarriers)):
+        guards = [(a.gd_samples, a.gb_subcarriers) for a in curves[theta]]
+        assert guards == [(0, gb)] * 2
+        assert curves[theta][0].eta == curves[theta][1].eta
+    table = build_lookup_table([9.0, 30.0], cfg, alphas)
+    assert [a.alpha for a in table.entries.values()] == [0.0, 0.0]
