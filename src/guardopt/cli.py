@@ -20,13 +20,13 @@ from .optimizer import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_THETA_LIST,
     LookupTable,
-    _theta_text,
     build_lookup_table,
     checked_alpha_grid,
     checked_theta_list,
     config_fingerprint,
     efficiency_curve,  # noqa: F401  unused here; perfbench's tracer wraps it
     efficiency_curves,
+    grid_text,
     revalidate,
 )
 from .scheduler import (
@@ -116,10 +116,6 @@ def _csv_floats(text: str) -> tuple:
     return tuple(float(t) for t in text.split(",") if t)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
-
-
 def _load_config(args) -> ExperimentConfig:
     ec = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
     if getattr(args, "seed", None) is not None:
@@ -167,7 +163,7 @@ def cmd_psd(args) -> int:
     out = _out_dir(ec)
     for alpha in alpha_grid:
         psd = windowed_psd(alpha, ec.numerology, n_symbols=PSD_SYMBOLS, seed=ec.seed)
-        write_psd_csv(psd, out / f"psd_alpha{_fmt(alpha)}.csv")
+        write_psd_csv(psd, out / f"psd_alpha{grid_text(alpha)}.csv")
     return 0
 
 
@@ -182,7 +178,7 @@ def cmd_guards(args) -> int:
         for theta, curve in curves.items():
             for a in curve:
                 fh.write(
-                    f"{_theta_text(theta)},{_fmt(a.alpha)},{a.gd_samples},"
+                    f"{grid_text(theta)},{grid_text(a.alpha)},{a.gd_samples},"
                     f"{a.gb_subcarriers:.6f},{a.eta_time:.8f},"
                     f"{a.eta_freq:.8f},{a.eta:.8f}\n"
                 )
@@ -193,7 +189,7 @@ def cmd_guards(args) -> int:
     if args.revalidate:
         for theta, supp in revalidate(table, ec.numerology).items():
             ok = supp >= theta - REVALIDATE_TOL_DB
-            print(f"theta={_theta_text(theta)} achieved={supp:.2f} dB "
+            print(f"theta={grid_text(theta)} achieved={supp:.2f} dB "
                   f"{'ok' if ok else 'VIOLATION'}")
             violations += not ok
     return 1 if violations else 0
@@ -210,7 +206,7 @@ def _report_absent(thetas, table: LookupTable) -> None:
     not table.failures: a table loaded from the cache keeps no failures."""
     for theta in thetas:
         if theta not in table.entries:
-            print(ABSENT_THETA.format(_theta_text(theta)), file=sys.stderr)
+            print(ABSENT_THETA.format(grid_text(theta)), file=sys.stderr)
 
 
 def cmd_schedule(args) -> int:
@@ -275,7 +271,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

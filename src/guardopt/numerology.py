@@ -5,7 +5,8 @@ Conventions:
 - Durations are stored in samples internally; seconds are a presentation
   conversion only (keeps guard bookkeeping exact).
 - sample_rate is always derived as n_fft * subcarrier_spacing.
-- Occupied subcarriers are center-aligned around DC, DC unused.
+- Occupied subcarriers are center-aligned around DC, DC unused, so a
+  numerology holds 1 <= n_occupied <= n_fft - 1 distinct subcarriers.
 """
 from __future__ import annotations
 
@@ -32,8 +33,9 @@ class NumerologyConfig:
     def __post_init__(self):
         if self.n_fft <= 0:
             raise ValueError(f"n_fft must be positive, got {self.n_fft}")
-        if self.n_occupied <= 0 or self.n_occupied > self.n_fft:
-            raise ValueError(f"n_occupied must be in [1, n_fft], got {self.n_occupied}")
+        if not 1 <= self.n_occupied <= self.n_fft - 1:
+            raise ValueError("n_occupied must be in [1, n_fft - 1] (DC is unused), "
+                             f"got {self.n_occupied}")
         if not (math.isfinite(self.subcarrier_spacing) and self.subcarrier_spacing > 0):
             raise ValueError(
                 f"subcarrier_spacing must be finite and positive, "

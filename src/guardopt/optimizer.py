@@ -34,7 +34,7 @@ DEFAULT_ALPHA_GRID = tuple(round(0.005 * i, 3) for i in range(41))  # 0 .. 0.2
 DEFAULT_THETA_LIST = (20.0, 25.0, 30.0, 35.0, 40.0, 45.0)
 # bump when the spectrum model or search changes a table's numbers
 SEARCH_VERSION = "charged-taper-1"
-# a threshold with no efficiency curve, formatted with its _theta_text
+# a threshold with no efficiency curve, formatted with its grid_text
 ABSENT_THETA = "theta={}: absent (unreachable at every alpha in the grid)"
 
 LOOKUP_COLUMNS = (
@@ -108,7 +108,7 @@ def efficiency_curve(
     """One allocation per reachable alpha, in grid order."""
     curves = efficiency_curves([theta], cfg, alpha_grid)
     if theta not in curves:
-        raise ThetaUnreachableError(ABSENT_THETA.format(_theta_text(theta)))
+        raise ThetaUnreachableError(ABSENT_THETA.format(grid_text(theta)))
     return curves[theta]
 
 
@@ -120,7 +120,7 @@ def optimize_guards(
     """Max-eta allocation over the alpha grid; ties go to the smaller alpha."""
     table = build_lookup_table([theta], cfg, alpha_grid)
     if theta not in table.entries:
-        raise ThetaUnreachableError(ABSENT_THETA.format(_theta_text(theta)))
+        raise ThetaUnreachableError(ABSENT_THETA.format(grid_text(theta)))
     return table.entries[theta]
 
 
@@ -171,7 +171,7 @@ class LookupTable:
                 gd_us = a.gd_samples / cfg.sample_rate * 1e6
                 gb_hz = a.gb_subcarriers * cfg.subcarrier_spacing
                 fh.write(
-                    f"{_theta_text(t)},{a.alpha:.6g},{a.gd_samples},{gd_us:.6f},"
+                    f"{grid_text(t)},{grid_text(a.alpha)},{a.gd_samples},{gd_us:.6f},"
                     f"{a.gb_subcarriers:.6f},{gb_hz:.6f},"
                     f"{a.eta_time:.8f},{a.eta_freq:.8f},{a.eta:.8f}\n"
                 )
@@ -209,11 +209,13 @@ class LookupTable:
         return cls(entries)
 
 
-def _theta_text(theta: float) -> str:
-    """A table key as written: `%.6g` where that reads back exactly, else the
-    shortest text that does, so a loaded table answers like the built one."""
-    text = f"{theta:.6g}"
-    return text if float(text) == theta else repr(theta)
+def grid_text(x: float) -> str:
+    """A threshold or roll-off as written: `%.6g` where that reads back
+    exactly, else the shortest text that does. Distinct grid values get
+    distinct texts, so a loaded table answers like the built one and no
+    output named or keyed by a value overwrites another's."""
+    text = f"{x:.6g}"
+    return text if float(text) == x else repr(float(x))
 
 
 def build_lookup_table(

@@ -57,7 +57,6 @@ class SchedulePlan:
     assignment: tuple[UserProfile, ...]
     theta_per_band: tuple[float, ...]
     guard_per_band: tuple[GuardAllocation, ...]
-    boundary_gb: tuple[int, ...]  # whole subcarriers, one per internal boundary
     total_gd_samples: int
     total_gb_subcarriers: int
 
@@ -110,14 +109,12 @@ def _guard_plan(users: tuple, thetas, lookup: LookupTable) -> SchedulePlan:
     """Guards from per-band thresholds; each internal boundary is counted once,
     sized by the larger facing guard band in whole subcarriers."""
     allocs = [_ceil_allocation(lookup, u, theta) for u, theta in zip(users, thetas)]
-    boundary = tuple(_boundary_gb(a, b) for a, b in zip(allocs, allocs[1:]))
     return SchedulePlan(
         assignment=users,
         theta_per_band=tuple(thetas),
         guard_per_band=tuple(allocs),
-        boundary_gb=boundary,
         total_gd_samples=sum(a.gd_samples for a in allocs),
-        total_gb_subcarriers=sum(boundary),
+        total_gb_subcarriers=sum(map(_boundary_gb, allocs, allocs[1:])),
     )
 
 
@@ -145,13 +142,14 @@ def _boundary_gb(a: GuardAllocation, b: GuardAllocation) -> int:
 
 
 class _OrderingCost:
-    """(total GB, total GD) of orderings of one set of two or more users.
+    """Band costs of orderings of one set of two or more users.
 
     Orderings are lists of user indices. A band costs two integers, its whole
     GB and its GD; a boundary costs the larger whole GB of its two bands.
     Each threshold term is computed once per user pair and the table is read
     once per distinct threshold, so no SchedulePlan is built per candidate;
-    the result equals `allocate_guards(ordering).cost`, errors included.
+    _run_cost over a whole ordering's bands equals
+    `allocate_guards(ordering).cost`, errors included.
     """
 
     def __init__(self, users, lookup: LookupTable):
@@ -183,10 +181,6 @@ class _OrderingCost:
                         order[k + 1] if k < last else order[k - 1])
             for k in range(lo, hi)
         ]
-
-    def cost(self, order) -> tuple[int, int]:
-        """(total GB, total GD) of a whole ordering."""
-        return _run_cost(self.bands(order, 0, len(order)))
 
 
 def _run_cost(pairs) -> tuple[int, int]:

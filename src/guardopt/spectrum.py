@@ -366,9 +366,8 @@ class LeakageModel:
             raise ValueError(f"theta must be finite and positive, got {theta}")
         cfg, read = self.cfg, self._read
         victim = spacing = cfg.subcarrier_spacing
+        # at least 1.5 subcarriers: n_occupied <= n_fft - 1 and OVERSAMPLE = 4
         gb_max = OVERSAMPLE * cfg.sample_rate / 2 - band_edge_hz(cfg) - victim
-        if gb_max < 0:
-            raise ThetaUnreachableError("victim band alone exceeds the PSD grid span")
         if read(0.0) >= theta:
             return 0.0
         top = read(gb_max)

@@ -76,3 +76,11 @@ def test_names_the_runner_and_workloads_use():
     assert set(_load("workloads").WORKLOADS) == {
         "guards_default", "lookup_t2", "psd_export", "schedule_search"
     }
+
+
+def test_workload_constants_match_guardopt():
+    # workloads.py restates these to size its per-layer counts; a copy that
+    # drifts from guardopt's would make those counts wrong without failing
+    workloads = _load("workloads")
+    for name in ("PSD_SYMBOLS", "OVERSAMPLE", "SEGMENT_SYMBOLS"):
+        assert getattr(workloads, name) == getattr(spectrum, name), name

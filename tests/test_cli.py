@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import guardopt.cli as cli
 import guardopt.optimizer as optimizer
 from guardopt.cli import CONFIG_KEYS, ExperimentConfig, main
 from guardopt.numerology import NumerologyConfig
@@ -215,9 +216,13 @@ class TestConfigLoading:
              "t_cp_ch_samples must be in [0, n_fft), got 1024"),
             ("t_cp_ch_samples: 2000\n",
              "t_cp_ch_samples must be in [0, n_fft), got 2000"),
-            ("n_occupied: 1025\n", "n_occupied must be in [1, n_fft], got 1025"),
+            ("n_occupied: 1025\n",
+             "n_occupied must be in [1, n_fft - 1] (DC is unused), got 1025"),
             ("n_fft: 256\nn_occupied: 300\n",
-             "n_occupied must be in [1, n_fft], got 300"),
+             "n_occupied must be in [1, n_fft - 1] (DC is unused), got 300"),
+            # a 64-point FFT with DC unused carries 63 subcarriers, not 64
+            ("n_fft: 64\nn_occupied: 64\n",
+             "n_occupied must be in [1, n_fft - 1] (DC is unused), got 64"),
         ],
     )
     def test_bad_numerology_names_file_and_key(self, tmp_path, capsys, text, message):
@@ -298,6 +303,17 @@ class TestPsdCommand:
         assert _run(["psd", "--alpha", ALPHA, "--out", str(out)]) == 0
         names = sorted(p.name for p in out.glob("psd_alpha*.csv"))
         assert names == ["psd_alpha0.05.csv", "psd_alpha0.1.csv", "psd_alpha0.csv"]
+
+    def test_alphas_equal_at_6_digits_write_two_files(self, tmp_path):
+        # %.6g would name both draws psd_alpha0.1.csv, the second overwriting
+        config = tmp_path / "small.yaml"
+        config.write_text("n_fft: 128\nn_occupied: 48\nt_cp_ch_samples: 8\n")
+        out = tmp_path / "o"
+        argv = ["psd", "--config", str(config), "--alpha", "0.1,0.1000000001",
+                "--out", str(out)]
+        assert _run(argv) == 0
+        names = sorted(p.name for p in out.glob("psd_alpha*.csv"))
+        assert names == ["psd_alpha0.1.csv", "psd_alpha0.1000000001.csv"]
 
     def test_sidelobe_ordering_in_files(self, tmp_path):
         # sharper roll-off -> lower out-of-band floor in the emitted traces
@@ -420,6 +436,15 @@ class TestGuardsCommand:
         }
         assert keys == {"guard_curves.csv": {"44.9999996"},
                         "optimal_guards.csv": {"44.9999996"}}
+
+    def test_alphas_equal_at_6_digits_write_distinct_rows(self, tmp_path):
+        out = tmp_path / "o"
+        argv = ["guards", "--theta", "30", "--alpha", "0.1,0.1000000001"]
+        assert _run(argv + ["--out", str(out)]) == 0
+        rows = (out / "guard_curves.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [
+            ["30", "0.1"], ["30", "0.1000000001"]
+        ]
 
     def test_revalidate_and_absent_lines_write_the_table_theta(
         self, tmp_path, capsys
@@ -612,6 +637,17 @@ def test_lookup_build_command(tmp_path):
     assert len(list(out.glob("lookup_*.csv"))) == 1
 
 
+def test_loaded_table_keeps_the_built_alpha(tmp_path):
+    # %.6g would load this roll-off back as 0.1
+    out = tmp_path / "o"
+    argv = ["lookup-build", "--theta", "30", "--alpha", "0.1000000001"]
+    assert main(argv + ["--out", str(out)]) == 0
+    (path,) = out.glob("lookup_*.csv")
+    built = optimizer.build_lookup_table([30.0], NumerologyConfig(), [0.1000000001])
+    loaded = optimizer.LookupTable.load_csv(path)
+    assert loaded.entries[30.0].alpha == built.entries[30.0].alpha == 0.1000000001
+
+
 def test_lookup_hit_reports_absent_theta_like_miss(tmp_path, capsys):
     out = tmp_path / "o"
     argv = ["lookup-build", "--theta", "20,300", "--alpha", "0,0.1", "--out", str(out)]
@@ -666,6 +702,17 @@ def test_failed_lookup_write_leaves_no_file(tmp_path, monkeypatch, capsys):
     assert code == 1
     assert "disk full" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_key_error_in_a_command_propagates(tmp_path, monkeypatch):
+    # guardopt raises no KeyError that reaches main, so one is a bug and
+    # keeps its traceback instead of becoming an error line
+    def broken(ec):
+        raise KeyError("x")
+
+    monkeypatch.setattr(cli, "_lookup_for", broken)
+    with pytest.raises(KeyError, match="x"):
+        main(["lookup-build", "--out", str(tmp_path / "o")])
 
 
 def test_unknown_command_usage_error():

@@ -21,6 +21,10 @@ def test_obw(cfg):
         dict(subcarrier_spacing=-1.0),
         dict(t_cp_ch=-1),
         dict(t_cp_ch=1024),
+        # DC is unused: n_fft subcarriers would put two on one bin
+        dict(n_fft=8, n_occupied=8, t_cp_ch=0),
+        dict(n_fft=1, n_occupied=1, t_cp_ch=0),
+        dict(n_occupied=1024),
     ],
 )
 def test_invalid_configs(kwargs):

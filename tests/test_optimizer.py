@@ -14,6 +14,7 @@ from guardopt.optimizer import (
     config_fingerprint,
     efficiency_curve,
     efficiency_curves,
+    grid_text,
     optimize_guards,
     revalidate,
     spectral_efficiency,
@@ -324,6 +325,24 @@ def test_ceil_lookup_matches_linear_scan(keys, queries):
     assert "exceeds the lookup table maximum" in _lookup_outcome(
         LookupTable.ceil_lookup, table, max(keys) + 1.0
     )
+
+
+@settings(derandomize=True, max_examples=300)
+@given(values=st.lists(st.one_of(_thetas, st.floats(0.0, 1.0),
+                                 st.floats(allow_nan=False, allow_infinity=False)),
+                       min_size=1, max_size=8, unique=True))
+def test_grid_text_reads_back_exactly_and_is_distinct(values):
+    texts = [grid_text(x) for x in values]
+    assert [float(t) for t in texts] == values
+    assert len(set(texts)) == len(values)
+
+
+def test_grid_text_keeps_the_6_digit_text_where_exact():
+    # the default grids, and every file named or keyed by them, are unchanged
+    for x in DEFAULT_ALPHA_GRID + DEFAULT_THETA_LIST:
+        assert grid_text(x) == f"{x:.6g}"
+    x = 0.1000000001
+    assert grid_text(x) == grid_text(np.float64(x)) == "0.1000000001"
 
 
 def test_csv_near_integer_theta_not_rounded(tmp_path):

@@ -53,6 +53,14 @@ def _user(uid, power, sir):
     return UserProfile(uid, power, sir)
 
 
+def _boundaries(plan):
+    """Each internal boundary's whole GB, recomputed from the plan's bands:
+    the larger facing guard band, rounded up to whole subcarriers."""
+    bands = plan.guard_per_band
+    return tuple(math.ceil(max(a.gb_subcarriers, b.gb_subcarriers) - 1e-9)
+                 for a, b in zip(bands, bands[1:]))
+
+
 class TestUserProfile:
     def test_valid(self):
         u = _user("a", 10.0, 20.0)
@@ -185,12 +193,9 @@ class TestAllocateGuards:
         ]
         plan = allocate_guards(users, lut)
         assert plan.total_gd_samples == sum(a.gd_samples for a in plan.guard_per_band)
-        assert plan.total_gb_subcarriers == sum(plan.boundary_gb)
-        assert len(plan.boundary_gb) == len(users) - 1
+        assert len(plan.guard_per_band) == len(users)
         # independent oracle for the boundaries
-        for k, gb in enumerate(plan.boundary_gb):
-            a, b = plan.guard_per_band[k], plan.guard_per_band[k + 1]
-            assert gb == math.ceil(max(a.gb_subcarriers, b.gb_subcarriers) - 1e-9)
+        assert plan.total_gb_subcarriers == sum(_boundaries(plan))
 
     def test_boundary_uses_larger_side(self, lut):
         a, b = _user("a", 10.0, 20.0), _user("b", 0.0, 30.0)
@@ -198,7 +203,8 @@ class TestAllocateGuards:
         assert plan.theta_per_band == (40.0, 10.0)
         assert plan.guard_per_band[0].theta_db == 40.0
         assert plan.guard_per_band[1].theta_db == 10.0
-        assert plan.boundary_gb == (8,)
+        assert _boundaries(plan) == (8,)
+        assert plan.total_gb_subcarriers == 8
         assert plan.total_gd_samples == 50 + 0
 
     def test_fractional_guard_rounds_up(self, lut):
@@ -206,7 +212,8 @@ class TestAllocateGuards:
         a, b = _user("a", 0.0, 15.0), _user("b", 0.0, 15.0)
         plan = allocate_guards([a, b], lut)
         assert plan.theta_per_band == (15.0, 15.0)
-        assert plan.boundary_gb == (3,)
+        assert _boundaries(plan) == (3,)
+        assert plan.total_gb_subcarriers == 3
 
     def test_out_of_range_names_user(self, lut):
         a, b = _user("quiet", 0.0, 20.0), _user("loud", 60.0, 20.0)
@@ -225,7 +232,8 @@ class TestFixedGuardPlan:
         plan = fixed_guard_plan(users, lut)
         assert plan.theta_per_band == (45.0, 45.0, 45.0)
         assert plan.total_gd_samples == 3 * 80
-        assert plan.boundary_gb == (12, 12)
+        assert _boundaries(plan) == (12, 12)
+        assert plan.total_gb_subcarriers == 24
 
     def test_empty_table(self):
         with pytest.raises(ValueError, match="no reachable threshold"):
@@ -470,8 +478,8 @@ class TestOrderingSearchOracles:
 
 
 def _check_swap_window(users, lut, order):
-    """At every i, the swap window's cost change is the whole ordering's, and
-    only the bands it returns change."""
+    """At every i, the swap window's cost change is the whole ordering's, as
+    allocate_guards costs it, and only the bands it returns change."""
     kernel = scheduler._OrderingCost(users, lut)
     n = len(order)
     for i in range(n - 1):
@@ -480,7 +488,9 @@ def _check_swap_window(users, lut, order):
         trial, pairs = list(order), kernel.bands(order, 0, n)
         before, after, lo, new = scheduler._swap_window(kernel, trial, pairs, i)
         assert trial == swapped
-        full_before, full_after = kernel.cost(order), kernel.cost(swapped)
+        full_before, full_after = (
+            allocate_guards([users[k] for k in o], lut).cost for o in (order, swapped)
+        )
         assert (after[0] - before[0], after[1] - before[1]) == (
             full_after[0] - full_before[0], full_after[1] - full_before[1]
         )
