@@ -28,7 +28,7 @@ from .spectrum import (
     required_guard_band,  # noqa: F401  unused here; perfbench's tracer wraps it
     windowed_psd,  # noqa: F401  unused here; perfbench's tracer wraps it
 )
-from .waveform import pulse_weights
+from .waveform import check_extension
 
 DEFAULT_ALPHA_GRID = tuple(round(0.005 * i, 3) for i in range(41))  # 0 .. 0.2
 DEFAULT_THETA_LIST = (20.0, 25.0, 30.0, 35.0, 40.0, 45.0)
@@ -87,16 +87,20 @@ def efficiency_curves(
     return {t: curve for t, curve in curves.items() if curve}
 
 
-def _column(alpha, thetas, cfg: NumerologyConfig) -> dict[float, GuardAllocation]:
-    """theta -> allocation at roll-off alpha, for each of thetas it reaches:
-    one leakage model, one bisection per threshold."""
+def _column(alpha, thetas, cfg: NumerologyConfig, best=None) -> dict:
+    """theta -> allocation at alpha for each of thetas it reaches, one model and
+    one bisection each; one that provably cannot beat best[theta] is left out."""
     gd = WindowSpec.for_config(alpha, cfg).t_cp_win
     model, out = LeakageModel.for_alpha(alpha, cfg), {}
     for theta in thetas:
+        stop = None
+        if best and theta in best:
+            def stop(gb, eta=best[theta].eta):  # gb, and so any larger GB, loses
+                return spectral_efficiency(gd, gb, cfg)[2] <= eta
         with contextlib.suppress(ThetaUnreachableError):
-            gb = model.guard_band(theta)
-            eta = spectral_efficiency(gd, gb, cfg)
-            out[theta] = GuardAllocation(alpha, gd, gb, *eta, theta)
+            if (gb := model.guard_band(theta, stop)) is not None:
+                eta = spectral_efficiency(gd, gb, cfg)
+                out[theta] = GuardAllocation(alpha, gd, gb, *eta, theta)
     return out
 
 
@@ -231,7 +235,8 @@ def build_lookup_table(
     ascending alpha, a threshold whose best eta already reaches that bound is
     not bisected, and an alpha with no threshold left builds no model. An
     allocation found later has the larger alpha, so it loses every tie, as
-    best_allocation rules.
+    best_allocation rules. A bisection stops once its bracket's lower end has
+    an eta no better than the best: eta falls as the guard band grows.
     """
     thetas = checked_theta_list(theta_list)
     best: dict[float, GuardAllocation] = {}
@@ -240,7 +245,7 @@ def build_lookup_table(
         bound = spectral_efficiency(gd, 0.0, cfg)[0]
         open_thetas = [t for t in thetas if t not in best or best[t].eta < bound]
         if open_thetas:
-            for t, a in _column(alpha, open_thetas, cfg).items():
+            for t, a in _column(alpha, open_thetas, cfg, best).items():
                 best[t] = best_allocation((best.get(t, a), a))
     return LookupTable(best, [t for t in thetas if t not in best])
 
@@ -279,7 +284,7 @@ def checked_alpha_grid(alpha_grid, cfg: NumerologyConfig) -> list:
                 f"alpha_grid values must be numbers in [0, 1], got {alpha!r}"
             )
         try:
-            pulse_weights(cfg, WindowSpec.for_config(alpha, cfg).t_cp_win)
+            check_extension(cfg, WindowSpec.for_config(alpha, cfg).t_cp_win)
         except ValueError as exc:
             raise ValueError(f"alpha_grid value {alpha!r}: {exc}") from None
         if alpha in alpha_grid[:i]:

@@ -69,7 +69,7 @@ def theta_for_assignment(assignment) -> list[float]:
     """Per-band interference thresholds from neighbor SIR demands and offsets.
 
     Edge bands take the max over their single neighbor; a lone user has no
-    neighbor, so its threshold is 0 dB.
+    neighbor, so its threshold is 0 dB: the smallest table entry is its floor.
     """
     users = list(assignment)
     if not users:

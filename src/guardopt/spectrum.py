@@ -40,6 +40,7 @@ SEGMENT_SYMBOLS = 32  # Welch segment length, in oversampled symbols
 PSD_SYMBOLS = 128  # symbols in the psd export's one Welch draw
 TOL_SUBCARRIERS = 0.01  # guard-band bisection tolerance
 _BLOCK = 64  # lags per block when LeakageModel evaluates its power series
+_COLUMN_RAMP = 1j * np.arange(_BLOCK)  # times a phase: the exponents of z^column
 
 
 class ThetaUnreachableError(ValueError):
@@ -323,6 +324,7 @@ class LeakageModel:
     alpha: float
     cfg: NumerologyConfig
     coeffs: np.ndarray  # c_d at d = _BLOCK * row + column, zero-padded
+    row_ramp: np.ndarray  # 1j * arange(rows): times _BLOCK phases, those of z^row
     lag_step: float     # phase of z per Hz of guard band: 2 pi / fs
     ceiling_db: float
     # guard band (Hz) -> suppression_db, shared by every search on this model
@@ -340,27 +342,27 @@ class LeakageModel:
         bound = m * np.finfo(float).eps * np.abs(coeffs).sum()
         rows = -(-m // _BLOCK)
         coeffs = np.pad(coeffs, (0, rows * _BLOCK - m)).reshape(rows, _BLOCK)
-        return cls(alpha, cfg, coeffs, 2 * np.pi / ocfg.sample_rate,
-                   float(-_to_db(bound)))
+        return cls(alpha, cfg, coeffs, 1j * np.arange(rows),
+                   2 * np.pi / ocfg.sample_rate, float(-_to_db(bound)))
 
     def suppression_db(self, guard_band_hz: float) -> float:
         """z^d = z^(_BLOCK * row) * z^column: two short exp vectors and one
         matrix-vector product, every phase computed directly."""
         phase = self.lag_step * guard_band_hz
-        column = np.exp(1j * phase * np.arange(_BLOCK))
-        row = np.exp(1j * (phase * _BLOCK) * np.arange(self.coeffs.shape[0]))
+        column = np.exp(phase * _COLUMN_RAMP)
+        row = np.exp((phase * _BLOCK) * self.row_ramp)
         ratio = (row @ (self.coeffs @ column)).real
         return min(float(-_to_db(ratio)), self.ceiling_db)
 
-    def guard_band(self, theta: float) -> float:
+    def guard_band(self, theta: float, stop=None) -> float | None:
         """Smallest guard band (subcarriers, fractional) achieving suppression
-        >= theta.
+        >= theta, by bisection up to the oversampled Nyquist frequency.
 
-        Bisection over the guard band up to the oversampled Nyquist frequency;
-        raises ThetaUnreachableError when even the largest guard fails, or
-        when theta lies above ceiling_db. Searches on one model start from the
-        same endpoints and often the same first midpoints, so each distinct
-        guard band is read once per model.
+        Raises ThetaUnreachableError when even the largest guard fails, or
+        when theta lies above ceiling_db. Searches on one model share its
+        readings, so each distinct guard band is read once per model. After
+        the endpoint checks, stop(lo) is asked at each midpoint lo that falls
+        short, a lower bound on the answer; once it is true, returns None.
         """
         if not 0 < theta < np.inf:  # false for NaN too: it fails every comparison
             raise ValueError(f"theta must be finite and positive, got {theta}")
@@ -384,6 +386,8 @@ class LeakageModel:
                 hi = mid
             else:
                 lo = mid
+                if stop is not None and stop(lo / spacing):
+                    return None
         return hi / spacing
 
     def _read(self, guard_band_hz: float) -> float:

@@ -105,17 +105,18 @@ def extend_and_window(
 
 def pulse_weights(cfg: NumerologyConfig, ramp_len: int) -> np.ndarray:
     """Per-symbol weights: RC ramps of ramp_len around a unit CP and body.
-
-    The cyclic extension (channel CP plus one ramp) must be shorter than the
-    symbol it copies from; the synthesis and the expected PSD both check it
-    here.
-    """
-    if ramp_len + cfg.t_cp_ch >= cfg.n_fft:
-        raise ValueError("cyclic extension exceeds symbol length")
+    The synthesis and the expected PSD both run check_extension here."""
+    check_extension(cfg, ramp_len)
     return np.concatenate(
         [rising_taper(ramp_len), np.ones(cfg.t_cp_ch + cfg.n_fft),
          falling_taper(ramp_len)]
     )
+
+
+def check_extension(cfg: NumerologyConfig, ramp_len: int) -> None:
+    """ValueError unless channel CP plus one ramp is shorter than the symbol."""
+    if ramp_len + cfg.t_cp_ch >= cfg.n_fft:
+        raise ValueError("cyclic extension exceeds symbol length")
 
 
 def overlap_add(symbols) -> np.ndarray:

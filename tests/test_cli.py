@@ -345,9 +345,9 @@ def _count_bisections(monkeypatch) -> list:
     """The (alpha, theta) pairs the guard search bisects, as it runs."""
     calls, real = [], LeakageModel.guard_band
 
-    def counted(model, theta):
+    def counted(model, theta, stop=None):
         calls.append((model.alpha, theta))
-        return real(model, theta)
+        return real(model, theta, stop)
 
     monkeypatch.setattr(LeakageModel, "guard_band", counted)
     return calls
@@ -573,6 +573,21 @@ class TestScheduleCommand:
         want = schedule_interference_based(load_users_yaml(path), lookup, mode)
         rows = (out / "schedule_adaptive_scheduled.csv").read_text().splitlines()
         assert [row.split(",")[1] for row in rows[1:]] == [u.id for u in want]
+
+    def test_lone_user_takes_the_smallest_entry(self, tmp_path):
+        # a band with no neighbour has theta 0 dB, which ceils to the
+        # smallest entry: its GD is charged, and with no boundary no GB is
+        path = tmp_path / "one.yaml"
+        path.write_text("users:\n  - {id: solo, power_dbm: 20, sir_req_db: 15}\n")
+        out = tmp_path / "o"
+        argv = ["schedule", "--users", str(path), "--theta", "30,45", "--out", str(out)]
+        assert _run(argv) == 0
+        for scenario in ("adaptive_random", "adaptive_scheduled"):
+            rows = (out / f"schedule_{scenario}.csv").read_text().splitlines()
+            assert rows[1:] == ["0,solo,0,12.571890,33"], scenario
+        totals = (out / "guard_comparison.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:3] for row in totals[1:]] == [
+            ["adaptive_random", "33", "0"], ["adaptive_scheduled", "33", "0"]]
 
     def test_mode_flag_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

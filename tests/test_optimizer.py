@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from guardopt.numerology import NumerologyConfig, round_half_up
+from guardopt.numerology import NumerologyConfig, WindowSpec, round_half_up
 from guardopt.optimizer import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_THETA_LIST,
     GuardAllocation,
     LookupTable,
     build_lookup_table,
+    checked_alpha_grid,
     config_fingerprint,
     efficiency_curve,
     efficiency_curves,
@@ -27,6 +28,7 @@ from guardopt.spectrum import (
     ThetaUnreachableError,
     required_guard_band,
 )
+from guardopt.waveform import pulse_weights
 
 # coarse grid keeps the PSD cache small; acceptance runs the full default grid
 ALPHAS = (0.0, 0.02, 0.05, 0.1, 0.2)
@@ -201,11 +203,11 @@ class TestLookupTable:
     def test_failures_recorded(self, cfg, monkeypatch):
         real = LeakageModel.guard_band
 
-        def flaky(model, theta):
+        def flaky(model, theta, stop=None):
             # theta=30 unreachable at every alpha
             if theta == 30.0:
                 raise ThetaUnreachableError("flaky")
-            return real(model, theta)
+            return real(model, theta, stop)
 
         monkeypatch.setattr(LeakageModel, "guard_band", flaky)
         table = build_lookup_table([20.0, 30.0], cfg, ALPHAS)
@@ -239,12 +241,67 @@ def test_default_build_reads_each_guard_band_once_per_model(cfg, monkeypatch):
 
 def test_bounded_build_skips_the_pairs_that_cannot_win(cfg, monkeypatch):
     # the table build bisects only where eta_time(alpha) still beats the
-    # threshold's best eta, and builds no model for an alpha with none left
+    # threshold's best eta, stops a bisection once its bracket cannot win,
+    # and builds no model for an alpha with none left
     reads = _counted_reads(monkeypatch)
     build_lookup_table(DEFAULT_THETA_LIST, cfg)
     keys = [(id(model), g) for model, g in reads]
-    assert len(keys) == len(set(keys)) == 1158
+    assert len(keys) == len(set(keys)) == 759
     assert len({id(model) for model, _ in reads}) == 23
+
+
+def test_bounded_build_reads_what_the_curves_read(cfg, monkeypatch):
+    # a stopped bisection is a prefix of the full one: every reading of the
+    # table build is, bit for bit, the same model's reading in the curves
+    real = LeakageModel.suppression_db
+    readings = {"build": {}, "curves": {}}
+    run = "build"
+
+    def recorded(model, guard_band_hz):
+        value = real(model, guard_band_hz)
+        readings[run][model.alpha, guard_band_hz] = value
+        return value
+
+    monkeypatch.setattr(LeakageModel, "suppression_db", recorded)
+    build_lookup_table(DEFAULT_THETA_LIST, cfg)
+    run = "curves"
+    efficiency_curves(DEFAULT_THETA_LIST, cfg)
+    build, curves = readings["build"], readings["curves"]
+    assert len(build) == 759 and len(curves) == 2659
+    for key, value in build.items():
+        assert curves[key].hex() == value.hex(), key
+
+
+@st.composite
+def _numerologies(draw):
+    n_fft = draw(st.integers(2, 512))
+    return NumerologyConfig(n_fft=n_fft, n_occupied=draw(st.integers(1, n_fft - 1)),
+                            t_cp_ch=draw(st.integers(0, n_fft - 1)))
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(cfg=_numerologies(), alpha=st.floats(0.0, 1.0))
+# GD 2 plus CP 2 fills the 4-sample symbol exactly
+@example(cfg=NumerologyConfig(n_fft=4, n_occupied=3, t_cp_ch=2), alpha=1 / 3)
+def test_alpha_check_agrees_with_pulse_weights(cfg, alpha):
+    # the grid check builds no pulse, yet refuses exactly the roll-offs whose
+    # pulse the synthesis and the expected PSD would refuse, with their text:
+    # those whose cyclic extension, CP plus GD, fills the symbol
+    gd = WindowSpec.for_config(alpha, cfg).t_cp_win
+    try:
+        pulse_weights(cfg, gd)
+        want = None
+    except ValueError as exc:
+        want = f"alpha_grid value {alpha!r}: {exc}"
+    try:
+        assert checked_alpha_grid([alpha], cfg) == [alpha]
+        got = None
+    except ValueError as exc:
+        got = str(exc)
+    assert got == want
+    assert (want is not None) == (cfg.t_cp_ch + gd >= cfg.n_fft)
+    if want is not None:
+        assert want.endswith(": cyclic extension exceeds symbol length")
 
 
 def _entry(theta, gb):

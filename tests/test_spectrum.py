@@ -450,6 +450,60 @@ def test_guard_band_matches_reference_bisection(cfg):
         assert any(text in str(o) for o in outcomes), text
 
 
+class TestStopPredicate:
+    ALPHAS = (0.0, 0.05, 0.2)
+    THETAS = (5.0, 20.0, 33.3, 45.0, 80.0, 150.0, 300.0)
+
+    def test_never_firing_changes_nothing(self, cfg):
+        # identical floats or error texts, and the predicate sees each failed
+        # midpoint's guard band, in subcarriers, ascending
+        for alpha in self.ALPHAS:
+            model = LeakageModel.for_alpha(alpha, cfg)
+            for theta in self.THETAS:
+                seen = []
+                got = _outcome(lambda t: model.guard_band(
+                    t, lambda gb: seen.append(gb) or False), theta)
+                assert got == _outcome(
+                    lambda t: _reference_guard_band(model, t), theta
+                ), (alpha, theta)
+                assert seen == sorted(set(seen))
+                if isinstance(got, float) and seen:
+                    assert seen[-1] < got
+
+    def test_always_firing_stops_at_the_first_failed_midpoint(self, cfg, monkeypatch):
+        model = LeakageModel.for_alpha(0.05, cfg)
+        reads, real = [], LeakageModel.suppression_db
+
+        def counted(m, guard_band_hz):
+            value = real(m, guard_band_hz)
+            reads.append((guard_band_hz, value))
+            return value
+
+        monkeypatch.setattr(LeakageModel, "suppression_db", counted)
+        seen = []
+        assert model.guard_band(45.0, lambda gb: seen.append(gb) or True) is None
+        # the two endpoints, then midpoints reaching 45 dB down to the first
+        # that does not, where the search ends
+        hits = [value >= 45.0 for _, value in reads[2:]]
+        assert len(hits) > 1 and hits == [True] * (len(hits) - 1) + [False]
+        assert seen == [reads[-1][0] / cfg.subcarrier_spacing]
+
+    def test_endpoint_outcomes_ignore_it(self, cfg):
+        # a threshold needing no guard returns 0.0, an unreachable one raises
+        # the same error, and neither consults the predicate
+        for alpha in self.ALPHAS:
+            model = LeakageModel.for_alpha(alpha, cfg)
+            fired = []
+            stop = lambda gb: fired.append(gb) or True  # noqa: E731
+            assert model.guard_band(5.0, stop) == 0.0
+            for theta in (150.0, 300.0):
+                with pytest.raises(ThetaUnreachableError) as exc:
+                    model.guard_band(theta, stop)
+                assert str(exc.value) == _outcome(
+                    lambda t: _reference_guard_band(model, t), theta)
+            assert fired == []
+
+
 class TestExpectedPsd:
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
     def test_matches_roll_loop(self, cfg, alpha):
