@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import yaml
-
 
 def round_half_up(x: float) -> int:
     """Deterministic round-half-up (0.5 always goes up, on every platform)."""
@@ -107,6 +105,7 @@ def read_keys(m, readers: dict, what: str) -> dict:
 def load_yaml(path):
     """Parse a YAML file; malformed YAML raises a one-line ValueError naming
     the file and, when the parser knows it, the line and column."""
+    import yaml  # here, so a run that reads no YAML file never loads it
     with open(path) as fh:
         try:
             return yaml.safe_load(fh)

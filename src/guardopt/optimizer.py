@@ -164,8 +164,8 @@ class LookupTable:
         if k < len(self._thetas) and self._thetas[k] >= floor:
             return self._allocs[k]
         raise KeyError(
-            f"theta={theta:.2f} dB exceeds the lookup table maximum "
-            f"({self.max_theta:.2f} dB)"
+            f"theta={grid_text(theta)} dB exceeds the lookup table maximum "
+            f"({grid_text(self.max_theta)} dB)"
         )
 
     def save_csv(self, path, cfg: NumerologyConfig) -> None:

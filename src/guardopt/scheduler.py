@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -76,15 +77,12 @@ def theta_for_assignment(assignment) -> list[float]:
         raise ValueError("assignment must not be empty")
     if len(users) == 1:
         return [0.0]
-    thetas = []
-    for i, u in enumerate(users):
-        candidates = []
-        for j in (i - 1, i + 1):
-            if 0 <= j < len(users):
-                nb = users[j]
-                candidates.append(_theta_term(u.power_dbm, nb.power_dbm, nb.sir_req_db))
-        thetas.append(max(candidates))
-    return thetas
+    # each boundary's terms toward the right and back; max() keeps the left on a tie
+    right = [_theta_term(u.power_dbm, v.power_dbm, v.sir_req_db)
+             for u, v in zip(users, users[1:])]
+    left = [_theta_term(v.power_dbm, u.power_dbm, u.sir_req_db)
+            for u, v in zip(users, users[1:])]
+    return [right[0], *(r if r > l else l for l, r in zip(left, right[1:])), left[-1]]
 
 
 def _theta_term(power, nb_power, nb_sir):
@@ -141,46 +139,58 @@ def _boundary_gb(a: GuardAllocation, b: GuardAllocation) -> int:
     return max(_whole_gb(a), _whole_gb(b))
 
 
+class _OffTable(partial):
+    """An off-table pair: a read unpacks it, calling _ceil_allocation, which raises."""
+
+    def __iter__(self):
+        self()
+
+
 class _OrderingCost:
     """Band costs of orderings of one set of two or more users.
 
-    Orderings are lists of user indices. A band costs two integers, its whole
-    GB and its GD; a boundary costs the larger whole GB of its two bands.
-    Each threshold term is computed once per user pair and the table is read
-    once per distinct threshold, so no SchedulePlan is built per candidate;
-    _run_cost over a whole ordering's bands equals
+    Orderings are lists of user indices. A band costs (whole GB, GD); a
+    boundary costs the larger whole GB of its two bands. pair[b][j] is band
+    b's cost at its threshold term[b][j] toward neighbor j, or an _OffTable,
+    read off the table once per set by one searchsorted, as ceil_lookup
+    bisects; the lookup is monotone, so band b between a and c costs the pair
+    of its larger term. _run_cost over a whole ordering's bands equals
     `allocate_guards(ordering).cost`, errors included.
     """
 
     def __init__(self, users, lookup: LookupTable):
         self.users = users
-        self.lookup = lookup
         power = np.array([u.power_dbm for u in users])
         sir = np.array([u.sir_req_db for u in users])
         # term[i][j]: threshold of band i toward neighbor j
-        self.term = _theta_term(power[:, None], power, sir).tolist()
-        self._pairs: dict[float, tuple[int, int]] = {}
+        term = _theta_term(power[:, None], power, sir)
+        self.term = term.tolist()
+        levels = [(_whole_gb(g), g.gd_samples) for g in lookup.entries.values()]
+        # ceil_lookup's bisect_left(thetas, theta - 1e-9), for every term at once
+        index = np.searchsorted(np.fromiter(lookup.entries, float), term - 1e-9)
+        self.pair = np.fromiter(levels + [None], object)[index].tolist()
+        for b, j in zip(*np.nonzero(index == len(levels))):
+            theta = self.term[b][j]
+            self.pair[b][j] = _OffTable(_ceil_allocation, lookup, users[b], theta)
 
     def guards(self, a: int, b: int, c: int) -> tuple[int, int]:
         """(whole GB, GD) of band b between a and c (a == c: a is its only
         neighbor)."""
-        term = self.term[b]
-        theta = term[c] if term[c] > term[a] else term[a]  # max(), but faster
-        pair = self._pairs.get(theta)
-        if pair is None:
-            g = _ceil_allocation(self.lookup, self.users[b], theta)
-            pair = self._pairs[theta] = (_whole_gb(g), g.gd_samples)
-        return pair
+        return self.bands((a, b, c), 1, 2)[0]
 
     def bands(self, order, lo: int, hi: int) -> list[tuple[int, int]]:
         """(whole GB, GD) of bands lo .. hi-1 of `order`, read in index order;
         an edge band's only neighbor is mirrored."""
-        last = len(order) - 1
-        return [
-            self.guards(order[k - 1] if k else order[1], order[k],
-                        order[k + 1] if k < last else order[k - 1])
-            for k in range(lo, hi)
-        ]
+        term, pair, last = self.term, self.pair, len(order) - 1
+        out = []
+        for k in range(lo, hi):
+            b = order[k]
+            a = order[k - 1] if k else order[1]
+            c = order[k + 1] if k < last else order[k - 1]
+            t = term[b]
+            gb, gd = pair[b][c] if t[c] > t[a] else pair[b][a]
+            out.append((gb, gd))
+        return out
 
 
 def _run_cost(pairs) -> tuple[int, int]:
@@ -199,41 +209,44 @@ def _swap_window(kernel: _OrderingCost, order, pairs, i: int):
     """Swap bands i and i+1 of `order` in place and cost the swap locally.
 
     `pairs` holds every band's (whole GB, GD) before the swap. Only bands
-    i-1 .. i+2 change user or neighbor, so the swap changes the cost of bands
-    i-2 .. i+3 and of the boundaries between them, and nothing else; costs
-    are integers, so comparing the window's cost before and after decides as
-    comparing whole orderings does. The changed bands are read in index order
-    and every other band's threshold was read before, so a threshold beyond
-    the table raises the error a full re-cost would, for the same user.
+    i-1 .. i+2 change user or neighbor, so only bands i-2 .. i+3 and their
+    boundaries change cost; costs are integers, so comparing this window
+    before and after decides as comparing whole orderings does. The window is
+    read in index order and its end bands were read before, so a threshold
+    beyond the table raises the error a full re-cost would, for the same user.
 
     Returns (before, after, lo, new): the window's cost before and after the
     swap, and the new pairs of bands lo, lo+1, ...
     """
     order[i], order[i + 1] = order[i + 1], order[i]
-    lo, hi = max(i - 1, 0), min(i + 3, len(order))
+    lo, hi = max(i - 2, 0), min(i + 4, len(order))
     new = kernel.bands(order, lo, hi)
-    left, right = pairs[max(lo - 1, 0):lo], pairs[hi:hi + 1]
-    return (
-        _run_cost(left + pairs[lo:hi] + right),
-        _run_cost(left + new + right),
-        lo,
-        new,
-    )
+    return _run_cost(pairs[lo:hi]), _run_cost(new), lo, new
 
 
 def _swap_order(kernel: _OrderingCost, order: list[int]) -> list[int]:
-    """Adjacent-swap passes over `order` until no swap lowers the cost."""
-    pairs = kernel.bands(order, 0, len(order))
-    improved = True
-    while improved:
-        improved = False
-        for i in range(len(order) - 1):
+    """Adjacent-swap passes over `order` until no swap lowers the cost.
+
+    A trial of swap i reads positions i-3 .. i+4 only, so a rejected swap is
+    tried again only once an accepted swap has moved one of them: the swaps
+    accepted are those of passes that try every swap.
+    """
+    n = len(order)
+    pairs = kernel.bands(order, 0, n)
+    retry = [True] * (n - 1)  # swap i may give a new answer
+    while any(retry):
+        for i in range(n - 1):
+            if not retry[i]:
+                continue
             before, after, lo, new = _swap_window(kernel, order, pairs, i)
             if after < before:
                 pairs[lo:lo + len(new)] = new
-                improved = True
+                # positions i and i+1 moved: trials i-4 .. i+4 read them
+                for j in range(max(i - 4, 0), min(i + 5, n - 1)):
+                    retry[j] = True
             else:
                 order[i], order[i + 1] = order[i + 1], order[i]
+                retry[i] = False
     return order
 
 
@@ -242,54 +255,55 @@ def _exact_order(kernel: _OrderingCost) -> list[int]:
 
     Held-Karp DP: band b's guards depend on its two neighbors and the a|b
     boundary on the whole GBs of a and b, so the cost of everything from band
-    b on depends only on (placed set, a, b, whole GB of a). Costs add as
-    (GB, GD) pairs. Each state keeps its least cost with the smallest next
-    user reaching it, and the ordering is read off the states from the front:
-    the lexicographically first optimal index sequence, which is the
-    permutation search's answer.
+    b on depends only on the state (placed set, a, b, whole GB of a). Each
+    state is searched once (its caller probes the memo) and keeps its least
+    (GB, GD) cost with the smallest next user reaching it; the ordering read
+    off the states from the front is the lexicographically first optimal
+    index sequence, the permutation search's answer.
 
-    Prefixes are searched in permutation order and each band's guards are
-    read when first needed: when the next band is placed, or at the full set
-    for the last band, the order `allocate_guards` reads them in. A state's
-    subtree reads the same bands whatever a's GB, and a memoised one was
-    searched without error, so a threshold beyond the table raises the
-    permutation search's error for the same user and theta.
+    Prefixes are searched in permutation order and each band is read when
+    first needed: when the next band is placed, or at the full set for the
+    last band, as `allocate_guards` reads them. A state's subtree reads the
+    same bands whatever a's GB, and a memoised one was searched without
+    error, so a threshold beyond the table raises the permutation search's
+    error for the same user and theta.
     """
-    n, guards = len(kernel.users), kernel.guards
+    n, term, pair = len(kernel.users), kernel.term, kernel.pair
     full = (1 << n) - 1
-    # (mask, a, b, whole GB of a) -> (least cost of b's GD, the a|b boundary
-    # and every band after b; next user; whole GB of next)
+    # (mask, a, b, whole GB of a) -> (least GB, GD from a|b on, next user, its GB)
     memo: dict[tuple, tuple] = {}
+    free = [[c for c in range(n) if not mask >> c & 1] for mask in range(full + 1)]
 
     def togo(mask, a, b, ga):
-        key = (mask, a, b, ga)
-        best = memo.get(key)
-        if best is None:
-            if mask == full:
-                gb, gd = guards(a, b, a)
-                best = ((max(ga, gb), gd), None, None)
-            else:
-                steps = []
-                for c in range(n):
-                    if not mask >> c & 1:
-                        gb, gd = guards(a, b, c)
-                        (gb_rest, gd_rest), _, _ = togo(mask | 1 << c, b, c, gb)
-                        boundary = gb if gb > ga else ga
-                        steps.append(((gb_rest + boundary, gd_rest + gd), c, gb))
-                best = min(steps)  # cost first, ties to the smallest c
-            memo[key] = best
+        t, p = term[b], pair[b]
+        if mask == full:  # b is the last band, a its only neighbor
+            gb, gd = p[a]
+            best = memo[mask, a, b, ga] = (gb if gb > ga else ga, gd, None, None)
+            return best
+        ta, pa = t[a], p[a]
+        best = (math.inf, 0, None, None)
+        for c in free[mask]:
+            gb, gd = p[c] if t[c] > ta else pa
+            child = (mask | 1 << c, b, c, gb)
+            rest_gb, rest_gd, _, _ = memo.get(child) or togo(*child)
+            rest_gb += gb if gb > ga else ga
+            rest_gd += gd
+            # cost first, ties to the smallest c
+            if rest_gb < best[0] or rest_gb == best[0] and rest_gd < best[1]:
+                best = (rest_gb, rest_gd, c, gb)
+        memo[mask, a, b, ga] = best
         return best
 
     def start(a, b):
-        ga, gda = guards(b, a, b)
-        (gb_rest, gd_rest), _, _ = togo(1 << a | 1 << b, a, b, ga)
+        ga, gda = pair[a][b]  # b is a's only neighbor
+        gb_rest, gd_rest, _, _ = togo(1 << a | 1 << b, a, b, ga)
         return (gb_rest, gd_rest + gda), a, b, ga
 
     # cost first, ties to the smallest (a, b)
     _, a, b, ga = min(start(a, b) for a in range(n) for b in range(n) if a != b)
     order, mask = [a, b], 1 << a | 1 << b
     while mask != full:
-        _, c, gc = memo[mask, a, b, ga]
+        _, _, c, gc = memo[mask, a, b, ga]
         order.append(c)
         mask, a, b, ga = mask | 1 << c, b, c, gc
     return order
@@ -317,10 +331,12 @@ def schedule_interference_based(
     order, as a search over `itertools.permutations(users)` would.
     heuristic: sort by power (SIR requirement as tie-break), then adjacent-swap
     passes until no swap improves the cost, each swap costed over the six
-    bands it can change (`_swap_window`).
-    A threshold above the table maximum raises ValueError naming the user;
+    bands it can change (`_swap_window`) and retried only once a position it
+    reads has moved. Both read the table once per set (`_OrderingCost`). A
+    threshold above the table maximum raises ValueError naming the user;
     exhaustive mode raises the error of the first ordering, in input order,
-    that leaves the table, as the permutation search would.
+    that leaves the table, as the permutation search would, and heuristic
+    mode the first error of swap passes that cost whole plans.
     theta_floor is ignored: no ordering depends on it. It stays only because
     perfbench/tracer.py passes it positionally, until the next benchmark
     change removes it there.

@@ -1,5 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import guardopt
 from guardopt.numerology import NumerologyConfig, WindowSpec, round_half_up
 
 
@@ -71,3 +76,11 @@ def test_oversampled(cfg):
     with pytest.raises(ValueError):
         cfg.oversampled(0)
 
+
+def test_cli_import_leaves_yaml_unloaded():
+    # only load_yaml needs yaml; guards, psd and lookup-build read no YAML file
+    code = "import sys, guardopt.cli; print('yaml' in sys.modules)"
+    root = str(Path(guardopt.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -354,8 +354,8 @@ def _scan_ceil_lookup(table, theta):
         if t >= theta - 1e-9:
             return alloc
     raise KeyError(
-        f"theta={theta:.2f} dB exceeds the lookup table maximum "
-        f"({table.max_theta:.2f} dB)"
+        f"theta={grid_text(theta)} dB exceeds the lookup table maximum "
+        f"({grid_text(table.max_theta)} dB)"
     )
 
 
@@ -381,6 +381,15 @@ def test_ceil_lookup_matches_linear_scan(keys, queries):
         assert got == _lookup_outcome(_scan_ceil_lookup, table, theta), theta
     assert "exceeds the lookup table maximum" in _lookup_outcome(
         LookupTable.ceil_lookup, table, max(keys) + 1.0
+    )
+
+
+def test_ceil_lookup_error_tells_the_request_from_the_maximum():
+    # a 10.0000004 dBm user beside a 0 dBm user who needs 35 dB
+    table = LookupTable({40.0: _entry(40.0, 1.0), 45.0: _entry(45.0, 2.0)})
+    theta = 35.0 + (10.0000004 - 0.0)
+    assert _lookup_outcome(LookupTable.ceil_lookup, table, theta) == (
+        "'theta=45.0000004 dB exceeds the lookup table maximum (45 dB)'"
     )
 
 

@@ -392,6 +392,12 @@ def _user_sets(draw, max_n):
     return users
 
 
+# 15 to 40 distinct users, ties in power and SIR included
+_long_user_sets = st.integers(15, 40).flatmap(
+    lambda n: st.lists(st.tuples(_levels, _sirs), min_size=n, max_size=n)
+).map(lambda rows: [_user(f"u{i}", p, s) for i, (p, s) in enumerate(rows)])
+
+
 @st.composite
 def _tables(draw, top=st.just(45.0)):
     """Monotone tables: GD and GB never fall as theta rises; fractional GB."""
@@ -443,6 +449,38 @@ class TestOrderingSearchOracles:
         assert _outcome(
             schedule_interference_based, users, lut, "heuristic"
         ) == _outcome(_adjacent_swap_search, users, lut)
+
+    @settings(deadline=None, derandomize=True, max_examples=80)
+    @given(users=_long_user_sets, lut=_tables())
+    def test_heuristic_matches_swap_loop_15_to_40_users(self, users, lut):
+        # long sets accept several swaps per pass, far apart, so trials are
+        # skipped between them until a swap moves a position they read
+        assert _outcome(
+            schedule_interference_based, users, lut, "heuristic"
+        ) == _outcome(_adjacent_swap_search, users, lut)
+
+    @settings(deadline=None, derandomize=True, max_examples=80)
+    @given(users=_long_user_sets, lut=_tables(st.floats(25.0, 45.0)))
+    def test_heuristic_out_of_range_same_error_15_to_40_users(self, users, lut):
+        assert _outcome(
+            schedule_interference_based, users, lut, "heuristic"
+        ) == _outcome(_adjacent_swap_search, users, lut)
+
+    @pytest.mark.parametrize("rows, entries", [
+        # a swap accepted at i-4 moves position i-3, the left neighbor of band
+        # i-2, whose whole GB the trial of swap i reads
+        ([(0, 20), (1, 15), (0, 7), (0.6, 16), (3, 30), (0, 18), (15, 4)],
+         [(17.0, 0, 3.0), (45.0, 1, 13.0)]),
+        # a swap accepted at i+4 moves position i+4, the right neighbor of
+        # band i+3
+        ([(8, 7), (14, 24), (8, 20), (15, 15), (13.5, 20), (15, 24), (15, 21)],
+         [(20.0, 0, 9.0), (23.0, 1, 9.0), (45.0, 1, 11.0)]),
+    ], ids=["left_end", "right_end"])
+    def test_heuristic_retries_a_swap_when_its_window_ends_move(self, rows, entries):
+        users = [_user(f"u{i}", float(p), float(s)) for i, (p, s) in enumerate(rows)]
+        lut = LookupTable({t: _alloc(t, gd, gb) for t, gd, gb in entries})
+        got = schedule_interference_based(users, lut, "heuristic")
+        assert got == _adjacent_swap_search(users, lut)
 
     @pytest.mark.parametrize("mode", ["exhaustive", "heuristic"])
     def test_one_user(self, lut, mode):
@@ -555,6 +593,55 @@ class TestWholeGuardBands:
         assert got == _permutation_search(users, lut)
 
 
+@st.composite
+def _users_and_near_table(draw):
+    """Users, and a table whose thresholds sit within 2e-9 dB of theirs."""
+    rows = draw(st.lists(st.tuples(_levels, _sirs), min_size=2, max_size=6))
+    terms = sorted({s + (p - q) for (p, _), (q, s) in itertools.permutations(rows, 2)})
+    near = st.sampled_from([-2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 2e-9])
+    keys = {t + draw(near) for t in draw(st.lists(st.sampled_from(terms), min_size=1))}
+    entries = {k: _alloc(k, i, 0.75 * i) for i, k in enumerate(sorted(keys))}
+    return [_user(f"u{i}", p, s) for i, (p, s) in enumerate(rows)], LookupTable(entries)
+
+
+class TestPerReadReferences:
+    """Thresholds and table reads made once per set, against the per-band
+    loop and the per-read ceil_lookup they replace."""
+
+    @settings(derandomize=True, max_examples=200)
+    @given(rows=st.lists(st.tuples(_levels, _sirs), min_size=2, max_size=8))
+    def test_theta_for_assignment_matches_per_band_loop(self, rows):
+        # reference: each band's max() over the terms toward its neighbors
+        users = [_user(f"u{i}", p, s) for i, (p, s) in enumerate(rows)]
+        want = [
+            max(users[j].sir_req_db + (u.power_dbm - users[j].power_dbm)
+                for j in (i - 1, i + 1) if 0 <= j < len(users))
+            for i, u in enumerate(users)
+        ]
+        assert theta_for_assignment(users) == want
+
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(case=_users_and_near_table())
+    def test_guards_read_the_entry_ceil_lookup_reads(self, case):
+        # every (band, neighbors) read, against ceil_lookup at the larger term
+        users, lut = case
+        kernel = scheduler._OrderingCost(users, lut)
+        for a, b, c in itertools.product(range(len(users)), repeat=3):
+            if b in (a, c):
+                continue
+            theta = theta_for_assignment([users[a], users[b], users[c]])[1]
+            try:
+                g = scheduler._ceil_allocation(lut, users[b], theta)
+                want = (math.ceil(g.gb_subcarriers - 1e-9), g.gd_samples)
+            except ValueError as exc:
+                want = str(exc)
+            try:
+                got = kernel.guards(a, b, c)
+            except ValueError as exc:
+                got = str(exc)
+            assert got == want, (a, b, c)
+
+
 class TestOutOfRangeTheta:
     """A threshold above the table maximum names the user in every path."""
 
@@ -603,7 +690,7 @@ class TestOutOfRangeTheta:
             schedule_interference_based(users, lut)
         assert str(got.value) == str(want.value) == (
             f"theta for user {user!r} out of lookup range: "
-            f"'theta={theta:.2f} dB exceeds the lookup table maximum (45.00 dB)'"
+            f"'theta={theta} dB exceeds the lookup table maximum (45 dB)'"
         )
 
 
