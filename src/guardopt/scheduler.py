@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .optimizer import GuardAllocation, LookupTable
 
 USE_CASES = ("eMBB", "mMTC", "URLLC")  # read by perfbench only
 EXACT_LIMIT = 10  # largest user set the default search orders exactly
+RANDOM_DRAWS = 1000  # seeded orderings compare_scenarios tries for its baseline
 
 
 @dataclass(frozen=True)
@@ -107,12 +107,13 @@ def _guard_plan(users: tuple, thetas, lookup: LookupTable) -> SchedulePlan:
     """Guards from per-band thresholds; each internal boundary is counted once,
     sized by the larger facing guard band in whole subcarriers."""
     allocs = [_ceil_allocation(lookup, u, theta) for u, theta in zip(users, thetas)]
+    whole = [_whole_gb(a) for a in allocs]
     return SchedulePlan(
         assignment=users,
         theta_per_band=tuple(thetas),
         guard_per_band=tuple(allocs),
         total_gd_samples=sum(a.gd_samples for a in allocs),
-        total_gb_subcarriers=sum(map(_boundary_gb, allocs, allocs[1:])),
+        total_gb_subcarriers=sum(map(max, whole, whole[1:])),
     )
 
 
@@ -129,21 +130,9 @@ def _ceil_allocation(
 
 
 def _whole_gb(a: GuardAllocation) -> int:
-    """A band's guard band in whole subcarriers."""
+    """A band's guard band in whole subcarriers; rounding up is monotone, so
+    a boundary's whole GB is the larger of its two bands' whole GBs."""
     return math.ceil(a.gb_subcarriers - 1e-9)
-
-
-def _boundary_gb(a: GuardAllocation, b: GuardAllocation) -> int:
-    """Guard band shared by two adjacent bands, in whole subcarriers: rounding
-    up is monotone, so it is the larger of the two bands' whole GBs."""
-    return max(_whole_gb(a), _whole_gb(b))
-
-
-class _OffTable(partial):
-    """An off-table pair: a read unpacks it, calling _ceil_allocation, which raises."""
-
-    def __iter__(self):
-        self()
 
 
 class _OrderingCost:
@@ -151,36 +140,31 @@ class _OrderingCost:
 
     Orderings are lists of user indices. A band costs (whole GB, GD); a
     boundary costs the larger whole GB of its two bands. pair[b][j] is band
-    b's cost at its threshold term[b][j] toward neighbor j, or an _OffTable,
-    read off the table once per set by one searchsorted, as ceil_lookup
-    bisects; the lookup is monotone, so band b between a and c costs the pair
-    of its larger term. _run_cost over a whole ordering's bands equals
-    `allocate_guards(ordering).cost`, errors included.
+    b's cost at its threshold term[b][j] toward neighbor j, read off the table
+    once per set by one searchsorted, as ceil_lookup bisects; the lookup is
+    monotone, so band b between a and c costs the pair of its larger term.
+    A term above the table costs (off, 0), with off = n x the table's largest
+    whole GB + 1: more than the n - 1 boundaries of any on-table ordering add
+    up to, so an ordering's GB reaches off exactly when one of its bands is
+    off the table.
     """
 
     def __init__(self, users, lookup: LookupTable):
-        self.users = users
         power = np.array([u.power_dbm for u in users])
         sir = np.array([u.sir_req_db for u in users])
         # term[i][j]: threshold of band i toward neighbor j
         term = _theta_term(power[:, None], power, sir)
         self.term = term.tolist()
         levels = [(_whole_gb(g), g.gd_samples) for g in lookup.entries.values()]
+        # an empty table puts every band off it
+        self.off = len(users) * max(levels, default=(0, 0))[0] + 1
         # ceil_lookup's bisect_left(thetas, theta - 1e-9), for every term at once
         index = np.searchsorted(np.fromiter(lookup.entries, float), term - 1e-9)
-        self.pair = np.fromiter(levels + [None], object)[index].tolist()
-        for b, j in zip(*np.nonzero(index == len(levels))):
-            theta = self.term[b][j]
-            self.pair[b][j] = _OffTable(_ceil_allocation, lookup, users[b], theta)
-
-    def guards(self, a: int, b: int, c: int) -> tuple[int, int]:
-        """(whole GB, GD) of band b between a and c (a == c: a is its only
-        neighbor)."""
-        return self.bands((a, b, c), 1, 2)[0]
+        self.pair = np.fromiter(levels + [(self.off, 0)], object)[index].tolist()
 
     def bands(self, order, lo: int, hi: int) -> list[tuple[int, int]]:
-        """(whole GB, GD) of bands lo .. hi-1 of `order`, read in index order;
-        an edge band's only neighbor is mirrored."""
+        """(whole GB, GD) of bands lo .. hi-1 of `order`; an edge band's only
+        neighbor is mirrored."""
         term, pair, last = self.term, self.pair, len(order) - 1
         out = []
         for k in range(lo, hi):
@@ -188,8 +172,7 @@ class _OrderingCost:
             a = order[k - 1] if k else order[1]
             c = order[k + 1] if k < last else order[k - 1]
             t = term[b]
-            gb, gd = pair[b][c] if t[c] > t[a] else pair[b][a]
-            out.append((gb, gd))
+            out.append(pair[b][c] if t[c] > t[a] else pair[b][a])
         return out
 
 
@@ -211,9 +194,7 @@ def _swap_window(kernel: _OrderingCost, order, pairs, i: int):
     `pairs` holds every band's (whole GB, GD) before the swap. Only bands
     i-1 .. i+2 change user or neighbor, so only bands i-2 .. i+3 and their
     boundaries change cost; costs are integers, so comparing this window
-    before and after decides as comparing whole orderings does. The window is
-    read in index order and its end bands were read before, so a threshold
-    beyond the table raises the error a full re-cost would, for the same user.
+    before and after decides as comparing whole orderings does.
 
     Returns (before, after, lo, new): the window's cost before and after the
     swap, and the new pairs of bands lo, lo+1, ...
@@ -224,8 +205,9 @@ def _swap_window(kernel: _OrderingCost, order, pairs, i: int):
     return _run_cost(pairs[lo:hi]), _run_cost(new), lo, new
 
 
-def _swap_order(kernel: _OrderingCost, order: list[int]) -> list[int]:
-    """Adjacent-swap passes over `order` until no swap lowers the cost.
+def _swap_order(kernel: _OrderingCost, order: list[int]) -> tuple[list[int], bool]:
+    """Adjacent-swap passes over `order` until no swap lowers the cost; the
+    ordering, and whether its bands are all on the table.
 
     A trial of swap i reads positions i-3 .. i+4 only, so a rejected swap is
     tried again only once an accepted swap has moved one of them: the swaps
@@ -247,11 +229,12 @@ def _swap_order(kernel: _OrderingCost, order: list[int]) -> list[int]:
             else:
                 order[i], order[i + 1] = order[i + 1], order[i]
                 retry[i] = False
-    return order
+    return order, max(pairs)[0] < kernel.off
 
 
-def _exact_order(kernel: _OrderingCost) -> list[int]:
-    """First minimum-cost ordering in `itertools.permutations` order.
+def _exact_order(kernel: _OrderingCost) -> tuple[list[int], bool]:
+    """First minimum-cost ordering in `itertools.permutations` order, and
+    whether its bands are all on the table.
 
     Held-Karp DP: band b's guards depend on its two neighbors and the a|b
     boundary on the whole GBs of a and b, so the cost of everything from band
@@ -260,15 +243,8 @@ def _exact_order(kernel: _OrderingCost) -> list[int]:
     (GB, GD) cost with the smallest next user reaching it; the ordering read
     off the states from the front is the lexicographically first optimal
     index sequence, the permutation search's answer.
-
-    Prefixes are searched in permutation order and each band is read when
-    first needed: when the next band is placed, or at the full set for the
-    last band, as `allocate_guards` reads them. A state's subtree reads the
-    same bands whatever a's GB, and a memoised one was searched without
-    error, so a threshold beyond the table raises the permutation search's
-    error for the same user and theta.
     """
-    n, term, pair = len(kernel.users), kernel.term, kernel.pair
+    n, term, pair = len(kernel.term), kernel.term, kernel.pair
     full = (1 << n) - 1
     # (mask, a, b, whole GB of a) -> (least GB, GD from a|b on, next user, its GB)
     memo: dict[tuple, tuple] = {}
@@ -300,13 +276,13 @@ def _exact_order(kernel: _OrderingCost) -> list[int]:
         return (gb_rest, gd_rest + gda), a, b, ga
 
     # cost first, ties to the smallest (a, b)
-    _, a, b, ga = min(start(a, b) for a in range(n) for b in range(n) if a != b)
+    (gb, _), a, b, ga = min(start(a, b) for a in range(n) for b in range(n) if a != b)
     order, mask = [a, b], 1 << a | 1 << b
     while mask != full:
         _, _, c, gc = memo[mask, a, b, ga]
         order.append(c)
         mask, a, b, ga = mask | 1 << c, b, c, gc
-    return order
+    return order, gb < kernel.off
 
 
 def schedule_random(users, seed: int) -> list[UserProfile]:
@@ -332,11 +308,11 @@ def schedule_interference_based(
     heuristic: sort by power (SIR requirement as tie-break), then adjacent-swap
     passes until no swap improves the cost, each swap costed over the six
     bands it can change (`_swap_window`) and retried only once a position it
-    reads has moved. Both read the table once per set (`_OrderingCost`). A
-    threshold above the table maximum raises ValueError naming the user;
-    exhaustive mode raises the error of the first ordering, in input order,
-    that leaves the table, as the permutation search would, and heuristic
-    mode the first error of swap passes that cost whole plans.
+    reads has moved. Both read the table once per set (`_OrderingCost`), where
+    an ordering with a band above the table costs more than any without one:
+    exhaustive mode fails only if every ordering has such a band, heuristic
+    mode if its passes end with one. The error is allocate_guards', naming
+    the user.
     theta_floor is ignored: no ordering depends on it. It stays only because
     perfbench/tracer.py passes it positionally, until the next benchmark
     change removes it there.
@@ -353,14 +329,19 @@ def schedule_interference_based(
                 f"exhaustive search is limited to {EXACT_LIMIT} users; "
                 "use mode='heuristic'"
             )
-        return [users[i] for i in _exact_order(kernel)]
-    if mode == "heuristic":
+        order, on_table = _exact_order(kernel)
+    elif mode == "heuristic":
         order = sorted(
             range(len(users)),
             key=lambda i: (users[i].power_dbm, users[i].sir_req_db),
         )
-        return [users[i] for i in _swap_order(kernel, order)]
-    raise ValueError("mode must be 'exhaustive' or 'heuristic'")
+        order, on_table = _swap_order(kernel, order)
+    else:
+        raise ValueError("mode must be 'exhaustive' or 'heuristic'")
+    ordering = [users[i] for i in order]
+    if not on_table:
+        allocate_guards(ordering, lookup)  # raises for its first band off the table
+    return ordering
 
 
 @dataclass(frozen=True)
@@ -379,12 +360,28 @@ def compare_scenarios(
     users, seed: int, lookup: LookupTable, mode: str | None = None
 ) -> list[ScenarioRow]:
     """Fixed/random vs adaptive/random vs adaptive/interference-based guards;
-    `mode` as in schedule_interference_based."""
-    random_order = schedule_random(users, seed)
-    fixed = fixed_guard_plan(random_order, lookup)
-    adaptive = allocate_guards(random_order, lookup)
+    `mode` as in schedule_interference_based.
+
+    The random order is the first of up to RANDOM_DRAWS permutations drawn
+    from the seed (the first is `schedule_random(users, seed)`) whose bands
+    are all on the table. The scheduled search runs first, so a set with no
+    such ordering fails with the search's error; if every draw leaves the
+    table, the last draw's error is raised.
+    """
+    users = list(users)
     scheduled_order = schedule_interference_based(users, lookup, mode)
     scheduled = allocate_guards(scheduled_order, lookup)
+    rng = np.random.default_rng(seed)
+    for _ in range(RANDOM_DRAWS):
+        order = [users[i] for i in rng.permutation(len(users))]
+        try:
+            adaptive = allocate_guards(order, lookup)
+            break
+        except ValueError as exc:
+            error = exc
+    else:
+        raise error
+    fixed = fixed_guard_plan(adaptive.assignment, lookup)
     return [
         ScenarioRow("fixed_random", fixed, 0.0, 0.0),
         ScenarioRow(

@@ -344,28 +344,51 @@ class TestScheduleInterferenceBased:
 
 
 def _permutation_search(users, lut):
-    """Oracle: the first minimum-cost ordering over every permutation."""
-    return list(min(
-        itertools.permutations(users),
-        key=lambda p: allocate_guards(p, lut).cost,
-    ))
+    """Oracle: the first minimum-cost ordering among the permutations that
+    allocate_guards accepts; ValueError if it accepts none."""
+    plans = []
+    for p in itertools.permutations(users):
+        try:
+            plans.append(allocate_guards(p, lut))
+        except ValueError:
+            pass
+    if not plans:
+        raise ValueError("no ordering stays on the table")
+    return list(min(plans, key=lambda plan: plan.cost).assignment)
+
+
+def _sentinel_cost(order, lut):
+    """allocate_guards' cost, band by band, where a band above the table
+    costs (n x the table's largest whole GB + 1, 0)."""
+    whole = [math.ceil(a.gb_subcarriers - 1e-9) for a in lut.entries.values()]
+    bands = []
+    for theta in theta_for_assignment(order):
+        try:
+            a = lut.ceil_lookup(theta)
+            bands.append((math.ceil(a.gb_subcarriers - 1e-9), a.gd_samples))
+        except KeyError:
+            bands.append((len(order) * max(whole) + 1, 0))
+    return (sum(max(a[0], b[0]) for a, b in zip(bands, bands[1:])),
+            sum(gd for _, gd in bands))
 
 
 def _adjacent_swap_search(users, lut):
-    """Oracle: the adjacent-swap heuristic, costing full plans."""
+    """Oracle: the adjacent-swap heuristic, costing full plans with the
+    sentinel; allocate_guards' error if its passes end off the table."""
     order = sorted(users, key=lambda u: (u.power_dbm, u.sir_req_db))
     improved = True
     while improved:
         improved = False
-        cost = allocate_guards(order, lut).cost
+        cost = _sentinel_cost(order, lut)
         for i in range(len(order) - 1):
             order[i], order[i + 1] = order[i + 1], order[i]
-            trial = allocate_guards(order, lut).cost
+            trial = _sentinel_cost(order, lut)
             if trial < cost:
                 cost = trial
                 improved = True
             else:
                 order[i], order[i + 1] = order[i + 1], order[i]
+    allocate_guards(order, lut)
     return order
 
 
@@ -378,14 +401,16 @@ def _outcome(search, *args):
 
 
 _levels = st.one_of(st.sampled_from([0.0, 3.0, 7.5, 15.0]), st.floats(0.0, 15.0))
+# power spreads up to 30 dB: some neighbor pairs leave a 45 dB table, others not
+_wide_levels = st.one_of(_levels, st.sampled_from([20.0, 30.0]), st.floats(0.0, 30.0))
 _sirs = st.one_of(st.sampled_from([15.0, 20.0, 30.0]), st.floats(1.0, 30.0))
 
 
 @st.composite
-def _user_sets(draw, max_n):
+def _user_sets(draw, max_n, levels=_levels):
     """Sets with tied powers/SIRs; sometimes one user object appears twice."""
     n = draw(st.integers(1, max_n))
-    rows = draw(st.lists(st.tuples(_levels, _sirs), min_size=n, max_size=n))
+    rows = draw(st.lists(st.tuples(levels, _sirs), min_size=n, max_size=n))
     users = [_user(f"u{i}", p, s) for i, (p, s) in enumerate(rows)]
     if len(users) < max_n and draw(st.booleans()):
         users.insert(draw(st.integers(0, len(users))), users[0])
@@ -430,22 +455,22 @@ class TestOrderingSearchOracles:
         want = _adjacent_swap_search(users, lut)
         assert [id(u) for u in got] == [id(u) for u in want]
 
-    @settings(deadline=None, derandomize=True, max_examples=60)
-    @given(users=_user_sets(6), lut=_tables(st.floats(10.0, 45.0)))
-    def test_out_of_range_same_error_as_oracles(self, users, lut):
+    @settings(deadline=None, derandomize=True, max_examples=100)
+    @given(users=_user_sets(6, _wide_levels), lut=_tables(st.floats(10.0, 45.0)))
+    def test_exhaustive_is_first_on_table_optimum(self, users, lut):
         # tables that stop short of some neighbor pairs' thresholds
-        assert _outcome(schedule_interference_based, users, lut) == _outcome(
-            _permutation_search, users, lut
-        )
-        assert _outcome(
-            schedule_interference_based, users, lut, "heuristic"
-        ) == _outcome(_adjacent_swap_search, users, lut)
+        try:
+            want = [id(u) for u in _permutation_search(users, lut)]
+        except ValueError:
+            with pytest.raises(ValueError, match=r"^theta for user 'u\d+' out of "):
+                schedule_interference_based(users, lut)
+        else:
+            assert _outcome(schedule_interference_based, users, lut) == want
 
     @settings(deadline=None, derandomize=True, max_examples=150)
     @given(users=_user_sets(14), lut=_tables(st.floats(10.0, 45.0)))
-    def test_heuristic_out_of_range_same_error_up_to_14_users(self, users, lut):
-        # a swap reads only the bands it changes: the first one off the
-        # table must be the one the plan-costed loop meets first
+    def test_heuristic_off_table_matches_swap_loop_up_to_14_users(self, users, lut):
+        # an off-table band costs the sentinel in the window and in the plan
         assert _outcome(
             schedule_interference_based, users, lut, "heuristic"
         ) == _outcome(_adjacent_swap_search, users, lut)
@@ -461,7 +486,7 @@ class TestOrderingSearchOracles:
 
     @settings(deadline=None, derandomize=True, max_examples=80)
     @given(users=_long_user_sets, lut=_tables(st.floats(25.0, 45.0)))
-    def test_heuristic_out_of_range_same_error_15_to_40_users(self, users, lut):
+    def test_heuristic_off_table_matches_swap_loop_15_to_40_users(self, users, lut):
         assert _outcome(
             schedule_interference_based, users, lut, "heuristic"
         ) == _outcome(_adjacent_swap_search, users, lut)
@@ -512,7 +537,7 @@ class TestOrderingSearchOracles:
         monkeypatch.setattr(LookupTable, "ceil_lookup", counted)
         monkeypatch.setattr(scheduler, "SchedulePlan", no_plan)
         assert schedule_interference_based(users, lut, mode) == want
-        assert len(thetas) == len(set(thetas))  # one table read per theta
+        assert thetas == []  # the kernel's one searchsorted reads the table
 
 
 def _check_swap_window(users, lut, order):
@@ -570,7 +595,6 @@ class TestWholeGuardBands:
     def test_boundary_is_larger_whole_gb(self, gb_a, gb_b):
         a, b = _alloc(20.0, 0, gb_a), _alloc(30.0, 0, gb_b)
         want = math.ceil(max(gb_a, gb_b) - 1e-9)
-        assert scheduler._boundary_gb(a, b) == want
         assert max(scheduler._whole_gb(a), scheduler._whole_gb(b)) == want
 
     def test_dp_merges_entries_sharing_a_whole_gb(self):
@@ -587,9 +611,10 @@ class TestWholeGuardBands:
                  _user("c", 10.0, 18.0), _user("d", 3.0, 25.0),
                  _user("e", 8.0, 16.0)]
         kernel = scheduler._OrderingCost(users, lut)
-        assert kernel.guards(0, 1, 2) == (3, 5)  # b at 20 dB
-        assert kernel.guards(0, 1, 3) == (3, 9)  # b at 27 dB, read at 30
-        got = [users[i] for i in scheduler._exact_order(kernel)]
+        assert kernel.bands((0, 1, 2), 1, 2)[0] == (3, 5)  # b at 20 dB
+        assert kernel.bands((0, 1, 3), 1, 2)[0] == (3, 9)  # b at 27 dB, read at 30
+        order, _ = scheduler._exact_order(kernel)
+        got = [users[i] for i in order]
         assert got == _permutation_search(users, lut)
 
 
@@ -623,23 +648,22 @@ class TestPerReadReferences:
     @settings(deadline=None, derandomize=True, max_examples=200)
     @given(case=_users_and_near_table())
     def test_guards_read_the_entry_ceil_lookup_reads(self, case):
-        # every (band, neighbors) read, against ceil_lookup at the larger term
+        # every (band, neighbors) read, against ceil_lookup at the larger
+        # term; a term above the table reads the sentinel
         users, lut = case
         kernel = scheduler._OrderingCost(users, lut)
+        whole = [math.ceil(g.gb_subcarriers - 1e-9) for g in lut.entries.values()]
+        assert kernel.off == len(users) * max(whole) + 1
         for a, b, c in itertools.product(range(len(users)), repeat=3):
             if b in (a, c):
                 continue
             theta = theta_for_assignment([users[a], users[b], users[c]])[1]
             try:
-                g = scheduler._ceil_allocation(lut, users[b], theta)
+                g = lut.ceil_lookup(theta)
                 want = (math.ceil(g.gb_subcarriers - 1e-9), g.gd_samples)
-            except ValueError as exc:
-                want = str(exc)
-            try:
-                got = kernel.guards(a, b, c)
-            except ValueError as exc:
-                got = str(exc)
-            assert got == want, (a, b, c)
+            except KeyError:
+                want = (kernel.off, 0)
+            assert kernel.bands((a, b, c), 1, 2)[0] == want, (a, b, c)
 
 
 class TestOutOfRangeTheta:
@@ -657,41 +681,51 @@ class TestOutOfRangeTheta:
         with pytest.raises(ValueError, match="'loud' out of lookup range"):
             allocate_guards(self.USERS, lut)
 
-    def test_exhaustive_error_matches_permutation_search(self, lut):
-        # only a next to c leaves the table (46 dB); the first permutation
-        # with that pair adjacent is (a, c, b, d)
-        users = [_user("a", 30.0, 15.0), _user("b", 28.0, 15.0),
-                 _user("c", 0.0, 16.0), _user("d", 29.0, 15.0)]
-        with pytest.raises(ValueError) as exc:
-            _permutation_search(users, lut)
-        with pytest.raises(ValueError) as got:
-            schedule_interference_based(users, lut)
-        assert str(got.value) == str(exc.value)
-        assert "'a'" in str(got.value)
-
-    @pytest.mark.parametrize("rows, user, theta", [
-        # only d next to c leaves the table; the first failing permutation is
-        # (a, b, c, d), whose last band is read at the full set
-        ([(10.0, 15.0), (5.0, 15.0), (0.0, 20.0), (30.0, 15.0)], "d", 50),
-        # a, b and d each leave the table next to c; the first out-of-range
-        # pair in input order is a|c (55 dB), but (a, b, c, d) fails at b first
-        ([(30.0, 15.0), (25.0, 15.0), (0.0, 25.0), (25.0, 15.0)], "b", 50),
-        # c leaves the table next to a (50 dB) and d (55 dB); (a, b, c, d)
-        # fails at c between b and d, so the larger threshold is reported
-        ([(0.0, 20.0), (15.0, 20.0), (30.0, 15.0), (0.0, 25.0)], "c", 55),
-    ], ids=["last_band", "not_first_pair", "middle_band"])
-    def test_exhaustive_error_is_first_failing_permutation(
-        self, lut, rows, user, theta
-    ):
+    @pytest.mark.parametrize("rows, order", [
+        # only a next to c leaves the table (46 dB)
+        ([(30.0, 15.0), (28.0, 15.0), (0.0, 16.0), (29.0, 15.0)], "abdc"),
+        # only d next to c leaves the table (50 dB)
+        ([(10.0, 15.0), (5.0, 15.0), (0.0, 20.0), (30.0, 15.0)], "cabd"),
+        # c leaves the table next to a (50 dB) and d (55 dB), not next to b
+        ([(0.0, 20.0), (15.0, 20.0), (30.0, 15.0), (0.0, 25.0)], "adbc"),
+    ], ids=["one_pair", "last_band", "middle_band"])
+    def test_exhaustive_keeps_off_table_pairs_apart(self, lut, rows, order):
         users = [_user(uid, *row) for uid, row in zip("abcd", rows)]
-        with pytest.raises(ValueError) as want:
+        got = schedule_interference_based(users, lut)
+        assert got == _permutation_search(users, lut)
+        assert "".join(u.id for u in got) == order
+
+    def test_exhaustive_fails_when_no_ordering_is_on_table(self, lut):
+        # a, b and d each leave the table next to c, which needs a neighbor
+        rows = [(30.0, 15.0), (25.0, 15.0), (0.0, 25.0), (25.0, 15.0)]
+        users = [_user(uid, *row) for uid, row in zip("abcd", rows)]
+        with pytest.raises(ValueError):
             _permutation_search(users, lut)
-        with pytest.raises(ValueError) as got:
+        with pytest.raises(ValueError, match=r"^theta for user '[abd]' out of "):
             schedule_interference_based(users, lut)
-        assert str(got.value) == str(want.value) == (
-            f"theta for user {user!r} out of lookup range: "
-            f"'theta={theta} dB exceeds the lookup table maximum (45 dB)'"
-        )
+
+    USABLE = [_user("a", 30.0, 15.0), _user("b", 15.0, 15.0), _user("c", 0.0, 20.0)]
+
+    @pytest.mark.parametrize("mode, order", [("exhaustive", "abc"),
+                                             ("heuristic", "cba")])
+    def test_set_with_an_on_table_ordering_schedules(self, lut, mode, order):
+        # a next to c needs 50 dB; b between them keeps every band on the table
+        got = schedule_interference_based(self.USABLE, lut, mode)
+        assert "".join(u.id for u in got) == order
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_baseline_redraws_off_table_orders(self, lut, seed):
+        # seed 0 draws c-a-b first, which leaves the table
+        rows = compare_scenarios(self.USABLE, seed, lut)
+        assert [r.scenario for r in rows] == [
+            "fixed_random", "adaptive_random", "adaptive_scheduled"
+        ]
+        assert rows[0].plan.assignment == rows[1].plan.assignment
+        assert rows[1].plan.assignment[1].id == "b"
+        first = schedule_random(self.USABLE, seed)
+        if first[1].id == "b":  # an on-table first draw is kept
+            assert list(rows[1].plan.assignment) == first
+        assert "".join(u.id for u in rows[2].plan.assignment) == "abc"
 
 
 class TestCompareScenarios:
