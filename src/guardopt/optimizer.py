@@ -14,8 +14,9 @@ import hashlib
 import json
 import math
 import numbers
-from bisect import bisect_left
 from dataclasses import dataclass
+
+import numpy as np
 
 from .numerology import NumerologyConfig, WindowSpec
 from .parallel import parallel_map
@@ -139,9 +140,9 @@ class LookupTable:
     def __init__(self, entries: dict[float, GuardAllocation], failures=()):
         self.entries = dict(sorted(entries.items()))
         self.failures: tuple[float, ...] = tuple(failures)
-        # the entries' thresholds, ascending, and their allocations
-        self._thetas = list(self.entries)
-        self._allocs = list(self.entries.values())
+        # the entries' allocations, ascending in theta, and their thresholds
+        self.allocations = list(self.entries.values())
+        self._thetas = np.fromiter(self.entries, float, len(self.entries))
 
     @classmethod
     def from_curves(cls, thetas, curves) -> "LookupTable":
@@ -156,17 +157,11 @@ class LookupTable:
             raise ValueError("lookup table has no reachable threshold")
         return next(reversed(self.entries))
 
-    def ceil_lookup(self, theta: float) -> GuardAllocation:
-        """Entry at the smallest table theta >= the request (conservative)."""
-        floor = theta - 1e-9
-        k = bisect_left(self._thetas, floor)
-        # the check rejects a NaN request, which bisects to the first entry
-        if k < len(self._thetas) and self._thetas[k] >= floor:
-            return self._allocs[k]
-        raise KeyError(
-            f"theta={grid_text(theta)} dB exceeds the lookup table maximum "
-            f"({grid_text(self.max_theta)} dB)"
-        )
+    def ceil_index(self, thetas):
+        """Index into `allocations` of the entry at the smallest table theta
+        >= each request (conservative), len(allocations) above the maximum
+        and for NaN; a float gives one index, an array an array of them."""
+        return np.searchsorted(self._thetas, np.asarray(thetas, float) - 1e-9)
 
     def save_csv(self, path, cfg: NumerologyConfig) -> None:
         with open(path, "w", newline="") as fh:

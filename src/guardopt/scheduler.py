@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerology import config_float, load_yaml, read_keys
-from .optimizer import GuardAllocation, LookupTable
+from .optimizer import GuardAllocation, LookupTable, grid_text
 
 USE_CASES = ("eMBB", "mMTC", "URLLC")  # read by perfbench only
 EXACT_LIMIT = 10  # largest user set the default search orders exactly
@@ -105,8 +105,17 @@ def fixed_guard_plan(assignment, lookup: LookupTable) -> SchedulePlan:
 
 def _guard_plan(users: tuple, thetas, lookup: LookupTable) -> SchedulePlan:
     """Guards from per-band thresholds; each internal boundary is counted once,
-    sized by the larger facing guard band in whole subcarriers."""
-    allocs = [_ceil_allocation(lookup, u, theta) for u, theta in zip(users, thetas)]
+    sized by the larger facing guard band in whole subcarriers. A band above
+    the table raises ValueError naming its user."""
+    index = lookup.ceil_index(thetas).tolist()
+    for user, theta, k in zip(users, thetas, index):
+        if k == len(lookup.allocations):
+            raise ValueError(
+                f"theta for user {user.id!r} out of lookup range: "
+                f"theta={grid_text(theta)} dB exceeds the lookup table maximum "
+                f"({grid_text(lookup.max_theta)} dB)"
+            )
+    allocs = [lookup.allocations[k] for k in index]
     whole = [_whole_gb(a) for a in allocs]
     return SchedulePlan(
         assignment=users,
@@ -115,18 +124,6 @@ def _guard_plan(users: tuple, thetas, lookup: LookupTable) -> SchedulePlan:
         total_gd_samples=sum(a.gd_samples for a in allocs),
         total_gb_subcarriers=sum(map(max, whole, whole[1:])),
     )
-
-
-def _ceil_allocation(
-    lookup: LookupTable, user: UserProfile, theta: float
-) -> GuardAllocation:
-    """Table entry protecting `user` at `theta`; out of range names the user."""
-    try:
-        return lookup.ceil_lookup(theta)
-    except KeyError as exc:
-        raise ValueError(
-            f"theta for user {user.id!r} out of lookup range: {exc}"
-        ) from exc
 
 
 def _whole_gb(a: GuardAllocation) -> int:
@@ -141,8 +138,8 @@ class _OrderingCost:
     Orderings are lists of user indices. A band costs (whole GB, GD); a
     boundary costs the larger whole GB of its two bands. pair[b][j] is band
     b's cost at its threshold term[b][j] toward neighbor j, read off the table
-    once per set by one searchsorted, as ceil_lookup bisects; the lookup is
-    monotone, so band b between a and c costs the pair of its larger term.
+    once per set by one LookupTable.ceil_index; the read is monotone, so band
+    b between a and c costs the pair of its larger term.
     A term above the table costs (off, 0), with off = n x the table's largest
     whole GB + 1: more than the n - 1 boundaries of any on-table ordering add
     up to, so an ordering's GB reaches off exactly when one of its bands is
@@ -155,11 +152,10 @@ class _OrderingCost:
         # term[i][j]: threshold of band i toward neighbor j
         term = _theta_term(power[:, None], power, sir)
         self.term = term.tolist()
-        levels = [(_whole_gb(g), g.gd_samples) for g in lookup.entries.values()]
+        levels = [(_whole_gb(g), g.gd_samples) for g in lookup.allocations]
         # an empty table puts every band off it
         self.off = len(users) * max(levels, default=(0, 0))[0] + 1
-        # ceil_lookup's bisect_left(thetas, theta - 1e-9), for every term at once
-        index = np.searchsorted(np.fromiter(lookup.entries, float), term - 1e-9)
+        index = lookup.ceil_index(term)
         self.pair = np.fromiter(levels + [(self.off, 0)], object)[index].tolist()
 
     def bands(self, order, lo: int, hi: int) -> list[tuple[int, int]]:
@@ -448,7 +444,7 @@ def write_layout_csv(plan: SchedulePlan, path) -> None:
             zip(plan.assignment, plan.theta_per_band, plan.guard_per_band)
         ):
             fh.write(
-                f"{i},{u.id},{theta:.6g},{a.gb_subcarriers:.6f},{a.gd_samples}\n"
+                f"{i},{u.id},{grid_text(theta)},{a.gb_subcarriers:.6f},{a.gd_samples}\n"
             )
 
 

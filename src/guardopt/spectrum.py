@@ -60,10 +60,6 @@ class PsdEstimate:
         self.power.flags.writeable = False
 
     @property
-    def resolution(self) -> float:
-        return float(self.freqs[1] - self.freqs[0])
-
-    @property
     def power_db(self) -> np.ndarray:
         """Relative power in dB (occupied-band mean = 0 dB), derived on demand."""
         return _to_db(self.power)
@@ -104,7 +100,11 @@ def estimate_psd(stream: np.ndarray, cfg: NumerologyConfig) -> PsdEstimate:
         seg = stream[i * hop:i * hop + seg_len]
         spec = np.fft.fft(seg * window, n=nfft)
         acc += np.abs(spec) ** 2
-    return _normalized(acc / n_segments, cfg)
+    psd = np.fft.fftshift(acc / n_segments)
+    freqs = _frequency_grid(psd.size, cfg.sample_rate)
+    edge = band_edge_hz(cfg)
+    psd /= psd[np.abs(freqs) <= edge].mean()
+    return PsdEstimate(freqs=freqs, power=psd, band_edge_hz=edge)
 
 
 def _oversampled(alpha: float, cfg: NumerologyConfig):
@@ -123,15 +123,6 @@ def _to_db(power):
 def _frequency_grid(size: int, sample_rate: float) -> np.ndarray:
     """Ascending FFT bin frequencies in Hz, one array per grid."""
     return np.fft.fftshift(np.fft.fftfreq(size, d=1.0 / sample_rate))
-
-
-def _normalized(power: np.ndarray, cfg: NumerologyConfig) -> PsdEstimate:
-    """FFT-ordered power -> PsdEstimate, mean over the occupied band = 1."""
-    psd = np.fft.fftshift(power)
-    freqs = _frequency_grid(psd.size, cfg.sample_rate)
-    edge = band_edge_hz(cfg)
-    psd /= psd[np.abs(freqs) <= edge].mean()
-    return PsdEstimate(freqs=freqs, power=psd, band_edge_hz=edge)
 
 
 def band_edge_hz(cfg: NumerologyConfig) -> float:

@@ -589,6 +589,30 @@ class TestScheduleCommand:
         assert [row.split(",")[:3] for row in totals[1:]] == [
             ["adaptive_random", "33", "0"], ["adaptive_scheduled", "33", "0"]]
 
+    def test_layout_writes_the_theta_it_charges(self, tmp_path):
+        # a needs 40.0000004 dB, which %.6g writes as 40, but it is charged
+        # the 45 dB entry (the 40 dB entry is 15.303461, 55)
+        path = tmp_path / "ab.yaml"
+        path.write_text("users:\n  - {id: a, power_dbm: 10.0000004, sir_req_db: 15}\n"
+                        "  - {id: b, power_dbm: 0, sir_req_db: 30}\n")
+        out = tmp_path / "o"
+        assert _run(["schedule", "--users", str(path), "--out", str(out)]) == 0
+        rows = (out / "schedule_adaptive_scheduled.csv").read_text().splitlines()
+        assert rows[1] == "0,a,40.0000004,16.802494,60"
+
+    def test_config_file_sets_users_and_out_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("abc.yaml").write_text(
+            "users:\n  - {id: a, power_dbm: 30, sir_req_db: 15}\n"
+            "  - {id: b, power_dbm: 15, sir_req_db: 15}\n"
+            "  - {id: c, power_dbm: 0, sir_req_db: 20}\n")
+        Path("exp.yaml").write_text(
+            f"users: abc.yaml\nout_dir: s5\nseed: 1\n"
+            f"theta_list: [{SCHED_THETA}]\nalpha_grid: [{ALPHA}]\n")
+        assert _run(["schedule", "--config", "exp.yaml"]) == 0
+        rows = Path("s5/schedule_adaptive_scheduled.csv").read_text().splitlines()
+        assert [row.split(",")[1] for row in rows[1:]] == ["a", "b", "c"]
+
     def test_mode_flag_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["schedule", "--mode", "heuristic", "--out", str(tmp_path)])
@@ -650,6 +674,19 @@ def test_lookup_build_command(tmp_path):
         p.name for p in out.glob("lookup_*.csv")
     ]
     assert len(list(out.glob("lookup_*.csv"))) == 1
+
+
+def test_lookup_cache_with_a_wrong_header_exits_1(tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = ["lookup-build", "--theta", THETA, "--alpha", ALPHA, "--out", str(out)]
+    assert main(argv) == 0
+    (lookup,) = out.glob("lookup_*.csv")
+    lookup.write_text("theta,alpha\n" + lookup.read_text().split("\n", 1)[1])
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {lookup}: unexpected lookup-table header: 'theta,alpha'\n"
+    )
 
 
 def test_loaded_table_keeps_the_built_alpha(tmp_path):

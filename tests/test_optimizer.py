@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from guardopt.numerology import NumerologyConfig, WindowSpec, round_half_up
 from guardopt.optimizer import (
+    ABSENT_THETA,
     DEFAULT_ALPHA_GRID,
     DEFAULT_THETA_LIST,
     GuardAllocation,
@@ -171,18 +172,17 @@ class TestLookupTable:
         achieved = revalidate(LookupTable({45.0: entry}), cfg)
         assert achieved[45.0] < 45.0 - 0.1
 
-    def test_ceil_lookup(self, table):
-        assert table.ceil_lookup(22.0).theta_db == 30.0
-        assert table.ceil_lookup(30.0).theta_db == 30.0
-        assert table.ceil_lookup(-5.0).theta_db == 20.0
-        with pytest.raises(KeyError):
-            table.ceil_lookup(50.0)
+    def test_ceil_index(self, table):
+        index = table.ceil_index([22.0, 30.0, -5.0])
+        assert [table.allocations[k].theta_db for k in index] == [30.0, 30.0, 20.0]
+        # above the maximum: one past the last allocation
+        assert table.ceil_index(50.0) == len(table.allocations) == 3
 
     def test_empty_table_has_no_reachable_threshold(self):
         empty = LookupTable({}, (300.0,))
-        for read in (lambda: empty.max_theta, lambda: empty.ceil_lookup(20.0)):
-            with pytest.raises(ValueError, match="no reachable threshold"):
-                read()
+        assert empty.ceil_index(20.0) == len(empty.allocations) == 0
+        with pytest.raises(ValueError, match="no reachable threshold"):
+            empty.max_theta
 
     def test_csv_round_trip(self, cfg, table, tmp_path):
         path = tmp_path / "lookup.csv"
@@ -324,7 +324,7 @@ _thetas = st.one_of(
        queries=st.lists(_thetas, max_size=6))
 def test_csv_round_trip_preserves_keys_and_lookups(keys, gbs, queries, tmp_path_factory):
     # the loaded table has the built table's keys and answers every ceil
-    # lookup with the same row (or the same refusal); values keep the
+    # read with the same row (or the same off-table index); values keep the
     # file's printed precision
     cfg = NumerologyConfig()
     built = LookupTable({t: _entry(t, gb) for t, gb in zip(keys, gbs)})
@@ -338,59 +338,36 @@ def test_csv_round_trip_preserves_keys_and_lookups(keys, gbs, queries, tmp_path_
         assert b.gb_subcarriers == pytest.approx(a.gb_subcarriers, abs=5e-7)
         assert (b.alpha, b.gd_samples, b.eta) == (a.alpha, a.gd_samples, a.eta)
 
-    def answer(table, theta):
-        try:
-            return table.ceil_lookup(theta).theta_db
-        except KeyError:
-            return None
-
-    for q in queries + keys + [k + 1e-9 for k in keys] + [k - 2e-9 for k in keys]:
-        assert answer(back, q) == answer(built, q)
+    thetas = queries + keys + [k + 1e-9 for k in keys] + [k - 2e-9 for k in keys]
+    assert back.ceil_index(thetas).tolist() == built.ceil_index(thetas).tolist()
 
 
 def _scan_ceil_lookup(table, theta):
-    """Oracle: the linear scan over ascending keys that bisection replaced."""
-    for t, alloc in table.entries.items():
+    """Oracle: the linear scan over ascending keys that the search replaced;
+    the index of the first key within 1e-9 dB below the request or above it,
+    else the number of keys."""
+    for k, t in enumerate(table.entries):
         if t >= theta - 1e-9:
-            return alloc
-    raise KeyError(
-        f"theta={grid_text(theta)} dB exceeds the lookup table maximum "
-        f"({grid_text(table.max_theta)} dB)"
-    )
-
-
-def _lookup_outcome(lookup, table, theta):
-    """The entry read, or the KeyError's text."""
-    try:
-        return lookup(table, theta)
-    except KeyError as exc:
-        return str(exc)
+            return k
+    return len(table.entries)
 
 
 @settings(deadline=None, derandomize=True, max_examples=200)
 @given(keys=st.lists(_thetas, min_size=1, max_size=8, unique=True),
        queries=st.lists(_thetas, max_size=6))
 @example(keys=[0.0, 1.0], queries=[1e-9])  # 1e-9 - 1e-9 is the key 0.0 exactly
-def test_ceil_lookup_matches_linear_scan(keys, queries):
+def test_ceil_index_matches_linear_scan(keys, queries):
     table = LookupTable({t: _entry(t, float(i)) for i, t in enumerate(keys)})
+    assert table.allocations == [table.entries[t] for t in sorted(keys)]
     near = [k + d for k in keys for d in (-2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 2e-9)]
     extremes = [min(keys) - 1.0, max(keys) + 1e-8, max(keys) + 1.0,
                 float("inf"), float("-inf"), float("nan")]
-    for theta in near + extremes + queries:
-        got = _lookup_outcome(LookupTable.ceil_lookup, table, theta)
-        assert got == _lookup_outcome(_scan_ceil_lookup, table, theta), theta
-    assert "exceeds the lookup table maximum" in _lookup_outcome(
-        LookupTable.ceil_lookup, table, max(keys) + 1.0
-    )
-
-
-def test_ceil_lookup_error_tells_the_request_from_the_maximum():
-    # a 10.0000004 dBm user beside a 0 dBm user who needs 35 dB
-    table = LookupTable({40.0: _entry(40.0, 1.0), 45.0: _entry(45.0, 2.0)})
-    theta = 35.0 + (10.0000004 - 0.0)
-    assert _lookup_outcome(LookupTable.ceil_lookup, table, theta) == (
-        "'theta=45.0000004 dB exceeds the lookup table maximum (45 dB)'"
-    )
+    thetas = near + extremes + queries
+    want = [_scan_ceil_lookup(table, theta) for theta in thetas]
+    # one threshold at a time, a list, and a 2-D array, as the kernel reads
+    assert [table.ceil_index(theta) for theta in thetas] == want
+    assert table.ceil_index(thetas).tolist() == want
+    assert table.ceil_index(np.array([thetas, thetas])).tolist() == [want, want]
 
 
 @settings(derandomize=True, max_examples=300)
@@ -420,8 +397,7 @@ def test_csv_near_integer_theta_not_rounded(tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == ["20", "44.9999996"]
     back = LookupTable.load_csv(tmp_path / "t.csv")
     for table in (built, back):
-        with pytest.raises(KeyError):
-            table.ceil_lookup(45.0)
+        assert table.ceil_index(45.0) == len(table.allocations)
 
 
 @pytest.mark.parametrize("column, text, message", [
@@ -439,7 +415,7 @@ def test_csv_near_integer_theta_not_rounded(tmp_path):
         "negative-gd", "nan-gd", "negative-gb", "inf-gb", "nan-gb"])
 def test_load_csv_rejects_damaged_row(tmp_path, column, text, message):
     # a damaged last row (line 3): a repeated key used to replace the first
-    # row, and a NaN key left the entries unsorted for ceil_lookup's bisection
+    # row, and a NaN key left the entries unsorted for ceil_index's search
     path = tmp_path / "t.csv"
     LookupTable({20.0: _entry(20.0, 4.0), 30.0: _entry(30.0, 6.0)}).save_csv(
         path, NumerologyConfig())
@@ -557,6 +533,13 @@ def test_one_pass_per_alpha_matches_one_theta_search(alphas, thetas):
             assert theta not in curves
             with pytest.raises(ThetaUnreachableError, match="absent"):
                 efficiency_curve(theta, cfg, alphas)
+
+
+def test_unreachable_theta_has_no_optimum(cfg):
+    # beyond the 113-114.6 dB the leakage model resolves at any roll-off
+    with pytest.raises(ThetaUnreachableError) as exc:
+        optimize_guards(200.0, cfg, (0.0, 0.1))
+    assert str(exc.value) == ABSENT_THETA.format("200")
 
 
 def test_guard_allocation_product_invariant(cfg):

@@ -362,11 +362,11 @@ def _sentinel_cost(order, lut):
     costs (n x the table's largest whole GB + 1, 0)."""
     whole = [math.ceil(a.gb_subcarriers - 1e-9) for a in lut.entries.values()]
     bands = []
-    for theta in theta_for_assignment(order):
-        try:
-            a = lut.ceil_lookup(theta)
+    for k in lut.ceil_index(theta_for_assignment(order)):
+        if k < len(lut.allocations):
+            a = lut.allocations[k]
             bands.append((math.ceil(a.gb_subcarriers - 1e-9), a.gd_samples))
-        except KeyError:
+        else:
             bands.append((len(order) * max(whole) + 1, 0))
     return (sum(max(a[0], b[0]) for a, b in zip(bands, bands[1:])),
             sum(gd for _, gd in bands))
@@ -524,20 +524,20 @@ class TestOrderingSearchOracles:
     def test_no_plan_per_candidate(self, lut, mode, monkeypatch):
         users = [_user(f"u{i}", float(i), 15.0 + 2 * i) for i in range(7)]
         want = schedule_interference_based(users, lut, mode)
-        thetas = []
-        real = LookupTable.ceil_lookup
+        reads = []
+        real = LookupTable.ceil_index
 
-        def counted(self, theta):
-            thetas.append(theta)
-            return real(self, theta)
+        def counted(self, thetas):
+            reads.append(np.shape(thetas))
+            return real(self, thetas)
 
         def no_plan(*args, **kwargs):
             raise AssertionError("SchedulePlan built during the search")
 
-        monkeypatch.setattr(LookupTable, "ceil_lookup", counted)
+        monkeypatch.setattr(LookupTable, "ceil_index", counted)
         monkeypatch.setattr(scheduler, "SchedulePlan", no_plan)
         assert schedule_interference_based(users, lut, mode) == want
-        assert thetas == []  # the kernel's one searchsorted reads the table
+        assert reads == [(7, 7)]  # the kernel's one read of every term
 
 
 def _check_swap_window(users, lut, order):
@@ -631,7 +631,7 @@ def _users_and_near_table(draw):
 
 class TestPerReadReferences:
     """Thresholds and table reads made once per set, against the per-band
-    loop and the per-read ceil_lookup they replace."""
+    loop and the per-band ceil_index read they replace."""
 
     @settings(derandomize=True, max_examples=200)
     @given(rows=st.lists(st.tuples(_levels, _sirs), min_size=2, max_size=8))
@@ -647,8 +647,8 @@ class TestPerReadReferences:
 
     @settings(deadline=None, derandomize=True, max_examples=200)
     @given(case=_users_and_near_table())
-    def test_guards_read_the_entry_ceil_lookup_reads(self, case):
-        # every (band, neighbors) read, against ceil_lookup at the larger
+    def test_guards_read_the_entry_ceil_index_reads(self, case):
+        # every (band, neighbors) read, against ceil_index at the larger
         # term; a term above the table reads the sentinel
         users, lut = case
         kernel = scheduler._OrderingCost(users, lut)
@@ -658,10 +658,11 @@ class TestPerReadReferences:
             if b in (a, c):
                 continue
             theta = theta_for_assignment([users[a], users[b], users[c]])[1]
-            try:
-                g = lut.ceil_lookup(theta)
+            k = lut.ceil_index(theta)
+            if k < len(lut.allocations):
+                g = lut.allocations[k]
                 want = (math.ceil(g.gb_subcarriers - 1e-9), g.gd_samples)
-            except KeyError:
+            else:
                 want = (kernel.off, 0)
             assert kernel.bands((a, b, c), 1, 2)[0] == want, (a, b, c)
 
@@ -680,6 +681,17 @@ class TestOutOfRangeTheta:
     def test_allocate_guards_names_user(self, lut):
         with pytest.raises(ValueError, match="'loud' out of lookup range"):
             allocate_guards(self.USERS, lut)
+
+    def test_error_tells_the_request_from_the_maximum(self):
+        # a 10.0000004 dBm user beside a 0 dBm user who needs 35 dB
+        lut = LookupTable({40.0: _alloc(40.0, 50, 8.0), 45.0: _alloc(45.0, 80, 12.0)})
+        users = [_user("a", 10.0000004, 20.0), _user("b", 0.0, 35.0)]
+        with pytest.raises(ValueError) as exc:
+            allocate_guards(users, lut)
+        assert str(exc.value) == (
+            "theta for user 'a' out of lookup range: theta=45.0000004 dB exceeds "
+            "the lookup table maximum (45 dB)"
+        )
 
     @pytest.mark.parametrize("rows, order", [
         # only a next to c leaves the table (46 dB)
@@ -726,6 +738,18 @@ class TestOutOfRangeTheta:
         if first[1].id == "b":  # an on-table first draw is kept
             assert list(rows[1].plan.assignment) == first
         assert "".join(u.id for u in rows[2].plan.assignment) == "abc"
+
+    def test_random_baseline_fails_when_every_draw_leaves_the_table(
+        self, lut, monkeypatch
+    ):
+        # seed 0 draws c-a-b first: a next to c needs 50 dB
+        monkeypatch.setattr(scheduler, "RANDOM_DRAWS", 1)
+        with pytest.raises(ValueError) as exc:
+            compare_scenarios(self.USABLE, 0, lut)
+        assert str(exc.value) == (
+            "theta for user 'a' out of lookup range: theta=50 dB exceeds "
+            "the lookup table maximum (45 dB)"
+        )
 
 
 class TestCompareScenarios:

@@ -54,8 +54,8 @@ def _flat_psd(level_victim_db: float, cfg: NumerologyConfig) -> PsdEstimate:
 def _full_grid_band_power(psd: PsdEstimate, f_lo: float, f_hi: float) -> float:
     """Reference formula: cumulative trapezoid over the whole grid, then
     linear interpolation of the cumulative power at both band edges."""
-    p = psd.linear()
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * psd.resolution)])
+    p, step = psd.linear(), psd.freqs[1] - psd.freqs[0]
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * step)])
     lo, hi = np.interp([f_lo, f_hi], psd.freqs, cum)
     return float(hi - lo)
 
@@ -98,8 +98,8 @@ class TestEstimatePsd:
         n = np.arange(16 * 4 * small_cfg.n_fft)
         tone = np.exp(2j * np.pi * k * small_cfg.subcarrier_spacing * n / fs)
         psd = estimate_psd(tone, small_cfg)
-        peak = psd.freqs[np.argmax(psd.power_db)]
-        assert abs(peak - k * small_cfg.subcarrier_spacing) <= psd.resolution
+        peak, step = psd.freqs[np.argmax(psd.power_db)], psd.freqs[1] - psd.freqs[0]
+        assert abs(peak - k * small_cfg.subcarrier_spacing) <= step
 
     def test_normalization_exact(self, small_cfg):
         win = WindowSpec.for_config(0.05, small_cfg)
@@ -112,7 +112,7 @@ class TestEstimatePsd:
         win = WindowSpec.for_config(0.0, small_cfg)
         stream = symbol_stream(small_cfg, win, 40, seed=0)
         psd = estimate_psd(stream, small_cfg)
-        assert psd.resolution <= small_cfg.subcarrier_spacing / 4
+        assert psd.freqs[1] - psd.freqs[0] <= small_cfg.subcarrier_spacing / 4
 
     def test_stream_too_short(self, small_cfg):
         with pytest.raises(ValueError, match="too short"):
@@ -231,7 +231,8 @@ class TestBandPower:
             (-edge - 5.5 * s, -edge + 0.25 * s),
             (edge + 0.37 * s, edge + 1.3 * s),
             (edge + 2.71 * s, edge + 3.71 * s),
-            (psd.freqs[0] + 0.4 * psd.resolution, psd.freqs[0] + 2.2 * s),
+            (psd.freqs[0] + 0.4 * (psd.freqs[1] - psd.freqs[0]),
+             psd.freqs[0] + 2.2 * s),
         ]
         for f_lo, f_hi in bands:
             assert band_power(psd, f_lo, f_hi) == pytest.approx(
@@ -573,10 +574,10 @@ def test_grid_suppression_matches_full_grid_psd(numerology, alpha, shares, align
     # fractional guards and at guards whose victim slot starts on a grid bin
     psd = _rolled_comb_psd(alpha, numerology)
     s = numerology.subcarrier_spacing
-    top = _top_guard_hz(psd, s)
-    bins = int(top // psd.resolution)
+    top, step = _top_guard_hz(psd, s), psd.freqs[1] - psd.freqs[0]
+    bins = int(top // step)
     guards = ([0.0, top] + [u * top for u in shares]
-              + [(j % (bins + 1)) * psd.resolution for j in aligned])
+              + [(j % (bins + 1)) * step for j in aligned])
     got = grid_suppression_db(numerology, [(alpha, g) for g in guards])
     for g, value in zip(guards, got):
         assert value == pytest.approx(suppression_db(psd, g, s), abs=1e-9), g
@@ -587,7 +588,7 @@ def test_grid_suppression_matches_full_grid_psd(numerology, alpha, shares, align
 def test_grid_suppression_victim_past_grid(numerology):
     psd = _rolled_comb_psd(0.05, numerology)
     s = numerology.subcarrier_spacing
-    past = _top_guard_hz(psd, s) + 0.5 * psd.resolution
+    past = _top_guard_hz(psd, s) + 0.5 * (psd.freqs[1] - psd.freqs[0])
     with pytest.raises(ValueError, match="exceeds PSD grid coverage") as oracle:
         suppression_db(psd, past, s)
     with pytest.raises(ValueError) as band_only:
