@@ -116,59 +116,60 @@ def _guard_plan(users: tuple, thetas, lookup: LookupTable) -> SchedulePlan:
                 f"({grid_text(lookup.max_theta)} dB)"
             )
     allocs = [lookup.allocations[k] for k in index]
-    whole = [_whole_gb(a) for a in allocs]
+    levels = _levels(lookup)
+    # fixed_guard_plan of no users is the empty plan
+    total_gb, total_gd = _run_cost([levels[k] for k in index]) if index else (0, 0)
     return SchedulePlan(
         assignment=users,
         theta_per_band=tuple(thetas),
         guard_per_band=tuple(allocs),
-        total_gd_samples=sum(a.gd_samples for a in allocs),
-        total_gb_subcarriers=sum(map(max, whole, whole[1:])),
+        total_gd_samples=total_gd,
+        total_gb_subcarriers=total_gb,
     )
 
 
-def _whole_gb(a: GuardAllocation) -> int:
-    """A band's guard band in whole subcarriers; rounding up is monotone, so
-    a boundary's whole GB is the larger of its two bands' whole GBs."""
-    return math.ceil(a.gb_subcarriers - 1e-9)
+def _levels(lookup: LookupTable) -> list[tuple[int, int]]:
+    """(whole GB, GD) of each entry of `lookup.allocations`: the guard band
+    rounded up to whole subcarriers. Rounding up is monotone, so a
+    boundary's whole GB is the larger of its two bands' whole GBs."""
+    return [(math.ceil(a.gb_subcarriers - 1e-9), a.gd_samples)
+            for a in lookup.allocations]
 
 
 class _OrderingCost:
     """Band costs of orderings of one set of two or more users.
 
     Orderings are lists of user indices. A band costs (whole GB, GD); a
-    boundary costs the larger whole GB of its two bands. pair[b][j] is band
-    b's cost at its threshold term[b][j] toward neighbor j, read off the table
-    once per set by one LookupTable.ceil_index; the read is monotone, so band
-    b between a and c costs the pair of its larger term.
-    A term above the table costs (off, 0), with off = n x the table's largest
-    whole GB + 1: more than the n - 1 boundaries of any on-table ordering add
-    up to, so an ordering's GB reaches off exactly when one of its bands is
-    off the table.
+    boundary costs the larger whole GB of its two bands. index[b][j] is the
+    table entry of band b's threshold toward neighbor j, read once per set by
+    one LookupTable.ceil_index; levels[k] is entry k's cost. The read is
+    monotone, so band b between a and c costs levels[max(index[b][a],
+    index[b][c])]: the entry of its larger threshold.
+    A threshold above the table reads the last level, (off, 0), with off =
+    n x the table's largest whole GB + 1: more than the n - 1 boundaries of
+    any on-table ordering add up to, so an ordering's GB reaches off exactly
+    when one of its bands is off the table.
     """
 
     def __init__(self, users, lookup: LookupTable):
         power = np.array([u.power_dbm for u in users])
         sir = np.array([u.sir_req_db for u in users])
-        # term[i][j]: threshold of band i toward neighbor j
-        term = _theta_term(power[:, None], power, sir)
-        self.term = term.tolist()
-        levels = [(_whole_gb(g), g.gd_samples) for g in lookup.allocations]
+        self.index = lookup.ceil_index(_theta_term(power[:, None], power, sir)).tolist()
+        levels = _levels(lookup)
         # an empty table puts every band off it
         self.off = len(users) * max(levels, default=(0, 0))[0] + 1
-        index = lookup.ceil_index(term)
-        self.pair = np.fromiter(levels + [(self.off, 0)], object)[index].tolist()
+        self.levels = levels + [(self.off, 0)]
 
     def bands(self, order, lo: int, hi: int) -> list[tuple[int, int]]:
         """(whole GB, GD) of bands lo .. hi-1 of `order`; an edge band's only
         neighbor is mirrored."""
-        term, pair, last = self.term, self.pair, len(order) - 1
+        index, levels, last = self.index, self.levels, len(order) - 1
         out = []
         for k in range(lo, hi):
-            b = order[k]
-            a = order[k - 1] if k else order[1]
-            c = order[k + 1] if k < last else order[k - 1]
-            t = term[b]
-            out.append(pair[b][c] if t[c] > t[a] else pair[b][a])
+            row = index[order[k]]
+            i = row[order[k - 1] if k else order[1]]
+            j = row[order[k + 1] if k < last else order[k - 1]]
+            out.append(levels[j if j > i else i])
         return out
 
 
@@ -240,22 +241,23 @@ def _exact_order(kernel: _OrderingCost) -> tuple[list[int], bool]:
     off the states from the front is the lexicographically first optimal
     index sequence, the permutation search's answer.
     """
-    n, term, pair = len(kernel.term), kernel.term, kernel.pair
+    n, index, levels = len(kernel.index), kernel.index, kernel.levels
     full = (1 << n) - 1
     # (mask, a, b, whole GB of a) -> (least GB, GD from a|b on, next user, its GB)
     memo: dict[tuple, tuple] = {}
     free = [[c for c in range(n) if not mask >> c & 1] for mask in range(full + 1)]
 
     def togo(mask, a, b, ga):
-        t, p = term[b], pair[b]
+        row = index[b]
         if mask == full:  # b is the last band, a its only neighbor
-            gb, gd = p[a]
+            gb, gd = levels[row[a]]
             best = memo[mask, a, b, ga] = (gb if gb > ga else ga, gd, None, None)
             return best
-        ta, pa = t[a], p[a]
+        i = row[a]
         best = (math.inf, 0, None, None)
         for c in free[mask]:
-            gb, gd = p[c] if t[c] > ta else pa
+            j = row[c]
+            gb, gd = levels[j if j > i else i]
             child = (mask | 1 << c, b, c, gb)
             rest_gb, rest_gd, _, _ = memo.get(child) or togo(*child)
             rest_gb += gb if gb > ga else ga
@@ -267,7 +269,7 @@ def _exact_order(kernel: _OrderingCost) -> tuple[list[int], bool]:
         return best
 
     def start(a, b):
-        ga, gda = pair[a][b]  # b is a's only neighbor
+        ga, gda = levels[index[a][b]]  # b is a's only neighbor
         gb_rest, gd_rest, _, _ = togo(1 << a | 1 << b, a, b, ga)
         return (gb_rest, gd_rest + gda), a, b, ga
 

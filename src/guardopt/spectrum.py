@@ -18,9 +18,8 @@ Conventions:
 - suppression_db is the one suppression metric: in-band mean density over
   victim-band mean density, so a threshold protects victims of any
   bandwidth. Revalidation re-checks the guard search with it, and
-  LeakageModel is its closed form on the expected PSD; for equal-width
-  victims it coincides with the plain integrated power ratio reported by
-  measure_aci.
+  LeakageModel is its closed form on the expected PSD; measure_aci reports
+  it converted to victim-band power over occupied-band power.
 """
 from __future__ import annotations
 
@@ -63,12 +62,6 @@ class PsdEstimate:
     def power_db(self) -> np.ndarray:
         """Relative power in dB (occupied-band mean = 0 dB), derived on demand."""
         return _to_db(self.power)
-
-    @functools.cached_property
-    def in_band_power(self) -> float:
-        """Power over the occupied band: the reference every leakage is scored
-        against, integrated once per estimate."""
-        return band_power(self, -self.band_edge_hz, self.band_edge_hz)
 
     def linear(self) -> np.ndarray:
         return self.power
@@ -168,19 +161,15 @@ def measure_aci(
     victim_obw: float,
     po: float,
 ) -> AciReport:
-    """Integrate aggressor leakage over an adjacent victim band.
+    """Aggressor leakage into an adjacent victim band, as victim-band power
+    over occupied-band power: suppression_db converted to a power ratio.
 
     The victim occupies [edge + guard_band, edge + guard_band + victim_obw]
     where edge is the aggressor's upper occupied-band edge; guard_band and
     victim_obw are in Hz, po in dB (positive = aggressor hotter).
     """
-    if guard_band < 0:
-        raise ValueError("guard_band must be non-negative")
-    edge = aggressor_psd.band_edge_hz
-    victim = band_power(
-        aggressor_psd, edge + guard_band, edge + guard_band + victim_obw
-    )
-    leak_db = _to_db(victim / aggressor_psd.in_band_power)
+    suppression = suppression_db(aggressor_psd, guard_band, victim_obw)
+    leak_db = _to_db(victim_obw / (2 * aggressor_psd.band_edge_hz)) - suppression
     return AciReport(leak_power_db=leak_db, achieved_sir_db=-leak_db - po)
 
 
@@ -258,10 +247,16 @@ def grid_suppression_db(cfg: NumerologyConfig, readings) -> list:
 def suppression_db(
     psd: PsdEstimate, guard_band_hz: float, victim_obw_hz: float
 ) -> float:
-    """Leakage suppression in dB: in-band mean density over victim mean density."""
-    f_lo = psd.band_edge_hz + guard_band_hz
+    """Leakage suppression in dB: in-band mean density over the mean density
+    of a victim band victim_obw_hz > 0 wide, guard_band_hz >= 0 past the edge."""
+    if not guard_band_hz >= 0:
+        raise ValueError("guard_band must be non-negative")
+    if not victim_obw_hz > 0:
+        raise ValueError("victim_obw must be positive")
+    edge = psd.band_edge_hz
+    f_lo = edge + guard_band_hz
     victim = band_power(psd, f_lo, f_lo + victim_obw_hz)
-    return _density_ratio_db(victim, victim_obw_hz, psd.in_band_power, psd.band_edge_hz)
+    return _density_ratio_db(victim, victim_obw_hz, band_power(psd, -edge, edge), edge)
 
 
 def _density_ratio_db(victim_power, victim_obw_hz, in_band_power, edge_hz) -> float:

@@ -65,6 +65,8 @@ def test_window_spec_invalid():
         WindowSpec(alpha=1.5, t_cp_win=0)
     with pytest.raises(ValueError):
         WindowSpec(alpha=0.0, t_cp_win=3)
+    with pytest.raises(ValueError, match="t_cp_win must be non-negative"):
+        WindowSpec(alpha=0.1, t_cp_win=-1)
 
 
 def test_oversampled(cfg):

@@ -593,9 +593,9 @@ class TestWholeGuardBands:
     @settings(derandomize=True, max_examples=300)
     @given(gb_a=_gbs, gb_b=_gbs)
     def test_boundary_is_larger_whole_gb(self, gb_a, gb_b):
-        a, b = _alloc(20.0, 0, gb_a), _alloc(30.0, 0, gb_b)
+        lut = LookupTable({20.0: _alloc(20.0, 0, gb_a), 30.0: _alloc(30.0, 0, gb_b)})
         want = math.ceil(max(gb_a, gb_b) - 1e-9)
-        assert max(scheduler._whole_gb(a), scheduler._whole_gb(b)) == want
+        assert max(gb for gb, _ in scheduler._levels(lut)) == want
 
     def test_dp_merges_entries_sharing_a_whole_gb(self):
         # the 20 and 30 dB entries both round to 3 subcarriers, so DP states
@@ -620,12 +620,14 @@ class TestWholeGuardBands:
 
 @st.composite
 def _users_and_near_table(draw):
-    """Users, and a table whose thresholds sit within 2e-9 dB of theirs."""
+    """Users, and a table whose thresholds sit within 2e-9 dB of theirs; its
+    GB and GD may fall as theta rises."""
     rows = draw(st.lists(st.tuples(_levels, _sirs), min_size=2, max_size=6))
     terms = sorted({s + (p - q) for (p, _), (q, s) in itertools.permutations(rows, 2)})
     near = st.sampled_from([-2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 2e-9])
     keys = {t + draw(near) for t in draw(st.lists(st.sampled_from(terms), min_size=1))}
-    entries = {k: _alloc(k, i, 0.75 * i) for i, k in enumerate(sorted(keys))}
+    entries = {k: _alloc(k, draw(st.integers(0, 30)), draw(st.floats(0.0, 6.0)))
+               for k in sorted(keys)}
     return [_user(f"u{i}", p, s) for i, (p, s) in enumerate(rows)], LookupTable(entries)
 
 

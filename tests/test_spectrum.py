@@ -197,10 +197,24 @@ class TestMeasureAci:
         with pytest.raises(ValueError, match="grid"):
             measure_aci(psd, 100 * cfg.obw_hz, cfg.obw_hz, 0.0)
 
-    def test_negative_guard_rejected(self, cfg):
+    @pytest.mark.parametrize("read", [
+        lambda psd, gb, vic: measure_aci(psd, gb, vic, 0.0),
+        suppression_db,
+    ], ids=["measure_aci", "suppression_db"])
+    @pytest.mark.parametrize("guard, width, error", [
+        # Hz; spacing 15 kHz, and None is the occupied bandwidth
+        (-1.0, None, "guard_band must be non-negative"),
+        (-15e3, None, "guard_band must be non-negative"),  # victim in band
+        (np.nan, None, "guard_band must be non-negative"),
+        (0.0, 0.0, "victim_obw must be positive"),
+        (0.0, -15e3, "victim_obw must be positive"),
+        (0.0, np.nan, "victim_obw must be positive"),
+    ], ids=["guard_-1_hz", "guard_-1_spacing", "guard_nan",
+            "width_0", "width_-1_spacing", "width_nan"])
+    def test_negative_guard_rejected(self, cfg, read, guard, width, error):
         psd = _flat_psd(-30.0, cfg)
-        with pytest.raises(ValueError):
-            measure_aci(psd, -1.0, cfg.obw_hz, 0.0)
+        with pytest.raises(ValueError, match=error):
+            read(psd, guard, cfg.obw_hz if width is None else width)
 
     def test_matches_trapezoid_oracle(self, cfg):
         # independent numerical integration on the raw grid, to 0.1 dB
@@ -253,11 +267,6 @@ class TestBandPower:
         psd = _flat_psd(-30.0, cfg)
         with pytest.raises(ValueError, match="grid"):
             band_power(psd, psd.freqs[0] - 1.0, 0.0)
-
-    def test_in_band_power_is_band_power(self, cfg):
-        psd = _rolled_comb_psd(0.05, cfg)
-        edge = psd.band_edge_hz
-        assert psd.in_band_power == band_power(psd, -edge, edge)
 
 
 class TestSuppressionDb:

@@ -159,11 +159,16 @@ class TestOverlapAdd:
         (ws,) = self._windowed(small_cfg, 0.1, 1)
         assert np.array_equal(overlap_add([ws]), ws.samples)
 
-    def test_alpha_zero_concatenation(self, small_cfg):
-        syms = self._windowed(small_cfg, 0.0, 2)
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_alpha_zero_concatenation(self, small_cfg, n):
+        # no symbols concatenate to an empty complex stream
+        syms = self._windowed(small_cfg, 0.0, n)
         stream = overlap_add(syms)
-        assert np.array_equal(stream, np.concatenate([s.samples for s in syms]))
-        assert stream.size == 2 * (small_cfg.n_fft + small_cfg.t_cp_ch)
+        assert stream.dtype == complex
+        assert np.array_equal(
+            stream, np.concatenate([np.zeros(0)] + [s.samples for s in syms])
+        )
+        assert stream.size == n * (small_cfg.n_fft + small_cfg.t_cp_ch)
 
     def test_stream_length_formula(self, small_cfg):
         # telescoping construction: K hops of (n_fft + t_cp_ch + L) plus tail L
