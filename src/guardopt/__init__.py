@@ -31,39 +31,25 @@ from .spectrum import (
     required_guard_band,
     windowed_psd,
 )
-from .waveform import (
-    OfdmSymbol,
-    WindowedSymbol,
-    extend_and_window,
-    modulate_symbol,
-    overlap_add,
-    rc_window,
-    symbol_stream,
-)
+from .waveform import symbol_stream
 
 __all__ = [
     "AciReport",
     "GuardAllocation",
     "LookupTable",
     "NumerologyConfig",
-    "OfdmSymbol",
     "PsdEstimate",
     "SchedulePlan",
     "ThetaUnreachableError",
     "UserProfile",
     "WindowSpec",
-    "WindowedSymbol",
     "allocate_guards",
     "build_lookup_table",
     "compare_scenarios",
     "efficiency_curve",
     "estimate_psd",
-    "extend_and_window",
     "measure_aci",
-    "modulate_symbol",
     "optimize_guards",
-    "overlap_add",
-    "rc_window",
     "required_guard_band",
     "schedule_interference_based",
     "schedule_random",

@@ -107,6 +107,8 @@ def _guard_plan(users: tuple, thetas, lookup: LookupTable) -> SchedulePlan:
     """Guards from per-band thresholds; each internal boundary is counted once,
     sized by the larger facing guard band in whole subcarriers. A band above
     the table raises ValueError naming its user."""
+    if not users:
+        raise ValueError("assignment must not be empty")
     index = lookup.ceil_index(thetas).tolist()
     for user, theta, k in zip(users, thetas, index):
         if k == len(lookup.allocations):
@@ -117,8 +119,7 @@ def _guard_plan(users: tuple, thetas, lookup: LookupTable) -> SchedulePlan:
             )
     allocs = [lookup.allocations[k] for k in index]
     levels = _levels(lookup)
-    # fixed_guard_plan of no users is the empty plan
-    total_gb, total_gd = _run_cost([levels[k] for k in index]) if index else (0, 0)
+    total_gb, total_gd = _run_cost([levels[k] for k in index])
     return SchedulePlan(
         assignment=users,
         theta_per_band=tuple(thetas),

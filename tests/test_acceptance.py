@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from guardopt.cli import main as cli_main
-from guardopt.numerology import NumerologyConfig, WindowSpec
+from guardopt.numerology import NumerologyConfig, WindowSpec, round_half_up
 from guardopt.optimizer import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_THETA_LIST,
@@ -40,11 +40,10 @@ from guardopt.spectrum import (
     windowed_psd,
 )
 from guardopt.waveform import (
-    extend_and_window,
-    modulate_symbol,
-    overlap_add,
+    occupied_bins,
+    pulse_weights,
     random_qpsk_payloads,
-    rc_window,
+    symbol_stream,
 )
 
 ALPHAS = (0.0, 0.05, 0.1, 0.2)
@@ -87,31 +86,23 @@ def full_table(cfg):
 
 def test_criterion_1_window_correctness(cfg):
     with criterion(1, "window correctness", budget_s=1.0):
+        # the weights the synthesis applies: taper, then a unit CP and body
         for alpha, n in ((0.05, 1096), (0.1, 1096), (0.2, 512)):
-            taper = round(alpha * n)
-            w = rc_window(alpha, n)
+            taper = round_half_up(alpha * n)
+            w = pulse_weights(cfg, taper)
             assert abs(w[0] - 0.0) <= 1e-12          # taper start
-            assert abs(w[taper] - 1.0) <= 1e-12      # taper end / plateau
-            assert np.all(np.abs(w[taper:n] - 1.0) <= 1e-12)
-        # alpha = 0: the full pipeline collapses to plain CP-OFDM, bit for bit
-        rng = np.random.default_rng(0)
-        win = WindowSpec.for_config(0.0, cfg)
-        syms = [
-            extend_and_window(modulate_symbol(p, cfg), cfg, win)
-            for p in random_qpsk_payloads(4, cfg, rng)
-        ]
-        stream = overlap_add(syms)
-        rng = np.random.default_rng(0)
-        classic = np.concatenate(
-            [
-                np.concatenate([s.data[-cfg.t_cp_ch:], s.data])
-                for s in (
-                    modulate_symbol(p, cfg)
-                    for p in random_qpsk_payloads(4, cfg, rng)
-                )
-            ]
-        )
-        assert np.array_equal(stream, classic)
+            assert abs(w[taper] - 1.0) <= 1e-12      # taper end / CP start
+            plateau = w[taper:taper + cfg.t_cp_ch + cfg.n_fft]
+            assert np.all(np.abs(plateau - 1.0) <= 1e-12)
+        # alpha = 0: the synthesis collapses to plain CP-OFDM, bit for bit
+        stream = symbol_stream(cfg, WindowSpec.for_config(0.0, cfg), 4, 0)
+        classic = []
+        for p in random_qpsk_payloads(4, cfg, np.random.default_rng(0)):
+            grid = np.zeros(cfg.n_fft, dtype=complex)
+            grid[occupied_bins(cfg)] = p
+            body = np.fft.ifft(grid) * (cfg.n_fft / np.sqrt(cfg.n_occupied))
+            classic += [body[cfg.n_fft - cfg.t_cp_ch:], body]
+        assert np.array_equal(stream, np.concatenate(classic))
 
 
 def test_criterion_2_oobe_ordering(cfg):

@@ -166,9 +166,13 @@ class TestThetaForAssignment:
         u = _user("solo", 10.0, 20.0)
         assert theta_for_assignment([u]) == [0.0]
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+    def test_empty_rejected(self, lut):
+        with pytest.raises(ValueError, match="assignment must not be empty"):
             theta_for_assignment([])
+        with pytest.raises(ValueError, match="assignment must not be empty"):
+            allocate_guards([], lut)
+        with pytest.raises(ValueError, match="assignment must not be empty"):
+            fixed_guard_plan([], lut)
 
     def test_locality_of_edit(self):
         # changing one user's power only moves thetas of bands j-1 .. j+1

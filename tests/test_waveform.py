@@ -5,39 +5,82 @@ from hypothesis import given, settings, strategies as st
 from guardopt.numerology import NumerologyConfig, WindowSpec, round_half_up
 from guardopt.waveform import (
     QPSK,
-    extend_and_window,
     falling_taper,
-    modulate_symbol,
     occupied_bins,
-    overlap_add,
+    pulse_weights,
     random_qpsk_payloads,
-    rc_window,
     rising_taper,
     symbol_stream,
 )
 
 
-class TestRcWindow:
-    def test_alpha_zero_all_ones(self):
-        w = rc_window(0.0, 64)
-        assert w.shape == (64,)
+def _reference_stream(cfg, L, n_symbols, seed):
+    """Per-symbol oracle: IFFT, cyclic extension and RC weights one symbol at
+    a time, each shifted by one hop and added into a zero stream."""
+    weights = np.concatenate(
+        [rising_taper(L), np.ones(cfg.t_cp_ch + cfg.n_fft), falling_taper(L)]
+    )
+    hop = weights.size - L
+    out = np.zeros(hop * n_symbols + L if n_symbols else 0, dtype=complex)
+    payloads = random_qpsk_payloads(n_symbols, cfg, np.random.default_rng(seed))
+    for k, payload in enumerate(payloads):
+        grid = np.zeros(cfg.n_fft, dtype=complex)
+        grid[occupied_bins(cfg)] = payload
+        body = np.fft.ifft(grid) * (cfg.n_fft / np.sqrt(cfg.n_occupied))
+        ext = np.concatenate([body[cfg.n_fft - cfg.t_cp_ch - L:], body, body[:L]])
+        out[k * hop:k * hop + ext.size] += ext * weights
+    return out
+
+
+def _ramps(cfg):
+    """Ramp lengths 0, 1, a middle one and the largest valid one."""
+    top = cfg.n_fft - cfg.t_cp_ch - 1
+    return sorted({0, min(1, top), top // 2, top})
+
+
+ORACLE_CONFIGS = [
+    NumerologyConfig(n_fft=16, n_occupied=1, t_cp_ch=0),
+    NumerologyConfig(n_fft=16, n_occupied=15, t_cp_ch=15),
+    NumerologyConfig(n_fft=128, n_occupied=48, t_cp_ch=8),
+    NumerologyConfig(n_fft=1024, n_occupied=600, t_cp_ch=72),
+    NumerologyConfig(n_fft=4096, n_occupied=4095, t_cp_ch=1000),
+]
+
+
+@pytest.mark.parametrize("cfg,L", [
+    pytest.param(cfg, L, id=f"n{cfg.n_fft}-{cfg.n_occupied}-{cfg.t_cp_ch}-L{L}")
+    for cfg in ORACLE_CONFIGS for L in _ramps(cfg)
+])
+def test_symbol_stream_matches_per_symbol_oracle(cfg, L):
+    win = WindowSpec(0.0 if L == 0 else 0.1, L)
+    for n_symbols in (0, 1, 2, 7, 40):
+        for seed in (0, 5):
+            stream = symbol_stream(cfg, win, n_symbols, seed)
+            assert stream.dtype == complex
+            assert np.array_equal(stream, _reference_stream(cfg, L, n_symbols, seed))
+
+
+class TestPulseWeights:
+    def test_zero_ramp_all_ones(self, small_cfg):
+        w = pulse_weights(small_cfg, 0)
+        assert w.shape == (small_cfg.n_fft + small_cfg.t_cp_ch,)
         assert np.all(w == 1.0)
 
-    def test_taper_start_is_zero(self):
-        w = rc_window(0.1, 1000)
+    def test_taper_start_is_zero(self, cfg):
+        w = pulse_weights(cfg, round_half_up(0.1 * 1000))
         assert abs(w[0]) < 1e-12
 
-    def test_taper_end_continuous_with_plateau(self):
-        taper = round_half_up(0.1 * 1000)
-        w = rc_window(0.1, 1000)
-        assert w[taper] == pytest.approx(1.0, abs=1e-12)
-        assert np.all(w[taper:1000 - taper + taper] <= 1.0)
+    def test_taper_end_continuous_with_plateau(self, cfg):
+        L = round_half_up(0.1 * 1000)
+        w = pulse_weights(cfg, L)
+        assert w[L] == pytest.approx(1.0, abs=1e-12)
+        assert np.all(w[L:L + cfg.t_cp_ch + cfg.n_fft] == 1.0)
 
-    def test_length_and_range(self):
-        for alpha, n in [(0.05, 512), (0.25, 301), (1.0, 100)]:
-            taper = round_half_up(alpha * n)
-            w = rc_window(alpha, n)
-            assert w.size == n + taper
+    def test_length_and_range(self, cfg):
+        for alpha, n in [(0.05, 512), (0.25, 301), (0.5, 100)]:
+            L = round_half_up(alpha * n)
+            w = pulse_weights(cfg, L)
+            assert w.size == cfg.n_fft + cfg.t_cp_ch + 2 * L
             assert np.all((w >= 0.0) & (w <= 1.0))
 
     def test_complementary_tapers_sum_to_one(self):
@@ -46,50 +89,40 @@ class TestRcWindow:
             s = rising_taper(L) + falling_taper(L)
             assert np.max(np.abs(s - 1.0)) < 1e-12
 
-    def test_smoothness_bound(self):
+    def test_smoothness_bound(self, cfg):
         L = round_half_up(0.1 * 1096)
-        w = rc_window(0.1, 1096)
+        w = pulse_weights(cfg, L)
         assert np.max(np.abs(np.diff(w))) <= np.pi / L
 
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            rc_window(-0.1, 64)
-        with pytest.raises(ValueError):
-            rc_window(1.1, 64)
-        with pytest.raises(ValueError):
-            rc_window(0.5, 0)
+    def test_extension_exceeding_symbol_rejected(self, small_cfg):
+        top = small_cfg.n_fft - small_cfg.t_cp_ch
+        pulse_weights(small_cfg, top - 1)
+        with pytest.raises(ValueError, match="cyclic extension exceeds symbol"):
+            pulse_weights(small_cfg, top)
 
     @given(
-        alpha=st.floats(min_value=0.0, max_value=1.0),
-        n=st.integers(min_value=1, max_value=4096),
+        n_fft=st.integers(min_value=2, max_value=4096),
+        cp=st.floats(min_value=0.0, max_value=1.0),
+        ramp=st.floats(min_value=0.0, max_value=1.0),
     )
     @settings(max_examples=50)
-    def test_window_always_in_unit_range(self, alpha, n):
-        w = rc_window(alpha, n)
+    def test_weights_always_in_unit_range(self, n_fft, cp, ramp):
+        t_cp_ch = int(cp * (n_fft - 1))
+        cfg = NumerologyConfig(n_fft=n_fft, n_occupied=1, t_cp_ch=t_cp_ch)
+        w = pulse_weights(cfg, int(ramp * (n_fft - t_cp_ch - 1)))
         assert np.all((w >= -1e-15) & (w <= 1.0 + 1e-15))
 
 
-class TestModulate:
-    def test_zero_payload(self, small_cfg):
-        sym = modulate_symbol(np.zeros(small_cfg.n_occupied), small_cfg)
-        assert np.all(sym.data == 0)
-
-    def test_single_tone_is_complex_exponential(self, small_cfg):
-        payload = np.zeros(small_cfg.n_occupied, dtype=complex)
-        payload[-1] = 1.0  # highest occupied subcarrier
-        sym = modulate_symbol(payload, small_cfg)
-        env = np.abs(sym.data)
+class TestSymbolStream:
+    def test_single_tone_is_complex_exponential(self):
+        cfg = NumerologyConfig(n_fft=128, n_occupied=1, t_cp_ch=0)
+        stream = symbol_stream(cfg, WindowSpec(0.0, 0), 1, seed=0)
+        env = np.abs(stream)
         assert np.max(env) == pytest.approx(np.min(env))
-        k = occupied_bins(small_cfg)[-1]
-        n = np.arange(small_cfg.n_fft)
-        expected = np.exp(2j * np.pi * k * n / small_cfg.n_fft) / np.sqrt(
-            small_cfg.n_occupied
-        )
-        assert np.allclose(sym.data, expected)
-
-    def test_payload_length_mismatch(self, small_cfg):
-        with pytest.raises(ValueError):
-            modulate_symbol(np.zeros(small_cfg.n_occupied + 1), small_cfg)
+        k = occupied_bins(cfg)[-1]
+        n = np.arange(cfg.n_fft)
+        expected = np.exp(2j * np.pi * k * n / cfg.n_fft)
+        assert np.allclose(stream / stream[0], expected)
 
     def test_occupied_bins_skip_dc(self, small_cfg):
         bins = occupied_bins(small_cfg)
@@ -99,109 +132,63 @@ class TestModulate:
 
     def test_average_power_unity(self, small_cfg):
         # Monte-Carlo Parseval check over 100 random QPSK symbols
-        rng = np.random.default_rng(7)
-        payloads = random_qpsk_payloads(100, small_cfg, rng)
-        power = np.mean(
-            [np.mean(np.abs(modulate_symbol(p, small_cfg).data) ** 2) for p in payloads]
-        )
-        assert power == pytest.approx(1.0, rel=0.01)
+        stream = symbol_stream(small_cfg, WindowSpec(0.0, 0), 100, seed=7)
+        assert np.mean(np.abs(stream) ** 2) == pytest.approx(1.0, rel=0.01)
 
-
-class TestExtendAndWindow:
     def test_alpha_zero_is_classic_cp_ofdm(self, small_cfg):
-        rng = np.random.default_rng(0)
-        payload = random_qpsk_payloads(1, small_cfg, rng)[0]
-        sym = modulate_symbol(payload, small_cfg)
-        ws = extend_and_window(sym, small_cfg, WindowSpec(0.0, 0))
-        expected = np.concatenate([sym.data[-small_cfg.t_cp_ch:], sym.data])
-        assert ws.ramp_len == 0
-        assert np.array_equal(ws.samples, expected)
+        n, cp = small_cfg.n_fft, small_cfg.t_cp_ch
+        stream = symbol_stream(small_cfg, WindowSpec(0.0, 0), 2, seed=0)
+        assert stream.size == 2 * (n + cp)
+        for sym in stream.reshape(2, n + cp):
+            assert np.array_equal(sym[:cp], sym[n:])
 
     def test_channel_cp_unweighted(self, small_cfg):
-        rng = np.random.default_rng(1)
-        payload = random_qpsk_payloads(1, small_cfg, rng)[0]
-        sym = modulate_symbol(payload, small_cfg)
         win = WindowSpec.for_config(0.1, small_cfg)
-        ws = extend_and_window(sym, small_cfg, win)
-        L = win.t_cp_win
-        assert ws.samples.size == small_cfg.n_fft + small_cfg.t_cp_ch + 2 * L
-        cp = ws.samples[L:L + small_cfg.t_cp_ch]
-        assert np.array_equal(cp, sym.data[-small_cfg.t_cp_ch:])
+        L, n, cp = win.t_cp_win, small_cfg.n_fft, small_cfg.t_cp_ch
+        stream = symbol_stream(small_cfg, win, 1, seed=1)
+        assert stream.size == n + cp + 2 * L
+        assert np.array_equal(stream[L:L + cp], stream[L + n:L + n + cp])
 
     def test_windowing_reduces_energy(self, small_cfg):
-        rng = np.random.default_rng(2)
-        payload = random_qpsk_payloads(1, small_cfg, rng)[0]
-        sym = modulate_symbol(payload, small_cfg)
         win = WindowSpec.for_config(0.1, small_cfg)
-        L = win.t_cp_win
-        windowed = extend_and_window(sym, small_cfg, win)
-        prefix = sym.data[small_cfg.n_fft - small_cfg.t_cp_ch - L:]
-        unweighted = np.concatenate([prefix, sym.data, sym.data[:L]])
-        assert np.sum(np.abs(windowed.samples) ** 2) < np.sum(np.abs(unweighted) ** 2)
+        L, n, cp = win.t_cp_win, small_cfg.n_fft, small_cfg.t_cp_ch
+        windowed = symbol_stream(small_cfg, win, 1, seed=2)
+        # the same payload unwindowed: body of the alpha = 0 stream, extended
+        body = symbol_stream(small_cfg, WindowSpec(0.0, 0), 1, seed=2)[cp:]
+        unweighted = np.concatenate([body[n - cp - L:], body, body[:L]])
+        assert np.sum(np.abs(windowed) ** 2) < np.sum(np.abs(unweighted) ** 2)
 
     def test_extension_exceeding_symbol_rejected(self):
         cfg = NumerologyConfig(n_fft=128, n_occupied=48, t_cp_ch=64)
-        sym = modulate_symbol(np.zeros(48), cfg)
-        with pytest.raises(ValueError):
-            extend_and_window(sym, cfg, WindowSpec(0.9, 110))
-
-
-class TestOverlapAdd:
-    def _windowed(self, cfg, alpha, n, seed=3):
-        rng = np.random.default_rng(seed)
-        win = WindowSpec.for_config(alpha, cfg)
-        return [
-            extend_and_window(modulate_symbol(p, cfg), cfg, win)
-            for p in random_qpsk_payloads(n, cfg, rng)
-        ]
-
-    def test_single_symbol_unchanged(self, small_cfg):
-        (ws,) = self._windowed(small_cfg, 0.1, 1)
-        assert np.array_equal(overlap_add([ws]), ws.samples)
-
-    @pytest.mark.parametrize("n", [0, 2])
-    def test_alpha_zero_concatenation(self, small_cfg, n):
-        # no symbols concatenate to an empty complex stream
-        syms = self._windowed(small_cfg, 0.0, n)
-        stream = overlap_add(syms)
-        assert stream.dtype == complex
-        assert np.array_equal(
-            stream, np.concatenate([np.zeros(0)] + [s.samples for s in syms])
-        )
-        assert stream.size == n * (small_cfg.n_fft + small_cfg.t_cp_ch)
+        with pytest.raises(ValueError, match="cyclic extension exceeds symbol"):
+            symbol_stream(cfg, WindowSpec(0.9, 110), 1, seed=0)
 
     def test_stream_length_formula(self, small_cfg):
         # telescoping construction: K hops of (n_fft + t_cp_ch + L) plus tail L
+        win = WindowSpec.for_config(0.1, small_cfg)
+        L = win.t_cp_win
         for K in (1, 3, 8):
-            syms = self._windowed(small_cfg, 0.1, K)
-            L = syms[0].ramp_len
-            stream = overlap_add(syms)
+            stream = symbol_stream(small_cfg, win, K, seed=3)
             assert stream.size == K * (small_cfg.n_fft + small_cfg.t_cp_ch + L) + L
 
     def test_overlap_region_sums_both_ramps(self, small_cfg):
-        syms = self._windowed(small_cfg, 0.1, 2)
-        L = syms[0].ramp_len
-        hop = syms[0].samples.size - L
-        stream = overlap_add(syms)
-        # brute-force oracle: shift-and-add with explicit indexing
-        expected = np.zeros(hop * 2 + L, dtype=complex)
-        expected[:syms[0].samples.size] = syms[0].samples
-        expected[hop:hop + syms[1].samples.size] += syms[1].samples
-        assert np.allclose(stream, expected)
-
-    def test_mixed_ramp_lengths_rejected(self, small_cfg):
-        a = self._windowed(small_cfg, 0.1, 1)[0]
-        b = self._windowed(small_cfg, 0.05, 1)[0]
-        with pytest.raises(ValueError):
-            overlap_add([a, b])
+        win = WindowSpec.for_config(0.1, small_cfg)
+        L, n, cp = win.t_cp_win, small_cfg.n_fft, small_cfg.t_cp_ch
+        stream = symbol_stream(small_cfg, win, 2, seed=3)
+        # the same two bodies unwindowed, from the alpha = 0 stream
+        flat = symbol_stream(small_cfg, WindowSpec(0.0, 0), 2, seed=3)
+        body0, body1 = flat.reshape(2, n + cp)[:, cp:]
+        hop = n + cp + L
+        expected = (body0[:L] * falling_taper(L)
+                    + body1[n - cp - L:n - cp] * rising_taper(L))
+        assert np.allclose(stream[hop:hop + L], expected)
 
     def test_power_constant_across_boundaries(self, small_cfg):
         # per-symbol-period power stays within 2% across boundaries on average
         K = 200
-        syms = self._windowed(small_cfg, 0.1, K, seed=11)
-        L = syms[0].ramp_len
-        hop = syms[0].samples.size - L
-        stream = overlap_add(syms)
+        win = WindowSpec.for_config(0.1, small_cfg)
+        hop = small_cfg.n_fft + small_cfg.t_cp_ch + win.t_cp_win
+        stream = symbol_stream(small_cfg, win, K, seed=11)
         periods = [
             np.mean(np.abs(stream[i * hop:(i + 1) * hop]) ** 2)
             for i in range(1, K - 1)
@@ -209,7 +196,7 @@ class TestOverlapAdd:
         first_half = np.mean(periods[: len(periods) // 2])
         second_half = np.mean(periods[len(periods) // 2:])
         assert first_half == pytest.approx(second_half, rel=0.02)
-        del L  # overlap dips pointwise (complementary amplitude ramps add
+        # overlap dips pointwise (complementary amplitude ramps add
         # incoherently); constancy holds per symbol period, not per sample
 
 
@@ -224,4 +211,3 @@ def test_symbol_stream_deterministic(small_cfg):
 
 def test_qpsk_constellation_unit_power():
     assert np.allclose(np.abs(QPSK), 1.0)
-
