@@ -82,8 +82,9 @@ def _seed(value) -> int:
 
 
 def _file_path(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a path, got {value!r}")
+    """A path; "" is rejected, not read as the working directory."""
+    if not (isinstance(value, str) and value):
+        raise ValueError(f"expected a path, got {value!r}")
     return value
 
 
@@ -113,21 +114,27 @@ def _flag(flag: str, convert, value):
 
 
 def _csv_floats(text: str) -> tuple:
-    return tuple(float(t) for t in text.split(",") if t)
+    """Comma-separated numbers; "" holds none, and an empty item is an error."""
+    items = text.split(",") if text else []
+    if "" in items:
+        raise ValueError(f"empty item in {text!r}")
+    return tuple(float(t) for t in items)
 
 
 def _load_config(args) -> ExperimentConfig:
-    ec = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
+    ec = ExperimentConfig()
+    if args.config is not None:
+        ec = ExperimentConfig.load(_flag("--config", _file_path, args.config))
     if getattr(args, "seed", None) is not None:
         ec.seed = _flag("--seed", _seed, args.seed)
     if getattr(args, "out", None) is not None:
-        ec.out_dir = args.out
+        ec.out_dir = _flag("--out", _file_path, args.out)
     if getattr(args, "theta", None) is not None:
         ec.theta_list = _flag("--theta", _csv_floats, args.theta)
     if getattr(args, "alpha", None) is not None:
         ec.alpha_grid = _flag("--alpha", _csv_floats, args.alpha)
-    if getattr(args, "users", None):
-        ec.users = args.users
+    if getattr(args, "users", None) is not None:
+        ec.users = _flag("--users", _file_path, args.users)
     return ec
 
 

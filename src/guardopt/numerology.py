@@ -7,10 +7,12 @@ Conventions:
 - sample_rate is always derived as n_fft * subcarrier_spacing.
 - Occupied subcarriers are center-aligned around DC, DC unused, so a
   numerology holds 1 <= n_occupied <= n_fft - 1 distinct subcarriers.
+- A roll-off is checked and made a taper length only by WindowSpec.for_config.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -116,22 +118,31 @@ def load_yaml(path):
             raise ValueError(f"{path}{where}: malformed YAML: {problem}") from None
 
 
+def check_extension(cfg: NumerologyConfig, ramp_len: int) -> None:
+    """ValueError unless channel CP plus one ramp is shorter than the symbol."""
+    if ramp_len + cfg.t_cp_ch >= cfg.n_fft:
+        raise ValueError("cyclic extension exceeds symbol length")
+
+
 @dataclass(frozen=True)
 class WindowSpec:
-    """Roll-off factor and the windowing guard duration it implies."""
+    """A windowing taper: the raised-cosine ramp length on each symbol edge."""
 
-    alpha: float
     t_cp_win: int  # samples
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
         if self.t_cp_win < 0:
             raise ValueError("t_cp_win must be non-negative")
-        if self.alpha == 0.0 and self.t_cp_win != 0:
-            raise ValueError("alpha = 0 implies t_cp_win = 0")
 
     @classmethod
-    def for_config(cls, alpha: float, cfg: NumerologyConfig) -> "WindowSpec":
-        """Taper length = round(alpha * (n_fft + t_cp_ch)), round-half-up."""
-        return cls(alpha=alpha, t_cp_win=round_half_up(alpha * (cfg.n_fft + cfg.t_cp_ch)))
+    def for_config(cls, alpha, cfg: NumerologyConfig) -> "WindowSpec":
+        """Taper round_half_up(alpha * (n_fft + t_cp_ch)), after the one check
+        of a roll-off: ValueError unless alpha is a real number (not a bool)
+        in [0, 1] and its cyclic extension is shorter than the symbol."""
+        # bool is an int, and NaN fails every comparison
+        number = isinstance(alpha, numbers.Real) and not isinstance(alpha, bool)
+        if not (number and 0 <= alpha <= 1):
+            raise ValueError("alpha must be a number in [0, 1]")
+        t_cp_win = round_half_up(alpha * (cfg.n_fft + cfg.t_cp_ch))
+        check_extension(cfg, t_cp_win)
+        return cls(t_cp_win)

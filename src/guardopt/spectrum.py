@@ -101,9 +101,10 @@ def estimate_psd(stream: np.ndarray, cfg: NumerologyConfig) -> PsdEstimate:
 
 
 def _oversampled(alpha: float, cfg: NumerologyConfig):
-    """The oversampled numerology and the window the spectrum models at alpha."""
+    """(ocfg, ramp): the oversampled numerology and the taper modelled at
+    alpha, OVERSAMPLE x the GD charged; WindowSpec.for_config checks alpha."""
     gd = WindowSpec.for_config(alpha, cfg).t_cp_win
-    return cfg.oversampled(OVERSAMPLE), WindowSpec(alpha, OVERSAMPLE * gd)
+    return cfg.oversampled(OVERSAMPLE), OVERSAMPLE * gd
 
 
 def _to_db(power):
@@ -180,8 +181,8 @@ def windowed_psd(
     """Welch estimate of one seeded draw of n_symbols windowed random-QPSK
     symbols on the oversampled grid. The cache keeps only the last draw: no
     command repeats one, and its statistics are what perfbench reads."""
-    ocfg, win = _oversampled(alpha, cfg)
-    return estimate_psd(symbol_stream(ocfg, win, n_symbols, seed), ocfg)
+    ocfg, ramp = _oversampled(alpha, cfg)
+    return estimate_psd(symbol_stream(ocfg, WindowSpec(ramp), n_symbols, seed), ocfg)
 
 
 def grid_suppression_db(cfg: NumerologyConfig, readings) -> list:
@@ -230,8 +231,7 @@ def grid_suppression_db(cfg: NumerologyConfig, readings) -> list:
     shifts = bins[:, None] * step
     padded, out = np.zeros(size), [0.0] * len(readings)
     for alpha in dict.fromkeys(a for a, _ in readings):
-        _, win = _oversampled(alpha, cfg)
-        pulse = pulse_weights(ocfg, win.t_cp_win)
+        pulse = pulse_weights(ocfg, _oversampled(alpha, cfg)[1])
         padded[:pulse.size] = pulse
         half = np.abs(np.fft.rfft(padded)) ** 2  # P at the non-negative bins
         padded[:pulse.size] = 0.0  # zeroed again for the next alpha
@@ -318,8 +318,8 @@ class LeakageModel:
 
     @classmethod
     def for_alpha(cls, alpha: float, cfg: NumerologyConfig) -> "LeakageModel":
-        ocfg, win = _oversampled(alpha, cfg)
-        pulse = pulse_weights(ocfg, win.t_cp_win)
+        ocfg, ramp = _oversampled(alpha, cfg)
+        pulse = pulse_weights(ocfg, ramp)
         m = pulse.size
         size = -(-(2 * m - 1) // ocfg.n_fft) * ocfg.n_fft  # fast FFT length
         r = np.fft.irfft(np.abs(np.fft.rfft(pulse, size)) ** 2, size)[:m]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerology import NumerologyConfig, WindowSpec
+from .numerology import NumerologyConfig, WindowSpec, check_extension
 
 QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2)
 
@@ -46,12 +46,6 @@ def pulse_weights(cfg: NumerologyConfig, ramp_len: int) -> np.ndarray:
         [rising_taper(ramp_len), np.ones(cfg.t_cp_ch + cfg.n_fft),
          falling_taper(ramp_len)]
     )
-
-
-def check_extension(cfg: NumerologyConfig, ramp_len: int) -> None:
-    """ValueError unless channel CP plus one ramp is shorter than the symbol."""
-    if ramp_len + cfg.t_cp_ch >= cfg.n_fft:
-        raise ValueError("cyclic extension exceeds symbol length")
 
 
 def random_qpsk_payloads(

@@ -165,6 +165,30 @@ class TestConfigLoading:
         assert str(path) in err and "malformed YAML" in err
 
 
+    @pytest.mark.parametrize("argv, config, message", [
+        (["schedule", "--users", ""], None, "--users: expected a path, got ''"),
+        (["lookup-build", "--config", ""], None, "--config: expected a path, got ''"),
+        (["lookup-build", "--out", ""], None, "--out: expected a path, got ''"),
+        (["schedule"], 'users: ""\n', "exp.yaml: users: expected a path, got ''"),
+        (["lookup-build"], 'out_dir: ""\n',
+         "exp.yaml: out_dir: expected a path, got ''"),
+        (["guards", "--theta", "20,,30"], None, "--theta: empty item in '20,,30'"),
+        (["psd", "--alpha", "0,,0.1"], None, "--alpha: empty item in '0,,0.1'"),
+    ], ids=["users-flag", "config-flag", "out-flag", "users-key", "out_dir-key",
+            "theta-item", "alpha-item"])
+    def test_empty_value_exits_1_naming_it(
+        self, tmp_path, capsys, monkeypatch, argv, config, message
+    ):
+        # "" is not the packaged users, the defaults or the working directory,
+        # and an empty list item is not dropped
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            Path("exp.yaml").write_text(config)
+            argv = [*argv, "--config", "exp.yaml"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == (["exp.yaml"] if config else [])
+
     def test_non_string_out_dir_names_file_and_key(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "exp.yaml"
@@ -806,9 +830,9 @@ def test_alpha_beyond_symbol_rejected(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["guards", "lookup-build", "schedule", "psd"])
 @pytest.mark.parametrize("alpha, message", [
     ("0,0.95", "alpha_grid value 0.95: cyclic extension exceeds symbol length"),
-    ("-0.1", "alpha_grid values must be numbers in [0, 1], got -0.1"),
-    ("0,inf", "alpha_grid values must be numbers in [0, 1], got inf"),
-    ("nan", "alpha_grid values must be numbers in [0, 1], got nan"),
+    ("-0.1", "alpha_grid value -0.1: alpha must be a number in [0, 1]"),
+    ("0,inf", "alpha_grid value inf: alpha must be a number in [0, 1]"),
+    ("nan", "alpha_grid value nan: alpha must be a number in [0, 1]"),
     ("0.05,0.05,0.1", "alpha_grid repeats 0.05"),
     ("0,0.1,0.0", "alpha_grid repeats 0.0"),
 ])

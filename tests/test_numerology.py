@@ -2,10 +2,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import guardopt
+import guardopt.spectrum as spectrum
+import guardopt.waveform as waveform
 from guardopt.numerology import NumerologyConfig, WindowSpec, round_half_up
+from guardopt.optimizer import checked_alpha_grid
+from guardopt.spectrum import (
+    OVERSAMPLE,
+    SEGMENT_SYMBOLS,
+    LeakageModel,
+    required_guard_band,
+    windowed_psd,
+)
+from guardopt.waveform import pulse_weights
 
 
 def test_sample_rate_derived(cfg):
@@ -60,13 +72,75 @@ def test_window_spec_taper_rounding(cfg):
     assert WindowSpec.for_config(0.1, cfg).t_cp_win == round_half_up(0.1 * 1096)
 
 
-def test_window_spec_invalid():
-    with pytest.raises(ValueError):
-        WindowSpec(alpha=1.5, t_cp_win=0)
-    with pytest.raises(ValueError):
-        WindowSpec(alpha=0.0, t_cp_win=3)
+def test_window_spec_invalid(cfg):
+    with pytest.raises(ValueError, match=r"alpha must be a number in \[0, 1\]"):
+        WindowSpec.for_config(1.5, cfg)
+    with pytest.raises(ValueError, match="cyclic extension exceeds symbol length"):
+        WindowSpec.for_config(0.95, cfg)
     with pytest.raises(ValueError, match="t_cp_win must be non-negative"):
-        WindowSpec(alpha=0.1, t_cp_win=-1)
+        WindowSpec(t_cp_win=-1)
+
+
+ALPHA_REASON = "alpha must be a number in [0, 1]"
+EXTENSION_REASON = "cyclic extension exceeds symbol length"
+# n_fft 64 and CP 4: a taper of round(alpha * 68) fills the symbol from 60 on
+ALPHA_CFG = NumerologyConfig(n_fft=64, n_occupied=24, t_cp_ch=4)
+
+
+@pytest.mark.parametrize("alpha, reason", [
+    pytest.param(alpha, reason, id=repr(alpha)) for alpha, reason in [
+        (float("nan"), ALPHA_REASON),
+        (float("inf"), ALPHA_REASON),
+        (float("-inf"), ALPHA_REASON),
+        (-0.1, ALPHA_REASON),
+        (1.5, ALPHA_REASON),
+        (True, ALPHA_REASON),  # not the roll-off 1
+        ("0.1", ALPHA_REASON),
+        (None, ALPHA_REASON),
+        (60 / 68, EXTENSION_REASON),
+        (0.9, EXTENSION_REASON),
+        (0, None),
+        (0.05, None),
+        (np.float64(0.1), None),
+        (0.8, None),
+    ]
+])
+def test_one_alpha_rule_everywhere(monkeypatch, alpha, reason):
+    # every entry point that takes a roll-off rejects a bad one with
+    # for_config's reason before it builds a pulse, and tapers a good one
+    # by OVERSAMPLE x for_config's taper on the oversampled grid
+    cfg, ramps = ALPHA_CFG, []
+
+    def spy(ocfg, ramp_len):
+        ramps.append(ramp_len)
+        return pulse_weights(ocfg, ramp_len)
+
+    monkeypatch.setattr(spectrum, "pulse_weights", spy)
+    monkeypatch.setattr(waveform, "pulse_weights", spy)
+    windowed_psd.cache_clear()  # a cached draw would build no pulse
+    entry_points = {
+        "for_config": lambda: WindowSpec.for_config(alpha, cfg),
+        "checked_alpha_grid": lambda: checked_alpha_grid([alpha], cfg),
+        "required_guard_band": lambda: required_guard_band(alpha, 10.0, cfg),
+        "LeakageModel.for_alpha": lambda: LeakageModel.for_alpha(alpha, cfg),
+        "windowed_psd": lambda: windowed_psd(alpha, cfg, SEGMENT_SYMBOLS),
+    }
+    if reason is not None:
+        for name, call in entry_points.items():
+            with pytest.raises(ValueError) as info:
+                call()
+            grid = name == "checked_alpha_grid"
+            assert str(info.value) == (
+                f"alpha_grid value {alpha!r}: {reason}" if grid else reason), name
+        assert ramps == []
+        return
+    taper = round_half_up(alpha * (cfg.n_fft + cfg.t_cp_ch))
+    assert entry_points.pop("for_config")() == WindowSpec(taper)
+    assert entry_points.pop("checked_alpha_grid")() == [alpha]
+    for name, call in entry_points.items():
+        ramps.clear()
+        call()
+        assert ramps == [OVERSAMPLE * taper], name
 
 
 def test_oversampled(cfg):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from guardopt.numerology import NumerologyConfig, WindowSpec, round_half_up
+from guardopt.numerology import NumerologyConfig, round_half_up
 from guardopt.optimizer import (
     ABSENT_THETA,
     DEFAULT_ALPHA_GRID,
@@ -287,7 +287,7 @@ def test_alpha_check_agrees_with_pulse_weights(cfg, alpha):
     # the grid check builds no pulse, yet refuses exactly the roll-offs whose
     # pulse the synthesis and the expected PSD would refuse, with their text:
     # those whose cyclic extension, CP plus GD, fills the symbol
-    gd = WindowSpec.for_config(alpha, cfg).t_cp_win
+    gd = round_half_up(alpha * (cfg.n_fft + cfg.t_cp_ch))
     try:
         pulse_weights(cfg, gd)
         want = None

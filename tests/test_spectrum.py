@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import guardopt.optimizer as optimizer
 import guardopt.spectrum as spectrum
-from guardopt.numerology import NumerologyConfig, WindowSpec
+from guardopt.numerology import NumerologyConfig, WindowSpec, round_half_up
 from guardopt.optimizer import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_THETA_LIST,
@@ -131,10 +131,10 @@ class TestEstimatePsd:
         n_fft = 2 ** log2_fft
         base = NumerologyConfig(n_fft=n_fft, n_occupied=1 + int(occupied * (n_fft - 2)),
                                 t_cp_ch=int(cp * n_fft))
-        gd = WindowSpec.for_config(alpha, base).t_cp_win
+        gd = round_half_up(alpha * (base.n_fft + base.t_cp_ch))
         assume(gd + base.t_cp_ch < base.n_fft)  # a valid alpha
         ocfg = base.oversampled(OVERSAMPLE)
-        stream = symbol_stream(ocfg, WindowSpec(alpha, OVERSAMPLE * gd), PSD_SYMBOLS, 0)
+        stream = symbol_stream(ocfg, WindowSpec(OVERSAMPLE * gd), PSD_SYMBOLS, 0)
         assert stream.size >= SEGMENT_SYMBOLS * ocfg.n_fft
 
     def test_windowed_psd_rejects_extension_beyond_symbol(self, cfg):

@@ -52,7 +52,7 @@ ORACLE_CONFIGS = [
     for cfg in ORACLE_CONFIGS for L in _ramps(cfg)
 ])
 def test_symbol_stream_matches_per_symbol_oracle(cfg, L):
-    win = WindowSpec(0.0 if L == 0 else 0.1, L)
+    win = WindowSpec(L)
     for n_symbols in (0, 1, 2, 7, 40):
         for seed in (0, 5):
             stream = symbol_stream(cfg, win, n_symbols, seed)
@@ -116,7 +116,7 @@ class TestPulseWeights:
 class TestSymbolStream:
     def test_single_tone_is_complex_exponential(self):
         cfg = NumerologyConfig(n_fft=128, n_occupied=1, t_cp_ch=0)
-        stream = symbol_stream(cfg, WindowSpec(0.0, 0), 1, seed=0)
+        stream = symbol_stream(cfg, WindowSpec(0), 1, seed=0)
         env = np.abs(stream)
         assert np.max(env) == pytest.approx(np.min(env))
         k = occupied_bins(cfg)[-1]
@@ -132,12 +132,12 @@ class TestSymbolStream:
 
     def test_average_power_unity(self, small_cfg):
         # Monte-Carlo Parseval check over 100 random QPSK symbols
-        stream = symbol_stream(small_cfg, WindowSpec(0.0, 0), 100, seed=7)
+        stream = symbol_stream(small_cfg, WindowSpec(0), 100, seed=7)
         assert np.mean(np.abs(stream) ** 2) == pytest.approx(1.0, rel=0.01)
 
     def test_alpha_zero_is_classic_cp_ofdm(self, small_cfg):
         n, cp = small_cfg.n_fft, small_cfg.t_cp_ch
-        stream = symbol_stream(small_cfg, WindowSpec(0.0, 0), 2, seed=0)
+        stream = symbol_stream(small_cfg, WindowSpec(0), 2, seed=0)
         assert stream.size == 2 * (n + cp)
         for sym in stream.reshape(2, n + cp):
             assert np.array_equal(sym[:cp], sym[n:])
@@ -154,14 +154,14 @@ class TestSymbolStream:
         L, n, cp = win.t_cp_win, small_cfg.n_fft, small_cfg.t_cp_ch
         windowed = symbol_stream(small_cfg, win, 1, seed=2)
         # the same payload unwindowed: body of the alpha = 0 stream, extended
-        body = symbol_stream(small_cfg, WindowSpec(0.0, 0), 1, seed=2)[cp:]
+        body = symbol_stream(small_cfg, WindowSpec(0), 1, seed=2)[cp:]
         unweighted = np.concatenate([body[n - cp - L:], body, body[:L]])
         assert np.sum(np.abs(windowed) ** 2) < np.sum(np.abs(unweighted) ** 2)
 
     def test_extension_exceeding_symbol_rejected(self):
         cfg = NumerologyConfig(n_fft=128, n_occupied=48, t_cp_ch=64)
         with pytest.raises(ValueError, match="cyclic extension exceeds symbol"):
-            symbol_stream(cfg, WindowSpec(0.9, 110), 1, seed=0)
+            symbol_stream(cfg, WindowSpec(110), 1, seed=0)
 
     def test_stream_length_formula(self, small_cfg):
         # telescoping construction: K hops of (n_fft + t_cp_ch + L) plus tail L
@@ -176,7 +176,7 @@ class TestSymbolStream:
         L, n, cp = win.t_cp_win, small_cfg.n_fft, small_cfg.t_cp_ch
         stream = symbol_stream(small_cfg, win, 2, seed=3)
         # the same two bodies unwindowed, from the alpha = 0 stream
-        flat = symbol_stream(small_cfg, WindowSpec(0.0, 0), 2, seed=3)
+        flat = symbol_stream(small_cfg, WindowSpec(0), 2, seed=3)
         body0, body1 = flat.reshape(2, n + cp)[:, cp:]
         hop = n + cp + L
         expected = (body0[:L] * falling_taper(L)
