@@ -8,13 +8,13 @@ byte-deterministic under a fixed seed.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .numerology import NumerologyConfig, config_float, config_int, load_yaml, read_keys
+from .numerology import (NumerologyConfig, WindowSpec, config_float, config_int,
+                         load_yaml, read_keys, write_csv)
 from .optimizer import (
     ABSENT_THETA,
     DEFAULT_ALPHA_GRID,
@@ -145,22 +145,27 @@ def _out_dir(ec: ExperimentConfig) -> Path:
 
 
 def _lookup_for(ec: ExperimentConfig) -> LookupTable:
-    """Check both lists (ValueError), then load a persisted table matching the
-    config hash, or build it, create the output directory and persist the
-    table through a temporary name outside lookup_*.csv and an atomic rename."""
+    """Check both lists (ValueError), then load the persisted table matching
+    the config hash, or build it, create the output directory and save it. A
+    loaded entry whose alpha fails WindowSpec.for_config, or whose GD is not
+    that alpha's taper, raises one ValueError naming the file and theta."""
     thetas = checked_theta_list(ec.theta_list)
     alphas = checked_alpha_grid(ec.alpha_grid, ec.numerology)
     key = config_fingerprint(ec.numerology, alphas, thetas)
     path = Path(ec.out_dir) / f"lookup_{key}.csv"
-    if path.exists():
-        return LookupTable.load_csv(path)
-    table = build_lookup_table(thetas, ec.numerology, alphas)
-    tmp = _out_dir(ec) / f".{path.name}.{os.getpid()}.tmp"
-    try:
-        table.save_csv(tmp, ec.numerology)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    if not path.exists():
+        table = build_lookup_table(thetas, ec.numerology, alphas)
+        table.save_csv(_out_dir(ec) / path.name, ec.numerology)
+        return table
+    table = LookupTable.load_csv(path)
+    for theta, a in table.entries.items():
+        try:
+            gd = WindowSpec.for_config(a.alpha, ec.numerology).t_cp_win
+            if a.gd_samples != gd:
+                raise ValueError(
+                    f"gd_samples must be alpha's taper {gd}, got {a.gd_samples}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: theta={grid_text(theta)}: {exc}") from None
     return table
 
 
@@ -180,15 +185,13 @@ def cmd_guards(args) -> int:
     # without a curve is reported as absent below, as lookup-build does
     curves = efficiency_curves(ec.theta_list, ec.numerology, ec.alpha_grid)
     out = _out_dir(ec)
-    with open(out / "guard_curves.csv", "w", newline="") as fh:
-        fh.write("theta_db,alpha,gd_samples,gb_subcarriers,eta_time,eta_freq,eta\n")
-        for theta, curve in curves.items():
-            for a in curve:
-                fh.write(
-                    f"{grid_text(theta)},{grid_text(a.alpha)},{a.gd_samples},"
-                    f"{a.gb_subcarriers:.6f},{a.eta_time:.8f},"
-                    f"{a.eta_freq:.8f},{a.eta:.8f}\n"
-                )
+    header = "theta_db,alpha,gd_samples,gb_subcarriers,eta_time,eta_freq,eta"
+    write_csv(out / "guard_curves.csv", header, (
+        f"{grid_text(theta)},{grid_text(a.alpha)},{a.gd_samples},"
+        f"{a.gb_subcarriers:.6f},{a.eta_time:.8f},"
+        f"{a.eta_freq:.8f},{a.eta:.8f}\n"
+        for theta, curve in curves.items() for a in curve
+    ))
     table = LookupTable.from_curves(ec.theta_list, curves)
     table.save_csv(out / "optimal_guards.csv", ec.numerology)
     _report_absent(ec.theta_list, table)

@@ -1,5 +1,5 @@
 # guardopt/numerology.py
-"""Fixed waveform parameters, unit conversions and config-file reading.
+"""Fixed waveform parameters, unit conversions, config reading, CSV writing.
 
 Conventions:
 - Durations are stored in samples internally; seconds are a presentation
@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 
 def round_half_up(x: float) -> int:
@@ -116,6 +118,20 @@ def load_yaml(path):
             where = f", line {mark.line + 1}, column {mark.column + 1}" if mark else ""
             problem = " ".join(str(getattr(exc, "problem", None) or exc).split())
             raise ValueError(f"{path}{where}: malformed YAML: {problem}") from None
+
+
+def write_csv(path, header: str, lines) -> None:
+    """Write the header line, then the lines (each ending in a newline), to
+    path whole or not at all: into .<name>.<pid>.tmp beside it, outside every
+    *.csv glob, then os.replace. On any failure the temporary file goes."""
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(header + "\n")
+            fh.writelines(lines)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def check_extension(cfg: NumerologyConfig, ramp_len: int) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerology import NumerologyConfig, WindowSpec
+from .numerology import NumerologyConfig, WindowSpec, write_csv
 from .parallel import parallel_map
 from .spectrum import (
     OVERSAMPLE,
@@ -25,6 +25,7 @@ from .spectrum import (
     LeakageModel,
     ThetaUnreachableError,
     grid_suppression_db,
+    is_threshold,
     required_guard_band,  # noqa: F401  unused here; perfbench's tracer wraps it
     windowed_psd,  # noqa: F401  unused here; perfbench's tracer wraps it
 )
@@ -162,16 +163,13 @@ class LookupTable:
         return np.searchsorted(self._thetas, np.asarray(thetas, float) - 1e-9)
 
     def save_csv(self, path, cfg: NumerologyConfig) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(LOOKUP_COLUMNS + "\n")
-            for t, a in self.entries.items():
-                gd_us = a.gd_samples / cfg.sample_rate * 1e6
-                gb_hz = a.gb_subcarriers * cfg.subcarrier_spacing
-                fh.write(
-                    f"{grid_text(t)},{grid_text(a.alpha)},{a.gd_samples},{gd_us:.6f},"
-                    f"{a.gb_subcarriers:.6f},{gb_hz:.6f},"
-                    f"{a.eta_time:.8f},{a.eta_freq:.8f},{a.eta:.8f}\n"
-                )
+        write_csv(path, LOOKUP_COLUMNS, (
+            f"{grid_text(t)},{grid_text(a.alpha)},{a.gd_samples},"
+            f"{a.gd_samples / cfg.sample_rate * 1e6:.6f},"
+            f"{a.gb_subcarriers:.6f},{a.gb_subcarriers * cfg.subcarrier_spacing:.6f},"
+            f"{a.eta_time:.8f},{a.eta_freq:.8f},{a.eta:.8f}\n"
+            for t, a in self.entries.items()
+        ))
 
     @classmethod
     def load_csv(cls, path) -> "LookupTable":
@@ -245,12 +243,12 @@ def build_lookup_table(
 
 def checked_theta_list(theta_list) -> list:
     """theta_list as a list; raises ValueError unless non-empty, strictly
-    ascending, and every threshold finite and above 0 dB."""
+    ascending, and every value passes is_threshold."""
     theta_list = list(theta_list)
     if not theta_list:
         raise ValueError("theta_list must be non-empty")
     for theta in theta_list:
-        if not (math.isfinite(theta) and theta > 0):
+        if not is_threshold(theta):
             raise ValueError(
                 f"theta_list values must be finite and positive, got {theta}"
             )

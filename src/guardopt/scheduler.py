@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerology import config_float, load_yaml, read_keys
+from .numerology import config_float, load_yaml, read_keys, write_csv
 from .optimizer import GuardAllocation, LookupTable, grid_text
 
 USE_CASES = ("eMBB", "mMTC", "URLLC")  # read by perfbench only
@@ -441,26 +441,20 @@ _USER_READERS = {"id": _user_id, "power_dbm": config_float, "sir_req_db": config
 
 def write_layout_csv(plan: SchedulePlan, path) -> None:
     """Per-band layout: band_index, user_id, theta_db, gb_subcarriers, gd_samples."""
-    with open(path, "w", newline="") as fh:
-        fh.write("band_index,user_id,theta_db,gb_subcarriers,gd_samples\n")
-        for i, (u, theta, a) in enumerate(
-            zip(plan.assignment, plan.theta_per_band, plan.guard_per_band)
-        ):
-            fh.write(
-                f"{i},{u.id},{grid_text(theta)},{a.gb_subcarriers:.6f},{a.gd_samples}\n"
-            )
+    bands = zip(plan.assignment, plan.theta_per_band, plan.guard_per_band)
+    write_csv(path, "band_index,user_id,theta_db,gb_subcarriers,gd_samples", (
+        f"{i},{u.id},{grid_text(theta)},{a.gb_subcarriers:.6f},{a.gd_samples}\n"
+        for i, (u, theta, a) in enumerate(bands)
+    ))
 
 
 def write_comparison_csv(rows, path) -> None:
     """Scenario totals and stepwise reductions."""
-    with open(path, "w", newline="") as fh:
-        fh.write(
-            "scenario,total_gd_samples,total_gb_subcarriers,"
-            "gd_reduction_pct,gb_reduction_pct\n"
-        )
-        for r in rows:
-            fh.write(
-                f"{r.scenario},{r.plan.total_gd_samples},"
-                f"{r.plan.total_gb_subcarriers},"
-                f"{r.gd_reduction_pct:.4f},{r.gb_reduction_pct:.4f}\n"
-            )
+    header = ("scenario,total_gd_samples,total_gb_subcarriers,"
+              "gd_reduction_pct,gb_reduction_pct")
+    write_csv(path, header, (
+        f"{r.scenario},{r.plan.total_gd_samples},"
+        f"{r.plan.total_gb_subcarriers},"
+        f"{r.gd_reduction_pct:.4f},{r.gb_reduction_pct:.4f}\n"
+        for r in rows
+    ))

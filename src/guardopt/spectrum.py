@@ -24,11 +24,12 @@ Conventions:
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerology import NumerologyConfig, WindowSpec
+from .numerology import NumerologyConfig, WindowSpec, write_csv
 from .waveform import occupied_bins, pulse_weights, symbol_stream
 
 
@@ -45,6 +46,13 @@ _COLUMN_RAMP = 1j * np.arange(_BLOCK)  # times a phase: the exponents of z^colum
 class ThetaUnreachableError(ValueError):
     """Requested suppression cannot be met within the PSD grid span, or lies
     beyond what the leakage model resolves."""
+
+
+def is_threshold(theta) -> bool:
+    """Whether theta is a threshold: a real number (not a bool), finite and
+    above 0 dB. NaN fails every comparison."""
+    number = isinstance(theta, numbers.Real) and not isinstance(theta, bool)
+    return number and 0 < theta < np.inf
 
 
 @dataclass(frozen=True)
@@ -350,7 +358,7 @@ class LeakageModel:
         the endpoint checks, stop(lo) is asked at each midpoint lo that falls
         short, a lower bound on the answer; once it is true, returns None.
         """
-        if not 0 < theta < np.inf:  # false for NaN too: it fails every comparison
+        if not is_threshold(theta):
             raise ValueError(f"theta must be finite and positive, got {theta}")
         cfg, read = self.cfg, self._read
         victim = spacing = cfg.subcarrier_spacing
@@ -390,6 +398,5 @@ def required_guard_band(alpha: float, theta: float, cfg: NumerologyConfig) -> fl
 def write_psd_csv(psd: PsdEstimate, path) -> None:
     """CSV trace: freq_hz, power_db."""
     values = np.column_stack((psd.freqs, psd.power_db)).ravel().tolist()
-    with open(path, "w", newline="") as fh:
-        fh.write("freq_hz,power_db\n")
-        fh.write("%.6f,%.6f\n" * psd.freqs.size % tuple(values))
+    rows = "%.6f,%.6f\n" * psd.freqs.size % tuple(values)
+    write_csv(path, "freq_hz,power_db", [rows])

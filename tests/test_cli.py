@@ -1,3 +1,4 @@
+import errno
 import re
 from pathlib import Path
 
@@ -5,7 +6,10 @@ import numpy as np
 import pytest
 
 import guardopt.cli as cli
+import guardopt.numerology as numerology
 import guardopt.optimizer as optimizer
+import guardopt.scheduler as scheduler
+import guardopt.spectrum as spectrum
 from guardopt.cli import CONFIG_KEYS, ExperimentConfig, main
 from guardopt.numerology import NumerologyConfig
 from guardopt.scheduler import load_users_yaml, schedule_interference_based
@@ -765,19 +769,121 @@ def test_cached_table_does_not_pass_a_bad_list(
 
 
 def test_failed_lookup_write_leaves_no_file(tmp_path, monkeypatch, capsys):
-    from guardopt.optimizer import LookupTable
+    # the real save_csv fails mid-row: after the header and the first row's
+    # theta, formatting that row's alpha fails
+    texts, real = [], optimizer.grid_text
 
-    def half_written(self, path, cfg):
-        with open(path, "w") as fh:
-            fh.write("theta_db,")
-        raise OSError("disk full")
+    def grid_text(x):
+        if texts:
+            raise OSError("disk full")
+        texts.append(real(x))
+        return texts[-1]
 
-    monkeypatch.setattr(LookupTable, "save_csv", half_written)
+    monkeypatch.setattr(optimizer, "grid_text", grid_text)
     out = tmp_path / "o"
     code = main(["lookup-build", "--theta", THETA, "--alpha", ALPHA, "--out", str(out)])
     assert code == 1
+    assert texts == ["20"]
     assert "disk full" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+class _FullDisk:
+    """A text file whose second write stores half its text, then fails."""
+
+    def __init__(self, path, mode="r", **kwargs):
+        self.fh, self.writes = open(path, mode, **kwargs), 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == 2:
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.fh.write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+def _writer_inputs():
+    entry = optimizer.GuardAllocation(0.0, 0, 1.5, 0.9, 0.9, 0.81, 20.0)
+    lookup = optimizer.LookupTable({20.0: entry, 60.0: entry})
+    users = [scheduler.UserProfile(u, 0.0, 20.0) for u in "abc"]
+    rows = scheduler.compare_scenarios(users, 0, lookup)
+    freqs = np.arange(4.0)
+    return lookup, rows, spectrum.PsdEstimate(freqs, freqs + 1, 1.5)
+
+
+def _guards_command(path):
+    argv = ["guards", "--theta", "20", "--alpha", "0,0.05", "--out", str(path.parent)]
+    if main(argv):
+        raise OSError("guards exited 1")
+
+
+# each writes the named file; guards writes guard_curves.csv first
+WRITERS = {
+    "psd.csv": lambda path, lookup, rows, psd: spectrum.write_psd_csv(psd, path),
+    "lookup.csv": lambda path, lookup, rows, psd: lookup.save_csv(
+        path, NumerologyConfig()),
+    "guard_curves.csv": lambda path, lookup, rows, psd: _guards_command(path),
+    "layout.csv": lambda path, lookup, rows, psd: scheduler.write_layout_csv(
+        rows[0].plan, path),
+    "comparison.csv": lambda path, lookup, rows, psd: scheduler.write_comparison_csv(
+        rows, path),
+}
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_failed_write_keeps_what_was_there(tmp_path, monkeypatch, capsys, name):
+    # every output goes through write_csv: whole, or not written at all
+    inputs = _writer_inputs()
+    whole = tmp_path / "whole" / name
+    whole.parent.mkdir()
+    WRITERS[name](whole, *inputs)
+    assert whole.read_text().count("\n") >= 2
+    monkeypatch.setattr(numerology, "open", _FullDisk, raising=False)
+    fresh, kept = tmp_path / "fresh" / name, tmp_path / "kept" / name
+    fresh.parent.mkdir()
+    kept.parent.mkdir()
+    kept.write_bytes(b"old bytes\n")
+    for path in (fresh, kept):
+        with pytest.raises(OSError):
+            WRITERS[name](path, *inputs)
+    assert list(fresh.parent.iterdir()) == []
+    assert list(kept.parent.iterdir()) == [kept]
+    assert kept.read_bytes() == b"old bytes\n"
+
+
+@pytest.mark.parametrize("command", ["lookup-build", "schedule"])
+@pytest.mark.parametrize("column, text, message", [
+    (1, "1.5", "alpha must be a number in [0, 1]"),
+    (2, "56", "gd_samples must be alpha's taper 55, got 56"),
+])
+def test_lookup_cache_with_an_entry_off_its_taper_exits_1(
+    tmp_path, capsys, command, column, text, message
+):
+    # load_csv cannot see it; the loader that knows the numerology can
+    out = tmp_path / "o"
+    argv = [command, "--theta", THETA, "--alpha", ALPHA, "--out", str(out)]
+    assert main(argv) == 0
+    (lookup,) = out.glob("lookup_*.csv")
+    lines = lookup.read_text().splitlines()
+    fields = lines[2].split(",")
+    assert fields[:3] == ["30", "0.05", "55"]
+    fields[column] = text
+    lines[2] = ",".join(fields)
+    lookup.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {lookup}: theta=30: {message}\n"
 
 
 def test_key_error_in_a_command_propagates(tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ from guardopt.optimizer import (
     LookupTable,
     build_lookup_table,
     checked_alpha_grid,
+    checked_theta_list,
     config_fingerprint,
     efficiency_curve,
     efficiency_curves,
@@ -540,6 +541,23 @@ def test_unreachable_theta_has_no_optimum(cfg):
     with pytest.raises(ThetaUnreachableError) as exc:
         optimize_guards(200.0, cfg, (0.0, 0.1))
     assert str(exc.value) == ABSENT_THETA.format("200")
+
+
+@pytest.mark.parametrize("theta", [True, "30", None, float("nan"), 0.0])
+@pytest.mark.parametrize("entry", [
+    pytest.param(lambda t, cfg: checked_theta_list([t]), id="checked_theta_list"),
+    pytest.param(lambda t, cfg: required_guard_band(0.05, t, cfg),
+                 id="required_guard_band"),
+    pytest.param(lambda t, cfg: efficiency_curve(t, cfg, (0.05,)), id="efficiency_curve"),
+    pytest.param(lambda t, cfg: optimize_guards(t, cfg, (0.05,)), id="optimize_guards"),
+    pytest.param(lambda t, cfg: build_lookup_table([t], cfg, (0.05,)),
+                 id="build_lookup_table"),
+])
+def test_a_threshold_is_a_finite_positive_real_number(cfg, entry, theta):
+    # True is not 1 dB, and a string or None is a bad value, not a TypeError
+    with pytest.raises(ValueError, match="finite and positive") as info:
+        entry(theta, cfg)
+    assert not isinstance(info.value, ThetaUnreachableError)
 
 
 def test_guard_allocation_product_invariant(cfg):
