@@ -28,6 +28,7 @@ from .optimizer import (
     efficiency_curves,
     grid_text,
     revalidate,
+    spectral_efficiency,
 )
 from .scheduler import (
     compare_scenarios,
@@ -147,8 +148,9 @@ def _out_dir(ec: ExperimentConfig) -> Path:
 def _lookup_for(ec: ExperimentConfig) -> LookupTable:
     """Check both lists (ValueError), then load the persisted table matching
     the config hash, or build it, create the output directory and save it. A
-    loaded entry whose alpha fails WindowSpec.for_config, or whose GD is not
-    that alpha's taper, raises one ValueError naming the file and theta."""
+    loaded entry whose alpha fails WindowSpec.for_config, whose GD is not
+    that alpha's taper, or whose etas are not spectral_efficiency of its GD
+    and GB, raises one ValueError naming the file and theta."""
     thetas = checked_theta_list(ec.theta_list)
     alphas = checked_alpha_grid(ec.alpha_grid, ec.numerology)
     key = config_fingerprint(ec.numerology, alphas, thetas)
@@ -158,12 +160,22 @@ def _lookup_for(ec: ExperimentConfig) -> LookupTable:
         table.save_csv(_out_dir(ec) / path.name, ec.numerology)
         return table
     table = LookupTable.load_csv(path)
+    # the file rounds each eta to 8 decimals and GB to 6; a GB change of
+    # 5e-7 moves eta_freq by at most 1e-6 / n_occupied
+    tol = 1e-8 + 1e-6 / ec.numerology.n_occupied
     for theta, a in table.entries.items():
         try:
             gd = WindowSpec.for_config(a.alpha, ec.numerology).t_cp_win
             if a.gd_samples != gd:
                 raise ValueError(
                     f"gd_samples must be alpha's taper {gd}, got {a.gd_samples}")
+            etas = spectral_efficiency(gd, a.gb_subcarriers, ec.numerology)
+            for name, eta in zip(("eta_time", "eta_freq", "eta"), etas):
+                got = getattr(a, name)
+                if not abs(got - eta) <= tol:
+                    raise ValueError(
+                        f"{name} must be {eta:.8f} at gd_samples {gd} and "
+                        f"gb_subcarriers {a.gb_subcarriers:.6f}, got {got:.8f}")
         except ValueError as exc:
             raise ValueError(f"{path}: theta={grid_text(theta)}: {exc}") from None
     return table
@@ -200,7 +212,7 @@ def cmd_guards(args) -> int:
         for theta, supp in revalidate(table, ec.numerology).items():
             ok = supp >= theta - REVALIDATE_TOL_DB
             print(f"theta={grid_text(theta)} achieved={supp:.2f} dB "
-                  f"{'ok' if ok else 'VIOLATION'}")
+                  f"margin={supp - theta:+.4f} dB {'ok' if ok else 'VIOLATION'}")
             violations += not ok
     return 1 if violations else 0
 

@@ -6,8 +6,9 @@ span cannot hold an adjacent victim band, with a taper of OVERSAMPLE times the
 guard duration the optimizer charges. The guard search reads the expected PSD
 in closed form (LeakageModel); revalidation re-reads it on the grid, over only
 the two bands it integrates (grid_suppression_db), so no full expected-PSD
-grid is ever built. The Welch estimate of one synthesized draw (windowed_psd)
-serves the psd export.
+grid is ever built, nor the full frequency grid or a zero-padded pulse copy.
+The Welch estimate of one synthesized draw (windowed_psd) serves the psd
+export.
 
 Conventions:
 - The occupied band edge sits half a subcarrier spacing beyond the outermost
@@ -24,6 +25,7 @@ Conventions:
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -133,12 +135,14 @@ def band_edge_hz(cfg: NumerologyConfig) -> float:
     return (half_hi + 0.5) * cfg.subcarrier_spacing
 
 
-def _trapezoid(freqs: np.ndarray, f_lo: float, f_hi: float):
+def _trapezoid(freqs: np.ndarray, f_lo: float, f_hi: float, spacing=None):
     """(lo, w): the trapezoidal power over [f_lo, f_hi] Hz of a PSD p on the
     ascending uniform grid freqs is w @ p[lo:lo + w.size].
 
     Only the bins the band touches get weight; a partially covered bin
     interval contributes its trapezoid area in proportion to the covered width.
+    The area scale is spacing, by default the grid's first bin interval; a
+    caller passing a window of a larger grid passes that grid's.
     """
     if f_lo < freqs[0] or f_hi > freqs[-1]:
         raise ValueError(
@@ -151,11 +155,30 @@ def _trapezoid(freqs: np.ndarray, f_lo: float, f_hi: float):
     if share.size:
         share[0] -= (f_lo - x[0]) / (x[1] - x[0])
         share[-1] -= (x[-1] - f_hi) / (x[-1] - x[-2])
-    area = 0.5 * (freqs[1] - freqs[0]) * share  # per end bin of an interval
+    if spacing is None:
+        spacing = freqs[1] - freqs[0]
+    area = 0.5 * spacing * share  # per end bin of an interval
     w = np.zeros(x.size)
     w[:-1] += area
     w[1:] += area
     return lo, w
+
+
+def _grid_band(size: int, sample_rate: float, f_lo: float, f_hi: float):
+    """_trapezoid's (lo, w) on _frequency_grid(size, sample_rate), from only
+    the bins the band touches and one more at each end: the grid's bins are
+    integers times val, as np.fft.fftfreq computes them, so these floats are
+    the grid's bit for bit, and no full grid is built."""
+    val = 1.0 / (size * (1.0 / sample_rate))
+    first = -(size // 2)  # the integer of the grid's lowest bin
+    if f_lo < first * val or f_hi > (size - 1) // 2 * val:
+        raise ValueError(
+            f"band [{f_lo:.3e}, {f_hi:.3e}] Hz exceeds PSD grid coverage"
+        )
+    k_lo = math.floor(f_lo / val) - 1
+    window = np.arange(k_lo, math.ceil(f_hi / val) + 2) * val
+    lo, w = _trapezoid(window, f_lo, f_hi, (first + 1) * val - first * val)
+    return k_lo - first + lo, w
 
 
 def band_power(psd: PsdEstimate, f_lo: float, f_hi: float) -> float:
@@ -209,19 +232,25 @@ def grid_suppression_db(cfg: NumerologyConfig, readings) -> list:
     precision; the in-band weights are folded per residue mod step by
     cumulative sums, once for every alpha. A victim slot past the grid
     raises band_power's ValueError.
+
+    Memory: each band's weights come from only the bins it touches
+    (_grid_band), so neither the full frequency grid nor a zero-padded copy
+    of the pulse is built; the fold's temporaries are freed before the FFTs,
+    and an alpha's complex rfft lives only until |W| is taken, squared in
+    place. Every reading is bit-identical to one on the full grid.
     """
     readings = list(readings)
     ocfg = cfg.oversampled(OVERSAMPLE)
     size = 4 * SEGMENT_SYMBOLS * ocfg.n_fft
     step = size // ocfg.n_fft
-    freqs = _frequency_grid(size, ocfg.sample_rate)
+    band = functools.partial(_grid_band, size, ocfg.sample_rate)
     edge, slot = band_edge_hz(ocfg), cfg.subcarrier_spacing
     bins = occupied_bins(ocfg)
 
     def rfft_bin(i):  # where P at grid bins i sits in the rfft half spectrum
         return np.abs(i % size - size // 2)
 
-    lo, w = _trapezoid(freqs, -edge, edge)
+    lo, w = band(-edge, edge)
     runs = np.split(bins, np.flatnonzero(np.diff(bins) != 1) + 1)
     rows = -(-w.size // step) + max(run.size for run in runs)
     strided = np.zeros(rows * step)
@@ -235,20 +264,21 @@ def grid_suppression_db(cfg: NumerologyConfig, readings) -> list:
         c[span:] -= cum[:w.size]
         at = rfft_bin(lo - run[-1] * step + np.arange(c.size))
         in_band += np.bincount(at, c, in_band.size)
+    del strided, cum, c, at  # the fold's temporaries, freed before the FFTs
 
     shifts = bins[:, None] * step
-    padded, out = np.zeros(size), [0.0] * len(readings)
+    out = [0.0] * len(readings)
     for alpha in dict.fromkeys(a for a, _ in readings):
         pulse = pulse_weights(ocfg, _oversampled(alpha, cfg)[1])
-        padded[:pulse.size] = pulse
-        half = np.abs(np.fft.rfft(padded)) ** 2  # P at the non-negative bins
-        padded[:pulse.size] = 0.0  # zeroed again for the next alpha
+        half = np.abs(np.fft.rfft(pulse, size))  # |W| at the non-negative bins
+        half *= half  # P, in place
         reference = float(in_band @ half)
         for i, (a, guard) in enumerate(readings):
             if a == alpha:
-                lo, w = _trapezoid(freqs, edge + guard, edge + guard + slot)
+                lo, w = band(edge + guard, edge + guard + slot)
                 terms = half[rfft_bin(lo + np.arange(w.size) - shifts)] @ w
                 out[i] = _density_ratio_db(float(terms.sum()), slot, reference, edge)
+        del half  # freed before the next alpha's FFT
     return out
 
 

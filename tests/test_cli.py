@@ -483,8 +483,8 @@ class TestGuardsCommand:
                 "--alpha", "0.05,0.1", "--revalidate", "--out", str(out)]
         assert _run(argv) == 0
         captured = capsys.readouterr()
-        assert re.fullmatch(r"theta=44\.9999996 achieved=\d+\.\d\d dB ok\n",
-                            captured.out)
+        assert re.fullmatch(r"theta=44\.9999996 achieved=\d+\.\d\d dB "
+                            r"margin=[+-]\d+\.\d{4} dB ok\n", captured.out)
         assert captured.err == (
             "theta=300.0000001: absent (unreachable at every alpha in the grid)\n"
         )
@@ -525,8 +525,8 @@ class TestGuardsCommand:
         argv = ["guards", "--theta", THETA, "--alpha", ALPHA, "--revalidate"]
         assert _run(argv + ["--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().out.splitlines() == [
-            "theta=20 achieved=19.95 dB ok",
-            "theta=30 achieved=29.80 dB VIOLATION",
+            "theta=20 achieved=19.95 dB margin=-0.0500 dB ok",
+            "theta=30 achieved=29.80 dB margin=-0.2000 dB VIOLATION",
         ]
 
     def test_revalidate_independent_of_seed(self, tmp_path, capsys):
@@ -884,6 +884,59 @@ def test_lookup_cache_with_an_entry_off_its_taper_exits_1(
     capsys.readouterr()
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {lookup}: theta=30: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["lookup-build", "schedule"])
+@pytest.mark.parametrize("column, text, message", [
+    (4, "0.000000", "eta_freq must be 1.00000000 at gd_samples 55 and "
+                    "gb_subcarriers 0.000000, got 0.97139469"),
+    (4, "7.834301", "eta_freq must be 0.97455027 at gd_samples 55 and "
+                    "gb_subcarriers 7.834301, got 0.97139469"),
+    (6, "0.88966126", "eta_time must be 0.88966116 at gd_samples 55 and "
+                      "gb_subcarriers 8.834301, got 0.88966126"),
+    (7, "nan", "eta_freq must be 0.97139469 at gd_samples 55 and "
+               "gb_subcarriers 8.834301, got nan"),
+    (8, "0.86421203", "eta must be 0.86421213 at gd_samples 55 and "
+                      "gb_subcarriers 8.834301, got 0.86421203"),
+])
+def test_lookup_cache_with_etas_off_its_guards_exits_1(
+    tmp_path, capsys, command, column, text, message
+):
+    # a cached GB edited alone no longer matches the etas written beside it,
+    # so schedule cannot charge a zeroed or lowered guard band
+    out = tmp_path / "o"
+    argv = [command, "--theta", THETA, "--alpha", ALPHA, "--out", str(out)]
+    assert main(argv) == 0
+    (lookup,) = out.glob("lookup_*.csv")
+    lines = lookup.read_text().splitlines()
+    fields = lines[2].split(",")
+    assert fields[:5] == ["30", "0.05", "55", "3.580729", "8.834301"]
+    fields[column] = text
+    lines[2] = ",".join(fields)
+    lookup.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {lookup}: theta=30: {message}\n"
+
+
+@pytest.mark.parametrize("numerology", [
+    "", "n_fft: 128\nn_occupied: 75\nt_cp_ch_samples: 8\n",
+    "n_fft: 64\nn_occupied: 37\nt_cp_ch_samples: 5\n",
+], ids=["default", "128-75", "64-37"])
+def test_fresh_lookup_cache_passes_its_checks(tmp_path, monkeypatch, numerology):
+    # GB's 6-decimal rounding moves eta_freq by up to 1e-6 / n_occupied: more
+    # than 1e-8 at 37 occupied subcarriers, within the tolerance that allows it
+    config = tmp_path / "exp.yaml"
+    config.write_text(numerology)
+    argv = ["lookup-build", "--config", str(config), "--theta", THETA,
+            "--alpha", ALPHA, "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("table rebuilt: the cache was not read")
+
+    monkeypatch.setattr(cli, "build_lookup_table", no_build)
+    assert main(argv) == 0
 
 
 def test_key_error_in_a_command_propagates(tmp_path, monkeypatch):

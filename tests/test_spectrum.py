@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -633,6 +634,86 @@ def test_revalidate_takes_one_fft_per_alpha_and_no_grid_psd(cfg, monkeypatch):
     assert list(achieved) == [20.0, 30.0, 45.0]
     for theta, value in achieved.items():
         assert value == pytest.approx(expected[theta], abs=1e-9), theta
+
+
+# the default table's (alpha, GB) entries and, in dB, the suppression that
+# revalidation read for them on the full 2^19-bin frequency grid
+DEFAULT_ENTRIES = {
+    20.0: (0.0, 4.343864440917969, 20.00241172603904),
+    25.0: (0.01, 10.320009231567383, 25.003455209556662),
+    30.0: (0.03, 12.571889877319336, 30.003375830412114),
+    35.0: (0.04, 14.557275772094727, 35.005732439024726),
+    40.0: (0.05, 15.303461074829102, 40.00106684307301),
+    45.0: (0.055, 16.802494049072266, 45.00436326927158),
+}
+
+
+def _default_table(cfg):
+    return LookupTable({
+        theta: GuardAllocation(alpha, WindowSpec.for_config(alpha, cfg).t_cp_win,
+                               gb, 1.0, 1.0, 1.0, theta)
+        for theta, (alpha, gb, _) in DEFAULT_ENTRIES.items()
+    })
+
+
+def test_revalidate_peaks_under_12_mb(cfg):
+    # about 9 MB: the in-band weights, one alpha's complex rfft and |W|^2
+    table = _default_table(cfg)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        revalidate(table, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 12e6, peak
+
+
+def test_revalidate_builds_no_frequency_grid(cfg, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("frequency grid built")
+
+    monkeypatch.setattr(spectrum, "_frequency_grid", no_grid)
+    achieved = revalidate(_default_table(cfg), cfg)
+    assert list(achieved) == list(DEFAULT_ENTRIES)
+    for theta, (_, _, value) in DEFAULT_ENTRIES.items():
+        assert achieved[theta] == pytest.approx(value, abs=1e-9), theta
+
+
+# sample rates whose bins are not evenly spaced in floating point: k * val
+# rounds differently from bin to bin, so a window of the grid must take the
+# grid's first bin interval, not its own, as the trapezoid's area scale
+UNEVEN_RATES = [4 * 96 * 12345.6789, 4 * 100 * 60e3 / 7]
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(size=st.integers(2, 5000) | st.sampled_from([512 * 96, 512 * 1024]),
+       rate=st.sampled_from(UNEVEN_RATES + [4 * 1024 * 15e3])
+       | st.floats(1.0, 1e10),
+       data=st.data())
+def test_grid_band_is_trapezoid_on_the_full_grid(size, rate, data):
+    # bit for bit, from the bins a band touches: random band edges, edges on
+    # grid bins, both grid ends, and edges up to two bins past the grid,
+    # which raise _trapezoid's error
+    freqs = spectrum._frequency_grid(size, rate)
+    step = freqs[1] - freqs[0]
+    edge = (st.integers(0, size - 1).map(lambda j: float(freqs[j]))
+            | st.sampled_from([float(freqs[0]), float(freqs[-1])])
+            | st.floats(freqs[0] - 2 * step, freqs[-1] + 2 * step))
+    f_lo, f_hi = sorted((data.draw(edge), data.draw(edge)))
+    if freqs[0] <= f_lo and f_hi <= freqs[-1]:
+        lo, w = spectrum._trapezoid(freqs, f_lo, f_hi)
+        got_lo, got_w = spectrum._grid_band(size, rate, f_lo, f_hi)
+        assert got_lo == lo
+        assert got_w.tobytes() == w.tobytes()
+    else:
+        with pytest.raises(ValueError, match="exceeds PSD grid coverage") as oracle:
+            spectrum._trapezoid(freqs, f_lo, f_hi)
+        with pytest.raises(ValueError) as windowed:
+            spectrum._grid_band(size, rate, f_lo, f_hi)
+        assert str(windowed.value) == str(oracle.value)
 
 
 def test_welch_averages_the_last_segment(small_cfg):
