@@ -32,6 +32,8 @@ from .spectrum import (
 
 DEFAULT_ALPHA_GRID = tuple(round(0.005 * i, 3) for i in range(41))  # 0 .. 0.2
 DEFAULT_THETA_LIST = (20.0, 25.0, 30.0, 35.0, 40.0, 45.0)
+# build_lookup_table walks every COARSE_STRIDE-th alpha before the rest
+COARSE_STRIDE = 4
 # bump when the spectrum model or search changes a table's numbers
 SEARCH_VERSION = "charged-taper-1"
 # a threshold with no efficiency curve, formatted with its grid_text
@@ -95,8 +97,11 @@ def _column(alpha, thetas, cfg: NumerologyConfig, best=None) -> dict:
     for theta in thetas:
         stop = None
         if best and theta in best:
-            def stop(gb, eta=best[theta].eta):  # gb, and so any larger GB, loses
-                return spectral_efficiency(gd, gb, cfg)[2] <= eta
+            # gb, and so any larger GB, loses: a smaller eta, or the same eta
+            # at the larger alpha
+            def stop(gb, eta=best[theta].eta, best_alpha=best[theta].alpha):
+                at_gb = spectral_efficiency(gd, gb, cfg)[2]
+                return at_gb < eta or (at_gb == eta and alpha > best_alpha)
         with contextlib.suppress(ThetaUnreachableError):
             if (gb := model.guard_band(theta, stop)) is not None:
                 eta = spectral_efficiency(gd, gb, cfg)
@@ -222,19 +227,28 @@ def build_lookup_table(
 
     The table of LookupTable.from_curves over efficiency_curves, found by
     branch and bound: eta_freq <= 1, so no allocation at alpha has an eta
-    above eta_time(alpha), in floating point too. Walking the grid in
-    ascending alpha, a threshold whose best eta already reaches that bound is
-    not bisected, and an alpha with no threshold left builds no model. An
-    allocation found later has the larger alpha, so it loses every tie, as
-    best_allocation rules. A bisection stops once its bracket's lower end has
-    an eta no better than the best: eta falls as the guard band grows.
+    above eta_time(alpha), in floating point too. The walk takes every
+    COARSE_STRIDE-th alpha of the sorted grid first, then the rest in
+    ascending order, so each threshold has a good incumbent before most
+    bisections start. A threshold stays open at alpha only while alpha could
+    still beat its best under best_allocation's order: best.eta < bound, or
+    best.eta == bound and alpha < best.alpha. An alpha with no threshold left
+    builds no model. A bisection stops at its bracket's lower end lo once
+    eta(lo) < best.eta, or eta(lo) == best.eta and alpha > best.alpha: the
+    guard band it would return is at least lo, and eta falls as the guard
+    band grows. The merge is best_allocation, max (eta, -alpha), so the table
+    does not depend on the order of the walk.
     """
     thetas = checked_theta_list(theta_list)
+    alphas = sorted(checked_alpha_grid(alpha_grid, cfg))
+    walk = alphas[::COARSE_STRIDE] + [
+        a for i, a in enumerate(alphas) if i % COARSE_STRIDE]
     best: dict[float, GuardAllocation] = {}
-    for alpha in sorted(checked_alpha_grid(alpha_grid, cfg)):
+    for alpha in walk:
         gd = WindowSpec.for_config(alpha, cfg).t_cp_win
         bound = spectral_efficiency(gd, 0.0, cfg)[0]
-        open_thetas = [t for t in thetas if t not in best or best[t].eta < bound]
+        open_thetas = [t for t in thetas if t not in best or best[t].eta < bound
+                       or (best[t].eta == bound and alpha < best[t].alpha)]
         if open_thetas:
             for t, a in _column(alpha, open_thetas, cfg, best).items():
                 best[t] = best_allocation((best.get(t, a), a))

@@ -360,13 +360,15 @@ class LeakageModel:
         pulse = pulse_weights(ocfg, ramp)
         m = pulse.size
         size = -(-(2 * m - 1) // ocfg.n_fft) * ocfg.n_fft  # fast FFT length
-        r = np.fft.irfft(np.abs(np.fft.rfft(pulse, size)) ** 2, size)[:m]
+        power = np.abs(np.fft.rfft(pulse, size))
+        power *= power
+        r = np.fft.irfft(power, size)[:m]
         victim, in_band = _lag_kernels(ocfg)
-        coeffs = r * victim[:m] / (r @ in_band[:m])
-        bound = m * np.finfo(float).eps * np.abs(coeffs).sum()
         rows = -(-m // _BLOCK)
-        coeffs = np.pad(coeffs, (0, rows * _BLOCK - m)).reshape(rows, _BLOCK)
-        return cls(alpha, cfg, coeffs, 1j * np.arange(rows),
+        coeffs = np.zeros(rows * _BLOCK, dtype=complex)
+        coeffs[:m] = r * victim[:m] / (r @ in_band[:m])
+        bound = m * np.finfo(float).eps * np.abs(coeffs[:m]).sum()
+        return cls(alpha, cfg, coeffs.reshape(rows, _BLOCK), 1j * np.arange(rows),
                    2 * np.pi / ocfg.sample_rate, float(-_to_db(bound)))
 
     def suppression_db(self, guard_band_hz: float) -> float:

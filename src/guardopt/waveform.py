@@ -42,10 +42,8 @@ def pulse_weights(cfg: NumerologyConfig, ramp_len: int) -> np.ndarray:
     """Per-symbol weights: RC ramps of ramp_len around a unit CP and body.
     The synthesis and the expected PSD both run check_extension here."""
     check_extension(cfg, ramp_len)
-    return np.concatenate(
-        [rising_taper(ramp_len), np.ones(cfg.t_cp_ch + cfg.n_fft),
-         falling_taper(ramp_len)]
-    )
+    rise = rising_taper(ramp_len)
+    return np.concatenate([rise, np.ones(cfg.t_cp_ch + cfg.n_fft), 1.0 - rise])
 
 
 def random_qpsk_payloads(

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from guardopt.numerology import NumerologyConfig, round_half_up
 from guardopt.optimizer import (
@@ -22,6 +22,7 @@ from guardopt.optimizer import (
     revalidate,
     spectral_efficiency,
 )
+from guardopt.cli import REVALIDATE_TOL_DB
 import guardopt.spectrum as spectrum
 from guardopt.spectrum import (
     OVERSAMPLE,
@@ -247,7 +248,7 @@ def test_bounded_build_skips_the_pairs_that_cannot_win(cfg, monkeypatch):
     reads = _counted_reads(monkeypatch)
     build_lookup_table(DEFAULT_THETA_LIST, cfg)
     keys = [(id(model), g) for model, g in reads]
-    assert len(keys) == len(set(keys)) == 759
+    assert len(keys) == len(set(keys)) == 545
     assert len({id(model) for model, _ in reads}) == 23
 
 
@@ -268,14 +269,14 @@ def test_bounded_build_reads_what_the_curves_read(cfg, monkeypatch):
     run = "curves"
     efficiency_curves(DEFAULT_THETA_LIST, cfg)
     build, curves = readings["build"], readings["curves"]
-    assert len(build) == 759 and len(curves) == 2659
+    assert len(build) == 545 and len(curves) == 2659
     for key, value in build.items():
         assert curves[key].hex() == value.hex(), key
 
 
 @st.composite
-def _numerologies(draw):
-    n_fft = draw(st.integers(2, 512))
+def _numerologies(draw, min_fft=2):
+    n_fft = draw(st.integers(min_fft, 512))
     return NumerologyConfig(n_fft=n_fft, n_occupied=draw(st.integers(1, n_fft - 1)),
                             t_cp_ch=draw(st.integers(0, n_fft - 1)))
 
@@ -571,22 +572,63 @@ _NUMEROLOGIES = (
 )
 
 
+# on the default numerology each of these shares its taper with a grid
+# neighbour (0.0004 with 0, 0.0498 and 0.0502 with 0.05), so their allocations
+# tie and the smaller alpha must win whichever the walk meets first
+_TIED_ALPHAS = (0.0004, 0.0498, 0.0502)
+
+
 @settings(deadline=None, derandomize=True, max_examples=40)
 @given(
     st.sampled_from(_NUMEROLOGIES),
     # unsorted: the bounded build walks the grid in its own order
-    st.lists(st.sampled_from(DEFAULT_ALPHA_GRID), min_size=1, max_size=8,
-             unique=True),
+    st.lists(st.sampled_from(DEFAULT_ALPHA_GRID + _TIED_ALPHAS), min_size=1,
+             max_size=12, unique=True),
     # up to past the 113-114.6 dB the leakage model resolves
     st.lists(st.floats(5.0, 130.0), min_size=1, max_size=4, unique=True).map(sorted),
 )
 @example(_NUMEROLOGIES[0], [0.2, 0.0, 0.05, 0.01], [20.0, 45.0, 120.0])
 @example(_NUMEROLOGIES[1], [0.1, 0.005, 0.0], [25.0, 116.0])
+@example(_NUMEROLOGIES[0], [0.0, 0.01, 0.02, 0.0498, 0.05], [30.0, 40.0, 45.0])
+# one subcarrier in three costs so much band that 13 dB is best met with no
+# guard band at GD 6, which 0.28 and 0.29 share; the walk meets 0.29 first
+@example(NumerologyConfig(n_fft=16, n_occupied=3, t_cp_ch=4),
+         [0.29, 0.28, 0.22, 0.2, 0.4, 0.0], [12.25, 13.0])
 def test_bounded_build_matches_the_curves_optimum(cfg, alphas, thetas):
     built = build_lookup_table(thetas, cfg, alphas)
     expected = LookupTable.from_curves(thetas, efficiency_curves(thetas, cfg, alphas))
     assert built.entries == expected.entries
     assert built.failures == expected.failures
+
+
+def test_coarse_pass_does_not_keep_a_tie_for_the_larger_alpha(cfg):
+    # the coarse pass meets 0.05 before 0.0498; both taper over the same 55
+    # samples, so at 40 and 45 dB they tie and the later, smaller alpha wins
+    alphas = (0.0, 0.01, 0.02, 0.0498, 0.05)
+    table = build_lookup_table([30.0, 40.0, 45.0], cfg, alphas)
+    for theta in (40.0, 45.0):
+        entry = table.entries[theta]
+        assert (entry.alpha, entry.gd_samples) == (0.0498, 55)
+        tied = optimize_guards(theta, cfg, (0.05,))
+        assert (tied.gd_samples, tied.eta) == (55, entry.eta)
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(
+    _numerologies(min_fft=64),
+    st.lists(st.sampled_from(DEFAULT_ALPHA_GRID), min_size=1, max_size=5,
+             unique=True),
+    st.lists(st.floats(3.0, 130.0), min_size=1, max_size=4, unique=True).map(sorted),
+)
+def test_every_built_entry_revalidates(cfg, alphas, thetas):
+    # the table the closed-form search builds holds on the grid expected PSD,
+    # whatever the numerology; roll-offs whose extension fills the symbol go
+    alphas = [a for a in alphas if cfg.t_cp_ch + round_half_up(
+        a * (cfg.n_fft + cfg.t_cp_ch)) < cfg.n_fft]
+    assume(alphas)
+    table = build_lookup_table(thetas, cfg, alphas)
+    for theta, achieved in revalidate(table, cfg).items():
+        assert achieved >= theta - REVALIDATE_TOL_DB, (theta, achieved)
 
 
 def test_bounded_build_breaks_a_tie_toward_the_smaller_alpha(cfg):
