@@ -296,12 +296,15 @@ def revalidate(table: LookupTable, cfg: NumerologyConfig) -> dict:
     The search reads the closed-form LeakageModel; this path integrates the
     FFT-sampled PSD with the trapezoid instead (grid_suppression_db, one FFT
     per distinct alpha), so it checks the search rather than re-reading its
-    input. Returns theta -> achieved suppression (dB) at the tabulated guard
-    band, in table order.
+    input. The trapezoid's error is second order in the bin width, so the
+    fine and coarse readings (bin widths h and 2h) extrapolate to
+    fine + (fine - coarse) / 3 (Richardson). Returns theta -> achieved
+    suppression (dB) at the tabulated guard band, in table order.
     """
     s = cfg.subcarrier_spacing
     readings = [(a.alpha, a.gb_subcarriers * s) for a in table.entries.values()]
-    return dict(zip(table.entries, grid_suppression_db(cfg, readings)))
+    return {theta: fine + (fine - coarse) / 3 for theta, (fine, coarse)
+            in zip(table.entries, grid_suppression_db(cfg, readings))}
 
 
 def config_fingerprint(cfg: NumerologyConfig, alpha_grid, theta_list) -> str:

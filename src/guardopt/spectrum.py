@@ -4,9 +4,11 @@
 PSDs live on a grid OVERSAMPLE times denser than the base rate, whose Nyquist
 span cannot hold an adjacent victim band, with a taper of OVERSAMPLE times the
 guard duration the optimizer charges. The guard search reads the expected PSD
-in closed form (LeakageModel); revalidation re-reads it on the grid, over only
-the two bands it integrates (grid_suppression_db), so no full expected-PSD
-grid is ever built, nor the full frequency grid or a zero-padded pulse copy.
+in closed form (LeakageModel); revalidation re-reads it on a grid and on its
+every-other-bin subgrid, both from one FFT per alpha, over only the two bands
+it integrates (grid_suppression_db), and extrapolates the two trapezoid
+readings (Richardson), so no full expected-PSD grid is ever built, nor a full
+frequency grid or a zero-padded pulse copy.
 The Welch estimate of one synthesized draw (windowed_psd) serves the psd
 export.
 
@@ -40,6 +42,7 @@ SEGMENT_SYMBOLS = 32  # Welch segment length, in oversampled symbols
 # n windowed symbols span at least n * n_fft oversampled samples, so any
 # n >= SEGMENT_SYMBOLS fills a Welch segment at every valid alpha and numerology
 PSD_SYMBOLS = 128  # symbols in the psd export's one Welch draw
+REVALIDATE_STEP = 64  # revalidation's fine grid, in bins per oversampled subcarrier
 TOL_SUBCARRIERS = 0.01  # guard-band bisection tolerance
 _BLOCK = 64  # lags per block when LeakageModel evaluates its power series
 _COLUMN_RAMP = 1j * np.arange(_BLOCK)  # times a phase: the exponents of z^column
@@ -217,69 +220,82 @@ def windowed_psd(
 
 
 def grid_suppression_db(cfg: NumerologyConfig, readings) -> list:
-    """suppression_db of the expected PSD on the grid, against a one-subcarrier
-    victim slot, for each (alpha, g) of readings, g in Hz: one FFT per
-    distinct alpha, and only the two bands the metric integrates.
+    """(fine, coarse) suppression_db of the expected PSD on two grids, against
+    a one-subcarrier victim slot, for each (alpha, g) of readings, g in Hz:
+    one FFT per distinct alpha, and only the two bands the metric integrates.
 
-    The grid is the Welch one (one segment, zero-padded 4x). Unnormalised,
-    the expected PSD of i.i.d. zero-mean symbols at grid bin i is S[i] =
-    sum_k P[i - k step] over the occupied bins k, circularly, with P = |W|^2
-    the pulse power spectrum in grid order and step the bins per subcarrier
-    (van Waterschoot et al., IEEE SPL 17(4), 2010). A band's trapezoid
-    sum_i w_i S[i] is thus sum_q P[q] c[q], c the band's weights folded over
-    the comb; the normaliser cancels in the ratio. The victim slot is summed
-    over non-negative terms only, so far-out readings keep full relative
-    precision; the in-band weights are folded per residue mod step by
-    cumulative sums, once for every alpha. A victim slot past the grid
-    raises band_power's ValueError.
+    The fine grid has REVALIDATE_STEP bins per oversampled subcarrier; the
+    coarse grid is its every-other bin, so its P is the fine P at the even
+    bins and both come from the one FFT. Unnormalised, the expected PSD of
+    i.i.d. zero-mean symbols at grid bin i is S[i] = sum_k P[i - k step] over
+    the occupied bins k, circularly, with P = |W|^2 the pulse power spectrum
+    in grid order and step the bins per subcarrier (van Waterschoot et al.,
+    IEEE SPL 17(4), 2010). A band's trapezoid sum_i w_i S[i] is thus
+    sum_q P[q] c[q], c the band's weights folded over the comb; the
+    normaliser cancels in the ratio. The victim slot is summed over
+    non-negative terms only, so far-out readings keep full relative
+    precision; the in-band weights are folded per grid (_in_band_weights),
+    once for every alpha. A victim slot past the coarse grid raises
+    band_power's ValueError.
 
     Memory: each band's weights come from only the bins it touches
-    (_grid_band), so neither the full frequency grid nor a zero-padded copy
-    of the pulse is built; the fold's temporaries are freed before the FFTs,
-    and an alpha's complex rfft lives only until |W| is taken, squared in
-    place. Every reading is bit-identical to one on the full grid.
+    (_grid_band), so neither a full frequency grid nor a zero-padded copy of
+    the pulse is built, and an alpha's complex rfft lives only until |W| is
+    taken, squared in place.
     """
     readings = list(readings)
     ocfg = cfg.oversampled(OVERSAMPLE)
-    size = 4 * SEGMENT_SYMBOLS * ocfg.n_fft
-    step = size // ocfg.n_fft
-    band = functools.partial(_grid_band, size, ocfg.sample_rate)
+    size = REVALIDATE_STEP * ocfg.n_fft
     edge, slot = band_edge_hz(ocfg), cfg.subcarrier_spacing
+    bins = occupied_bins(ocfg)[:, None]
+    grids = [(n, _in_band_weights(n, ocfg), bins * (n // ocfg.n_fft))
+             for n in (size, size // 2)]
+    out = [[] for _ in readings]
+    for alpha in dict.fromkeys(a for a, _ in readings):
+        pulse = pulse_weights(ocfg, _oversampled(alpha, cfg)[1])
+        half = np.abs(np.fft.rfft(pulse, size))  # |W| at the non-negative bins
+        half *= half  # P, in place
+        for (n, in_band, shifts), power in zip(grids, (half, half[::2])):
+            reference = float(in_band @ power)
+            for i, (a, guard) in enumerate(readings):
+                if a == alpha:
+                    lo, w = _grid_band(n, ocfg.sample_rate, edge + guard,
+                                       edge + guard + slot)
+                    terms = power[_rfft_bin(lo + np.arange(w.size) - shifts, n)] @ w
+                    out[i].append(
+                        _density_ratio_db(float(terms.sum()), slot, reference, edge))
+        del half, power  # freed before the next alpha's FFT
+    return [tuple(pair) for pair in out]
+
+
+def _rfft_bin(i, size: int):
+    """Where P at bins i of the size-bin grid sits in its rfft half spectrum."""
+    return np.abs(i % size - size // 2)
+
+
+def _in_band_weights(size: int, ocfg: NumerologyConfig) -> np.ndarray:
+    """The trapezoid weights of the occupied band on the size-bin grid, folded
+    over the comb onto the rfft bins: in_band @ P is the band's power of S.
+
+    The fold runs per run of consecutive occupied bins, by cumulative sums per
+    residue mod step."""
+    step, edge = size // ocfg.n_fft, band_edge_hz(ocfg)
+    lo, w = _grid_band(size, ocfg.sample_rate, -edge, edge)
     bins = occupied_bins(ocfg)
-
-    def rfft_bin(i):  # where P at grid bins i sits in the rfft half spectrum
-        return np.abs(i % size - size // 2)
-
-    lo, w = band(-edge, edge)
     runs = np.split(bins, np.flatnonzero(np.diff(bins) != 1) + 1)
     rows = -(-w.size // step) + max(run.size for run in runs)
     strided = np.zeros(rows * step)
     strided[:w.size] = w
     cum = np.cumsum(strided.reshape(rows, step), axis=0).ravel()  # sum_d w[r - d step]
-    in_band = np.zeros(size // 2 + 1)  # the in-band weights on the rfft bins
+    in_band = np.zeros(size // 2 + 1)
     for run in runs:
         # c[r] = sum_{d < run.size} w[r - d step] weighs grid bin lo - run[-1] step + r
         span = run.size * step
         c = cum[:w.size + span].copy()
         c[span:] -= cum[:w.size]
-        at = rfft_bin(lo - run[-1] * step + np.arange(c.size))
+        at = _rfft_bin(lo - run[-1] * step + np.arange(c.size), size)
         in_band += np.bincount(at, c, in_band.size)
-    del strided, cum, c, at  # the fold's temporaries, freed before the FFTs
-
-    shifts = bins[:, None] * step
-    out = [0.0] * len(readings)
-    for alpha in dict.fromkeys(a for a, _ in readings):
-        pulse = pulse_weights(ocfg, _oversampled(alpha, cfg)[1])
-        half = np.abs(np.fft.rfft(pulse, size))  # |W| at the non-negative bins
-        half *= half  # P, in place
-        reference = float(in_band @ half)
-        for i, (a, guard) in enumerate(readings):
-            if a == alpha:
-                lo, w = band(edge + guard, edge + guard + slot)
-                terms = half[rfft_bin(lo + np.arange(w.size) - shifts)] @ w
-                out[i] = _density_ratio_db(float(terms.sum()), slot, reference, edge)
-        del half  # freed before the next alpha's FFT
-    return out
+    return in_band
 
 
 def suppression_db(

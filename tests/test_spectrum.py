@@ -19,6 +19,7 @@ from guardopt.optimizer import (
 from guardopt.spectrum import (
     OVERSAMPLE,
     PSD_SYMBOLS,
+    REVALIDATE_STEP,
     SEGMENT_SYMBOLS,
     TOL_SUBCARRIERS,
     AciReport,
@@ -62,17 +63,18 @@ def _full_grid_band_power(psd: PsdEstimate, f_lo: float, f_hi: float) -> float:
 
 
 @functools.lru_cache(maxsize=2)
-def _rolled_comb_psd(alpha: float, cfg: NumerologyConfig) -> PsdEstimate:
-    """Reference expected PSD on the Welch grid: the pulse power spectrum,
-    mirrored from a real FFT, summed over the occupied subcarriers by
-    pairwise doubling of np.roll copies. Cached for the few alphas a test
-    reads in turn."""
+def _rolled_comb_psd(alpha: float, cfg: NumerologyConfig, nfft=None) -> PsdEstimate:
+    """Reference expected PSD on the nfft-bin grid, by default the Welch one:
+    the pulse power spectrum, mirrored from a real FFT, summed over the
+    occupied subcarriers by pairwise doubling of np.roll copies. Cached for
+    the few (alpha, grid) pairs a test reads in turn."""
     ocfg = cfg.oversampled(OVERSAMPLE)
     L = OVERSAMPLE * WindowSpec.for_config(alpha, cfg).t_cp_win
     pulse = np.concatenate(
         [rising_taper(L), np.ones(ocfg.t_cp_ch + ocfg.n_fft), falling_taper(L)]
     )
-    nfft = 4 * SEGMENT_SYMBOLS * ocfg.n_fft
+    if nfft is None:
+        nfft = 4 * SEGMENT_SYMBOLS * ocfg.n_fft
     step = nfft // ocfg.n_fft
     half = np.abs(np.fft.rfft(pulse, n=nfft)) ** 2
     power = np.concatenate([half, half[-2:0:-1]])  # a real pulse: |W(-f)| = |W(f)|
@@ -90,6 +92,33 @@ def _rolled_comb_psd(alpha: float, cfg: NumerologyConfig) -> PsdEstimate:
     edge = band_edge_hz(ocfg)
     total /= total[np.abs(freqs) <= edge].mean()
     return PsdEstimate(freqs, total, edge)
+
+
+def _revalidation_size(cfg: NumerologyConfig) -> int:
+    """The bin count of revalidation's fine grid."""
+    return REVALIDATE_STEP * cfg.oversampled(OVERSAMPLE).n_fft
+
+
+def _revalidation_psds(alpha, cfg) -> tuple:
+    """The reference PSD on revalidation's fine grid and on its every-other-bin
+    coarse grid. Bin 2i of the fine grid is bin i of the half-size grid, float
+    for float, and S_fine[2i] = sum_k P_fine[2 (i - k step)], step the coarse
+    bins per subcarrier, so the coarse PSD is the fine one at the even bins,
+    from the same FFT: a half-size FFT's own rounding differs by up to about
+    2e-10 relative at the deepest sidelobes."""
+    fine = _rolled_comb_psd(alpha, cfg, _revalidation_size(cfg))
+    return fine, PsdEstimate(fine.freqs[::2], fine.power[::2], fine.band_edge_hz)
+
+
+def _reference_readings(alpha, cfg, guard_hz) -> list:
+    """suppression_db of the reference PSD at guard_hz, fine then coarse."""
+    s = cfg.subcarrier_spacing
+    return [suppression_db(psd, guard_hz, s) for psd in _revalidation_psds(alpha, cfg)]
+
+
+def _richardson(fine, coarse):
+    """The extrapolation of two trapezoid readings at bin widths h and 2h."""
+    return fine + (fine - coarse) / 3
 
 
 class TestEstimatePsd:
@@ -539,16 +568,18 @@ class TestExpectedPsd:
         np.testing.assert_allclose(psd.linear()[keep], ref[keep], rtol=1e-9, atol=0)
 
     def test_revalidation_matches_rolled_comb(self, cfg):
-        # the default table re-measured on the reference PSD
+        # the default table re-measured on the reference PSD at the fine and
+        # the coarse grid size, and revalidate's estimate extrapolated from both
         table = build_lookup_table(DEFAULT_THETA_LIST, cfg)
         s = cfg.subcarrier_spacing
+        guards = [(a.alpha, a.gb_subcarriers * s) for a in table.entries.values()]
+        pairs = grid_suppression_db(cfg, guards)
         achieved = revalidate(table, cfg)
         assert list(achieved) == list(DEFAULT_THETA_LIST)
-        for theta, a in table.entries.items():
-            ref = _rolled_comb_psd(a.alpha, cfg)
-            assert achieved[theta] == pytest.approx(
-                suppression_db(ref, a.gb_subcarriers * s, s), abs=1e-9
-            ), theta
+        for theta, (alpha, g), pair in zip(table.entries, guards, pairs):
+            ref = _reference_readings(alpha, cfg, g)
+            assert pair == pytest.approx(tuple(ref), abs=1e-9), theta
+            assert achieved[theta] == pytest.approx(_richardson(*ref), abs=1e-9), theta
 
     def test_welch_mean_converges(self, small_cfg):
         # the mean of many Welch draws estimates the expected PSD
@@ -579,48 +610,59 @@ def _top_guard_hz(psd, s):
 @given(shares=st.lists(st.floats(0.0, 1.0), max_size=4),
        aligned=st.lists(st.integers(0, 10**6), max_size=4))
 def test_grid_suppression_matches_full_grid_psd(numerology, alpha, shares, aligned):
-    # the band-only reading of the two integrated bands against suppression_db
-    # on the whole reference grid PSD, from no guard to the grid top, at
-    # fractional guards and at guards whose victim slot starts on a grid bin
-    psd = _rolled_comb_psd(alpha, numerology)
+    # the band-only readings of the two integrated bands against
+    # suppression_db on the whole reference grid PSD at the fine and the
+    # coarse size, from no guard to the coarse grid's top, at fractional
+    # guards and at guards whose victim slot starts on a fine grid bin (a
+    # coarse one at even bins)
+    fine, coarse = _revalidation_psds(alpha, numerology)
     s = numerology.subcarrier_spacing
-    top, step = _top_guard_hz(psd, s), psd.freqs[1] - psd.freqs[0]
+    top, step = _top_guard_hz(coarse, s), fine.freqs[1] - fine.freqs[0]
     bins = int(top // step)
     guards = ([0.0, top] + [u * top for u in shares]
               + [(j % (bins + 1)) * step for j in aligned])
     got = grid_suppression_db(numerology, [(alpha, g) for g in guards])
-    for g, value in zip(guards, got):
-        assert value == pytest.approx(suppression_db(psd, g, s), abs=1e-9), g
+    for g, pair in zip(guards, got):
+        ref = (suppression_db(fine, g, s), suppression_db(coarse, g, s))
+        assert pair == pytest.approx(ref, abs=1e-9), g
 
 
 @pytest.mark.parametrize("numerology", [NumerologyConfig(), ODD_CFG],
                          ids=["default", "odd"])
 def test_grid_suppression_victim_past_grid(numerology):
-    psd = _rolled_comb_psd(0.05, numerology)
+    # the limit is the coarse grid's top, which the fine grid still holds
+    fine, coarse = _revalidation_psds(0.05, numerology)
     s = numerology.subcarrier_spacing
-    past = _top_guard_hz(psd, s) + 0.5 * (psd.freqs[1] - psd.freqs[0])
+    past = _top_guard_hz(coarse, s) + 0.5 * (coarse.freqs[1] - coarse.freqs[0])
+    assert past <= _top_guard_hz(fine, s)
+    rate = numerology.oversampled(OVERSAMPLE).sample_rate
+    assert coarse.freqs.tobytes() == spectrum._frequency_grid(
+        _revalidation_size(numerology) // 2, rate).tobytes()
     with pytest.raises(ValueError, match="exceeds PSD grid coverage") as oracle:
-        suppression_db(psd, past, s)
+        suppression_db(coarse, past, s)
     with pytest.raises(ValueError) as band_only:
         grid_suppression_db(numerology, [(0.05, 0.0), (0.05, past)])
     assert str(band_only.value) == str(oracle.value)
 
 
 def test_revalidate_takes_one_fft_per_alpha_and_no_grid_psd(cfg, monkeypatch):
-    # two entries share alpha 0.05: two FFTs for three entries, and no
-    # Welch draw built or read from windowed_psd's cache
+    # two entries share alpha 0.05: two FFTs of the fine grid's length for
+    # three entries, and no Welch draw built or read from windowed_psd's cache
     table = LookupTable({
         20.0: GuardAllocation(0.05, 55, 3.25, 0.9, 0.9, 0.81, 20.0),
         30.0: GuardAllocation(0.1, 110, 2.5, 0.9, 0.9, 0.81, 30.0),
         45.0: GuardAllocation(0.05, 55, 15.5, 0.9, 0.9, 0.81, 45.0),
     })
     s = cfg.subcarrier_spacing
-    expected = {t: suppression_db(_rolled_comb_psd(a.alpha, cfg), a.gb_subcarriers * s, s)
+    expected = {t: _richardson(*_reference_readings(a.alpha, cfg, a.gb_subcarriers * s))
                 for t, a in table.entries.items()}
     ffts = []
 
     def counted(fft):
-        return lambda *args, **kwargs: ffts.append(fft.__name__) or fft(*args, **kwargs)
+        def call(a, n=None, *args, **kwargs):
+            ffts.append((fft.__name__, n))
+            return fft(a, n, *args, **kwargs)
+        return call
 
     def no_grid(*args, **kwargs):
         raise AssertionError("grid PSD built")
@@ -630,21 +672,44 @@ def test_revalidate_takes_one_fft_per_alpha_and_no_grid_psd(cfg, monkeypatch):
     for owner in (spectrum, optimizer):
         monkeypatch.setattr(owner, "windowed_psd", no_grid)
     achieved = revalidate(table, cfg)
-    assert ffts == ["rfft", "rfft"]
+    assert ffts == [("rfft", _revalidation_size(cfg))] * 2
     assert list(achieved) == [20.0, 30.0, 45.0]
     for theta, value in achieved.items():
         assert value == pytest.approx(expected[theta], abs=1e-9), theta
 
 
+@pytest.mark.parametrize("numerology, bound", [(NumerologyConfig(), 1.2e-4),
+                                               (ODD_CFG, 4e-4)], ids=["default", "odd"])
+def test_revalidation_error_within_its_bar(numerology, bound):
+    # each built entry's estimate against the reference's Richardson value
+    # from grids 4x and 8x finer than the fine one (converged to about 1e-5
+    # dB): within the entry's error bar |fine - coarse| / 3, and within a
+    # bound pinned from measurement (worst 1.19e-4 dB on the default
+    # numerology, 3.65e-4 dB on ODD_CFG)
+    table = build_lookup_table(DEFAULT_THETA_LIST, numerology)
+    s, fine_n = numerology.subcarrier_spacing, _revalidation_size(numerology)
+    guards = [(a.alpha, a.gb_subcarriers * s) for a in table.entries.values()]
+    pairs = grid_suppression_db(numerology, guards)
+    achieved = revalidate(table, numerology)
+    assert len(achieved) == len(DEFAULT_THETA_LIST)
+    for theta, (alpha, g), (fine, coarse) in zip(table.entries, guards, pairs):
+        exact = _richardson(*[  # uncached: 2^21 bins on the default numerology
+            suppression_db(_rolled_comb_psd.__wrapped__(alpha, numerology, k * fine_n), g, s)
+            for k in (8, 4)])
+        error = abs(achieved[theta] - exact)
+        assert error <= abs(fine - coarse) / 3, theta
+        assert error < bound, theta
+
+
 # the default table's (alpha, GB) entries and, in dB, the suppression that
-# revalidation read for them on the full 2^19-bin frequency grid
+# revalidation estimates for them from its 2^18-bin grid and 2^17-bin subgrid
 DEFAULT_ENTRIES = {
-    20.0: (0.0, 4.343864440917969, 20.00241172603904),
-    25.0: (0.01, 10.320009231567383, 25.003455209556662),
-    30.0: (0.03, 12.571889877319336, 30.003375830412114),
-    35.0: (0.04, 14.557275772094727, 35.005732439024726),
-    40.0: (0.05, 15.303461074829102, 40.00106684307301),
-    45.0: (0.055, 16.802494049072266, 45.00436326927158),
+    20.0: (0.0, 4.343864440917969, 20.002386106877253),
+    25.0: (0.01, 10.320009231567383, 25.003439138197905),
+    30.0: (0.03, 12.571889877319336, 30.003368902812554),
+    35.0: (0.04, 14.557275772094727, 35.00571761487607),
+    40.0: (0.05, 15.303461074829102, 40.0011061691056),
+    45.0: (0.055, 16.802494049072266, 45.004388739013905),
 }
 
 
@@ -656,8 +721,9 @@ def _default_table(cfg):
     })
 
 
-def test_revalidate_peaks_under_12_mb(cfg):
-    # about 9 MB: the in-band weights, one alpha's complex rfft and |W|^2
+def test_revalidate_peaks_under_6_mb(cfg):
+    # about 4.8 MB: the two grids' in-band weights, one alpha's complex rfft
+    # and |W|^2
     table = _default_table(cfg)
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
@@ -668,7 +734,7 @@ def test_revalidate_peaks_under_12_mb(cfg):
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak < 12e6, peak
+    assert peak < 6e6, peak
 
 
 def test_revalidate_builds_no_frequency_grid(cfg, monkeypatch):
