@@ -236,52 +236,62 @@ def _exact_order(kernel: _OrderingCost) -> tuple[list[int], bool]:
 
     Held-Karp DP: band b's guards depend on its two neighbors and the a|b
     boundary on the whole GBs of a and b, so the cost of everything from band
-    b on depends only on the state (placed set, a, b, whole GB of a). Each
-    state is searched once (its caller probes the memo) and keeps its least
-    (GB, GD) cost with the smallest next user reaching it; the ordering read
-    off the states from the front is the lexicographically first optimal
-    index sequence, the permutation search's answer.
+    b on depends only on the state (placed set, a, b, whole GB of a). A
+    forward pass builds the reachable states layer by layer, as numpy arrays
+    with one entry per state: a state's edges are its free users c in
+    ascending order, and `np.unique` merges their children (placed set + c,
+    b, c, whole GB of b) into the next layer. A backward pass costs the
+    layers from the last, in integers GB x m + GD that compare as the
+    (GB, GD) pairs do, and each state keeps its first least edge: the
+    smallest c. The ordering read off the states from the front is the
+    lexicographically first optimal index sequence, the permutation search's
+    answer.
     """
-    n, index, levels = len(kernel.index), kernel.index, kernel.levels
-    full = (1 << n) - 1
-    # (mask, a, b, whole GB of a) -> (least GB, GD from a|b on, next user, its GB)
-    memo: dict[tuple, tuple] = {}
-    free = [[c for c in range(n) if not mask >> c & 1] for mask in range(full + 1)]
-
-    def togo(mask, a, b, ga):
-        row = index[b]
-        if mask == full:  # b is the last band, a its only neighbor
-            gb, gd = levels[row[a]]
-            best = memo[mask, a, b, ga] = (gb if gb > ga else ga, gd, None, None)
-            return best
-        i = row[a]
-        best = (math.inf, 0, None, None)
-        for c in free[mask]:
-            j = row[c]
-            gb, gd = levels[j if j > i else i]
-            child = (mask | 1 << c, b, c, gb)
-            rest_gb, rest_gd, _, _ = memo.get(child) or togo(*child)
-            rest_gb += gb if gb > ga else ga
-            rest_gd += gd
-            # cost first, ties to the smallest c
-            if rest_gb < best[0] or rest_gb == best[0] and rest_gd < best[1]:
-                best = (rest_gb, rest_gd, c, gb)
-        memo[mask, a, b, ga] = best
-        return best
-
-    def start(a, b):
-        ga, gda = levels[index[a][b]]  # b is a's only neighbor
-        gb_rest, gd_rest, _, _ = togo(1 << a | 1 << b, a, b, ga)
-        return (gb_rest, gd_rest + gda), a, b, ga
-
-    # cost first, ties to the smallest (a, b)
-    (gb, _), a, b, ga = min(start(a, b) for a in range(n) for b in range(n) if a != b)
-    order, mask = [a, b], 1 << a | 1 << b
-    while mask != full:
-        _, _, c, gc = memo[mask, a, b, ga]
-        order.append(c)
-        mask, a, b, ga = mask | 1 << c, b, c, gc
-    return order, gb < kernel.off
+    n = len(kernel.index)
+    index = np.array(kernel.index)
+    gb_of, gd_of = np.array(kernel.levels).T
+    # a state holds its a's whole GB as a rank among the distinct whole GBs
+    whole, rank_of = np.unique(gb_of, return_inverse=True)
+    # more than any ordering's total GD; a total cost stays below
+    # n^3 x (largest GB + 1) x (largest GD + 1), far inside int64
+    m = n * int(gd_of.max()) + 1
+    # layer 2: every ordered pair (a, b), in ascending (a, b)
+    a, b = np.nonzero(~np.eye(n, dtype=bool))
+    mask, ga = 1 << a | 1 << b, rank_of[index[a, b]]
+    start_gd = gd_of[index[a, b]]  # b is a's only neighbor
+    first, second = a, b
+    # per later layer: each state's last user b; each edge's cost and child
+    lasts, layers = [], []
+    for placed in range(2, n):
+        _, c = np.nonzero(mask[:, None] >> np.arange(n) & 1 == 0)
+        c = c.reshape(len(mask), n - placed)
+        level = np.maximum(index[b, a][:, None], index[b[:, None], c])
+        cost = np.maximum(whole[ga][:, None], gb_of[level]) * m + gd_of[level]
+        keys = (((mask[:, None] | 1 << c) * n + b[:, None]) * n + c) * len(whole)
+        keys, child = np.unique((keys + rank_of[level]).ravel(), return_inverse=True)
+        layers.append((cost, child.reshape(cost.shape)))
+        keys, ga = np.divmod(keys, len(whole))
+        keys, b = np.divmod(keys, n)
+        mask, a = np.divmod(keys, n)
+        lasts.append(b)
+    # the last band's only neighbor is a
+    level = index[b, a]
+    total = np.maximum(whole[ga], gb_of[level]) * m + gd_of[level]
+    picks = []
+    for cost, child in reversed(layers):
+        through = cost + total[child]
+        pick = through.argmin(axis=1)  # the first least edge: the smallest c
+        rows = np.arange(len(pick))
+        total = through[rows, pick]
+        picks.append(child[rows, pick])
+    total += start_gd
+    state = int(total.argmin())  # the first least start: the smallest (a, b)
+    on_table = int(total[state]) // m < kernel.off
+    order = [int(first[state]), int(second[state])]
+    for pick, last in zip(reversed(picks), lasts):
+        state = pick[state]
+        order.append(int(last[state]))
+    return order, on_table
 
 
 def schedule_random(users, seed: int) -> list[UserProfile]:
@@ -302,8 +312,10 @@ def schedule_interference_based(
     The set size picks the search: the exact Held-Karp DP for at most
     EXACT_LIMIT users, the heuristic above. `mode` forces one, for
     comparisons: "exhaustive" (an error above EXACT_LIMIT) or "heuristic".
-    exhaustive: among equal-cost orderings it returns the first in input
-    order, as a search over `itertools.permutations(users)` would.
+    exhaustive: the DP's states are evaluated layer by layer in numpy, a
+    forward pass over each number of users placed, then a backward pass
+    (`_exact_order`); among equal-cost orderings it returns the first in
+    input order, as a search over `itertools.permutations(users)` would.
     heuristic: sort by power (SIR requirement as tie-break), then adjacent-swap
     passes until no swap improves the cost, each swap costed over the six
     bands it can change (`_swap_window`) and retried only once a position it

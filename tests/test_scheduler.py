@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import guardopt.scheduler as scheduler
 from guardopt.optimizer import GuardAllocation, LookupTable
 from guardopt.scheduler import (
+    EXACT_LIMIT,
     SchedulePlan,
     UserProfile,
     allocate_guards,
@@ -441,6 +444,17 @@ def _tables(draw, top=st.just(45.0)):
     return LookupTable(entries)
 
 
+@st.composite
+def _uneven_tables(draw):
+    """Non-monotone tables: GD and GB may fall as theta rises; the top entry
+    is 10 to 45 dB, so some neighbor pairs of a wide set are off the table."""
+    top = draw(st.floats(10.0, 45.0))
+    thetas = sorted(set(draw(st.lists(st.floats(-5.0, top), max_size=5))) | {top})
+    return LookupTable({t: _alloc(t, draw(st.integers(0, 30)), draw(
+        st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 12.0))))
+        for t in thetas})
+
+
 class TestOrderingSearchOracles:
     """The DP and the kernel-costed heuristic return exactly the orderings of
     the permutation search and the plan-costed swap loop."""
@@ -470,6 +484,18 @@ class TestOrderingSearchOracles:
                 schedule_interference_based(users, lut)
         else:
             assert _outcome(schedule_interference_based, users, lut) == want
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(users=_user_sets(7, _wide_levels), lut=_uneven_tables())
+    def test_exhaustive_is_first_permutation_optimum_on_uneven_tables(self, users, lut):
+        # a table's GB need not rise with theta: the search must not assume it
+        try:
+            want = [id(u) for u in _permutation_search(users, lut)]
+        except ValueError:
+            with pytest.raises(ValueError, match=r"^theta for user 'u\d+' out of "):
+                schedule_interference_based(users, lut, "exhaustive")
+        else:
+            assert _outcome(schedule_interference_based, users, lut, "exhaustive") == want
 
     @settings(deadline=None, derandomize=True, max_examples=150)
     @given(users=_user_sets(14), lut=_tables(st.floats(10.0, 45.0)))
@@ -620,6 +646,74 @@ class TestWholeGuardBands:
         order, _ = scheduler._exact_order(kernel)
         got = [users[i] for i in order]
         assert got == _permutation_search(users, lut)
+
+
+# schedule_search's synthetic table: 2.5 dB steps from 20 to 50 dB, alpha
+# 0.005 per step, GD and GB rising
+_STEPPED = LookupTable({
+    20.0 + 2.5 * k: _alloc(20.0 + 2.5 * k, math.floor(5.48 * k + 0.5), 3.6 + 1.35 * k)
+    for k in range(13)
+})
+# GD and GB fall and rise with theta; the table stops at 36 dB, so some
+# neighbor pairs of a _drawn_users set are off it
+_UNEVEN = LookupTable({t: _alloc(t, gd, gb) for t, gd, gb in [
+    (20.0, 12, 4.2), (25.0, 3, 6.0), (30.0, 20, 2.5), (32.5, 8, 9.1),
+    (34.0, 30, 5.0), (36.0, 0, 7.3),
+]})
+
+
+def _drawn_users(n, seed):
+    """schedule_search's draw: 0-15 dBm power and 15-30 dB SIR, one decimal."""
+    rng = random.Random(seed)
+    return [_user(f"u{i}", round(rng.uniform(0.0, 15.0), 1),
+                  round(rng.uniform(15.0, 30.0), 1)) for i in range(n)]
+
+
+class TestExactSearchAtItsLimit:
+    """The permutation oracle stops at 7 users. These orderings of 8 to
+    EXACT_LIMIT users were recorded from an earlier, recursive implementation
+    of the same DP."""
+
+    @pytest.mark.parametrize("table, seed, order", [
+        (_STEPPED, 0, [5, 3, 7, 1, 2, 0, 4, 6]),
+        (_STEPPED, 1, [0, 4, 7, 2, 3, 1, 5, 6]),
+        (_STEPPED, 0, [5, 3, 7, 1, 2, 8, 0, 4, 6]),
+        (_STEPPED, 1, [0, 8, 4, 7, 2, 3, 1, 5, 6]),
+        (_STEPPED, 0, [5, 3, 7, 1, 2, 0, 8, 9, 4, 6]),
+        (_STEPPED, 1, [0, 8, 4, 7, 2, 3, 5, 1, 6, 9]),
+        (_UNEVEN, 0, [3, 0, 1, 6, 2, 5, 7, 4]),
+        (_UNEVEN, 1, [0, 4, 1, 5, 2, 7, 3, 6]),
+        (_UNEVEN, 0, [0, 8, 3, 1, 6, 2, 5, 7, 4]),
+        (_UNEVEN, 1, [0, 8, 4, 1, 5, 2, 7, 3, 6]),
+        (_UNEVEN, 0, [0, 1, 6, 2, 3, 5, 8, 9, 7, 4]),
+        (_UNEVEN, 1, [0, 8, 4, 1, 5, 2, 9, 6, 3, 7]),
+    ])
+    def test_orderings_pinned(self, table, seed, order):
+        users = _drawn_users(len(order), seed)
+        got = schedule_interference_based(users, table)
+        assert [u.id for u in got] == [f"u{i}" for i in order]
+
+    def test_uneven_sets_have_off_table_pairs(self):
+        # seed 1's sets are the pinned ones that must route round the table's end
+        for n in (8, 9, 10):
+            kernel = scheduler._OrderingCost(_drawn_users(n, 1), _UNEVEN)
+            assert any(len(_UNEVEN.allocations) in row for row in kernel.index)
+
+    def test_ten_users_peak_under_8_mb(self):
+        # about 6.8 MB: every layer's edge costs and children (184,000 edges
+        # in all), kept for the backward pass, and the largest layer's
+        # temporaries
+        kernel = scheduler._OrderingCost(_drawn_users(EXACT_LIMIT, 0), _STEPPED)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            scheduler._exact_order(kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 8e6, peak
 
 
 @st.composite
