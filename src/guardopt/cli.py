@@ -122,20 +122,19 @@ def _csv_floats(text: str) -> tuple:
     return tuple(float(t) for t in items)
 
 
+# each flag that overrides a config field, the field and its reader, in order
+_OVERRIDES = (("seed", "seed", _seed), ("out", "out_dir", _file_path),
+              ("theta", "theta_list", _csv_floats),
+              ("alpha", "alpha_grid", _csv_floats), ("users", "users", _file_path))
+
+
 def _load_config(args) -> ExperimentConfig:
     ec = ExperimentConfig()
     if args.config is not None:
         ec = ExperimentConfig.load(_flag("--config", _file_path, args.config))
-    if getattr(args, "seed", None) is not None:
-        ec.seed = _flag("--seed", _seed, args.seed)
-    if getattr(args, "out", None) is not None:
-        ec.out_dir = _flag("--out", _file_path, args.out)
-    if getattr(args, "theta", None) is not None:
-        ec.theta_list = _flag("--theta", _csv_floats, args.theta)
-    if getattr(args, "alpha", None) is not None:
-        ec.alpha_grid = _flag("--alpha", _csv_floats, args.alpha)
-    if getattr(args, "users", None) is not None:
-        ec.users = _flag("--users", _file_path, args.users)
+    for flag, name, convert in _OVERRIDES:
+        if getattr(args, flag, None) is not None:
+            setattr(ec, name, _flag(f"--{flag}", convert, getattr(args, flag)))
     return ec
 
 
@@ -147,10 +146,11 @@ def _out_dir(ec: ExperimentConfig) -> Path:
 
 def _lookup_for(ec: ExperimentConfig) -> LookupTable:
     """Check both lists (ValueError), then load the persisted table matching
-    the config hash, or build it, create the output directory and save it. A
-    loaded entry whose alpha fails WindowSpec.for_config, whose GD is not
-    that alpha's taper, or whose etas are not spectral_efficiency of its GD
-    and GB, raises one ValueError naming the file and theta."""
+    the config hash (its failures set as a build sets them), or build it,
+    create the output directory and save it. A loaded entry whose alpha fails
+    WindowSpec.for_config, whose GD is not that alpha's taper, or whose etas
+    are not spectral_efficiency of its GD and GB, raises one ValueError
+    naming the file and theta."""
     thetas = checked_theta_list(ec.theta_list)
     alphas = checked_alpha_grid(ec.alpha_grid, ec.numerology)
     key = config_fingerprint(ec.numerology, alphas, thetas)
@@ -160,6 +160,7 @@ def _lookup_for(ec: ExperimentConfig) -> LookupTable:
         table.save_csv(_out_dir(ec) / path.name, ec.numerology)
         return table
     table = LookupTable.load_csv(path)
+    table.failures = tuple(t for t in thetas if t not in table.entries)
     # the file rounds each eta to 8 decimals and GB to 6; a GB change of
     # 5e-7 moves eta_freq by at most 1e-6 / n_occupied
     tol = 1e-8 + 1e-6 / ec.numerology.n_occupied
@@ -206,7 +207,7 @@ def cmd_guards(args) -> int:
     ))
     table = LookupTable.from_curves(ec.theta_list, curves)
     table.save_csv(out / "optimal_guards.csv", ec.numerology)
-    _report_absent(ec.theta_list, table)
+    _report_absent(table)
     violations = 0
     if args.revalidate:
         for theta, supp in revalidate(table, ec.numerology).items():
@@ -219,16 +220,14 @@ def cmd_guards(args) -> int:
 
 def cmd_lookup_build(args) -> int:
     ec = _load_config(args)
-    _report_absent(ec.theta_list, _lookup_for(ec))
+    _report_absent(_lookup_for(ec))
     return 0
 
 
-def _report_absent(thetas, table: LookupTable) -> None:
-    """One stderr line per threshold the table lacks. Read from the entries,
-    not table.failures: a table loaded from the cache keeps no failures."""
-    for theta in thetas:
-        if theta not in table.entries:
-            print(ABSENT_THETA.format(grid_text(theta)), file=sys.stderr)
+def _report_absent(table: LookupTable) -> None:
+    """One stderr line per threshold the table lacks."""
+    for theta in table.failures:
+        print(ABSENT_THETA.format(grid_text(theta)), file=sys.stderr)
 
 
 def cmd_schedule(args) -> int:

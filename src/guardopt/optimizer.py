@@ -36,6 +36,7 @@ DEFAULT_THETA_LIST = (20.0, 25.0, 30.0, 35.0, 40.0, 45.0)
 COARSE_STRIDE = 4
 # bump when the spectrum model or search changes a table's numbers
 SEARCH_VERSION = "charged-taper-1"
+GB_DECIMALS = 6  # decimals of a saved table's GB
 # a threshold with no efficiency curve, formatted with its grid_text
 ABSENT_THETA = "theta={}: absent (unreachable at every alpha in the grid)"
 
@@ -84,24 +85,28 @@ def efficiency_curves(
     """
     thetas = checked_theta_list(theta_list)
     alphas = checked_alpha_grid(alpha_grid, cfg)
-    columns = parallel_map(lambda alpha: _column(alpha, thetas, cfg), alphas)
+    columns = parallel_map(lambda alpha: _column(alpha, thetas, cfg, {}), alphas)
     curves = {t: [col[t] for col in columns if t in col] for t in thetas}
     return {t: curve for t, curve in curves.items() if curve}
 
 
-def _column(alpha, thetas, cfg: NumerologyConfig, best=None) -> dict:
+def _column(alpha, thetas, cfg: NumerologyConfig, best: dict) -> dict:
     """theta -> allocation at alpha for each of thetas it reaches, one model and
     one bisection each; one that provably cannot beat best[theta] is left out."""
     gd = WindowSpec.for_config(alpha, cfg).t_cp_win
+    # eta_freq <= 1, so no allocation at alpha has an eta above eta_time
+    bound = _rank(spectral_efficiency(gd, 0.0, cfg)[0], alpha)
+    thetas = [t for t in thetas
+              if t not in best or _rank(best[t].eta, best[t].alpha) < bound]
+    if not thetas:
+        return {}
     model, out = LeakageModel.for_alpha(alpha, cfg), {}
     for theta in thetas:
         stop = None
-        if best and theta in best:
-            # gb, and so any larger GB, loses: a smaller eta, or the same eta
-            # at the larger alpha
-            def stop(gb, eta=best[theta].eta, best_alpha=best[theta].alpha):
-                at_gb = spectral_efficiency(gd, gb, cfg)[2]
-                return at_gb < eta or (at_gb == eta and alpha > best_alpha)
+        if theta in best:
+            # gb, and so any larger GB, loses: eta falls as the guard band grows
+            def stop(gb, incumbent=_rank(best[theta].eta, best[theta].alpha)):
+                return _rank(spectral_efficiency(gd, gb, cfg)[2], alpha) < incumbent
         with contextlib.suppress(ThetaUnreachableError):
             if (gb := model.guard_band(theta, stop)) is not None:
                 eta = spectral_efficiency(gd, gb, cfg)
@@ -127,15 +132,16 @@ def optimize_guards(
     alpha_grid=DEFAULT_ALPHA_GRID,
 ) -> GuardAllocation:
     """Max-eta allocation over the alpha grid; ties go to the smaller alpha."""
-    table = build_lookup_table([theta], cfg, alpha_grid)
-    if theta not in table.entries:
-        raise ThetaUnreachableError(ABSENT_THETA.format(grid_text(theta)))
-    return table.entries[theta]
+    return best_allocation(efficiency_curve(theta, cfg, alpha_grid))
+
+
+def _rank(eta, alpha) -> tuple:  # allocations by eta, ties to the smaller alpha
+    return eta, -alpha
 
 
 def best_allocation(curve) -> GuardAllocation:
     """The optimum of an efficiency curve: max eta, ties to the smaller alpha."""
-    return max(curve, key=lambda a: (a.eta, -a.alpha))
+    return max(curve, key=lambda a: _rank(a.eta, a.alpha))
 
 
 class LookupTable:
@@ -147,6 +153,11 @@ class LookupTable:
         # the entries' allocations, ascending in theta, and their thresholds
         self.allocations = list(self.entries.values())
         self._thetas = np.fromiter(self.entries, float, len(self.entries))
+        # each allocation's (whole GB, GD) as the scheduler charges it: GB at
+        # the GB_DECIMALS save_csv writes, so a loaded table charges what the
+        # built one does, rounded up; monotone, so a boundary takes the larger
+        self.levels = [(math.ceil(round(a.gb_subcarriers, GB_DECIMALS)), a.gd_samples)
+                       for a in self.allocations]
 
     @classmethod
     def from_curves(cls, thetas, curves) -> "LookupTable":
@@ -171,7 +182,8 @@ class LookupTable:
         write_csv(path, LOOKUP_COLUMNS, (
             f"{grid_text(t)},{grid_text(a.alpha)},{a.gd_samples},"
             f"{a.gd_samples / cfg.sample_rate * 1e6:.6f},"
-            f"{a.gb_subcarriers:.6f},{a.gb_subcarriers * cfg.subcarrier_spacing:.6f},"
+            f"{a.gb_subcarriers:.{GB_DECIMALS}f},"
+            f"{a.gb_subcarriers * cfg.subcarrier_spacing:.6f},"
             f"{a.eta_time:.8f},{a.eta_freq:.8f},{a.eta:.8f}\n"
             for t, a in self.entries.items()
         ))
@@ -230,14 +242,13 @@ def build_lookup_table(
     above eta_time(alpha), in floating point too. The walk takes every
     COARSE_STRIDE-th alpha of the sorted grid first, then the rest in
     ascending order, so each threshold has a good incumbent before most
-    bisections start. A threshold stays open at alpha only while alpha could
-    still beat its best under best_allocation's order: best.eta < bound, or
-    best.eta == bound and alpha < best.alpha. An alpha with no threshold left
-    builds no model. A bisection stops at its bracket's lower end lo once
-    eta(lo) < best.eta, or eta(lo) == best.eta and alpha > best.alpha: the
-    guard band it would return is at least lo, and eta falls as the guard
-    band grows. The merge is best_allocation, max (eta, -alpha), so the table
-    does not depend on the order of the walk.
+    bisections start. In _column, a threshold stays open at alpha only while
+    _rank(eta_time(alpha), alpha) is above its best's _rank, and an alpha with
+    no threshold left builds no model; a bisection stops at its bracket's
+    lower end lo once _rank(eta(lo), alpha) is below its best's: the guard
+    band it would return is at least lo, and eta falls as the guard band
+    grows. The merge is best_allocation, max _rank, so the table does not
+    depend on the order of the walk.
     """
     thetas = checked_theta_list(theta_list)
     alphas = sorted(checked_alpha_grid(alpha_grid, cfg))
@@ -245,13 +256,8 @@ def build_lookup_table(
         a for i, a in enumerate(alphas) if i % COARSE_STRIDE]
     best: dict[float, GuardAllocation] = {}
     for alpha in walk:
-        gd = WindowSpec.for_config(alpha, cfg).t_cp_win
-        bound = spectral_efficiency(gd, 0.0, cfg)[0]
-        open_thetas = [t for t in thetas if t not in best or best[t].eta < bound
-                       or (best[t].eta == bound and alpha < best[t].alpha)]
-        if open_thetas:
-            for t, a in _column(alpha, open_thetas, cfg, best).items():
-                best[t] = best_allocation((best.get(t, a), a))
+        for t, a in _column(alpha, thetas, cfg, best).items():
+            best[t] = best_allocation((best.get(t, a), a))
     return LookupTable(best, [t for t in thetas if t not in best])
 
 

@@ -77,12 +77,11 @@ def theta_for_assignment(assignment) -> list[float]:
         raise ValueError("assignment must not be empty")
     if len(users) == 1:
         return [0.0]
-    # each boundary's terms toward the right and back; max() keeps the left on a tie
-    right = [_theta_term(u.power_dbm, v.power_dbm, v.sir_req_db)
-             for u, v in zip(users, users[1:])]
-    left = [_theta_term(v.power_dbm, u.power_dbm, u.sir_req_db)
-            for u, v in zip(users, users[1:])]
-    return [right[0], *(r if r > l else l for l, r in zip(left, right[1:])), left[-1]]
+    # an edge band's only neighbor is mirrored, as in _OrderingCost.bands
+    nbs = [users[1], *users, users[-2]]
+    return [max(_theta_term(u.power_dbm, a.power_dbm, a.sir_req_db),
+                _theta_term(u.power_dbm, c.power_dbm, c.sir_req_db))
+            for a, u, c in zip(nbs, users, nbs[2:])]
 
 
 def _theta_term(power, nb_power, nb_sir):
@@ -118,8 +117,7 @@ def _guard_plan(users: tuple, thetas, lookup: LookupTable) -> SchedulePlan:
                 f"({grid_text(lookup.max_theta)} dB)"
             )
     allocs = [lookup.allocations[k] for k in index]
-    levels = _levels(lookup)
-    total_gb, total_gd = _run_cost([levels[k] for k in index])
+    total_gb, total_gd = _run_cost([lookup.levels[k] for k in index])
     return SchedulePlan(
         assignment=users,
         theta_per_band=tuple(thetas),
@@ -127,14 +125,6 @@ def _guard_plan(users: tuple, thetas, lookup: LookupTable) -> SchedulePlan:
         total_gd_samples=total_gd,
         total_gb_subcarriers=total_gb,
     )
-
-
-def _levels(lookup: LookupTable) -> list[tuple[int, int]]:
-    """(whole GB, GD) of each entry of `lookup.allocations`: the guard band
-    rounded up to whole subcarriers. Rounding up is monotone, so a
-    boundary's whole GB is the larger of its two bands' whole GBs."""
-    return [(math.ceil(a.gb_subcarriers - 1e-9), a.gd_samples)
-            for a in lookup.allocations]
 
 
 class _OrderingCost:
@@ -156,7 +146,7 @@ class _OrderingCost:
         power = np.array([u.power_dbm for u in users])
         sir = np.array([u.sir_req_db for u in users])
         self.index = lookup.ceil_index(_theta_term(power[:, None], power, sir)).tolist()
-        levels = _levels(lookup)
+        levels = lookup.levels
         # an empty table puts every band off it
         self.off = len(users) * max(levels, default=(0, 0))[0] + 1
         self.levels = levels + [(self.off, 0)]
@@ -186,23 +176,6 @@ def _run_cost(pairs) -> tuple[int, int]:
     return total_gb, total_gd
 
 
-def _swap_window(kernel: _OrderingCost, order, pairs, i: int):
-    """Swap bands i and i+1 of `order` in place and cost the swap locally.
-
-    `pairs` holds every band's (whole GB, GD) before the swap. Only bands
-    i-1 .. i+2 change user or neighbor, so only bands i-2 .. i+3 and their
-    boundaries change cost; costs are integers, so comparing this window
-    before and after decides as comparing whole orderings does.
-
-    Returns (before, after, lo, new): the window's cost before and after the
-    swap, and the new pairs of bands lo, lo+1, ...
-    """
-    order[i], order[i + 1] = order[i + 1], order[i]
-    lo, hi = max(i - 2, 0), min(i + 4, len(order))
-    new = kernel.bands(order, lo, hi)
-    return _run_cost(pairs[lo:hi]), _run_cost(new), lo, new
-
-
 def _swap_order(kernel: _OrderingCost, order: list[int]) -> tuple[list[int], bool]:
     """Adjacent-swap passes over `order` until no swap lowers the cost; the
     ordering, and whether its bands are all on the table.
@@ -218,9 +191,13 @@ def _swap_order(kernel: _OrderingCost, order: list[int]) -> tuple[list[int], boo
         for i in range(n - 1):
             if not retry[i]:
                 continue
-            before, after, lo, new = _swap_window(kernel, order, pairs, i)
-            if after < before:
-                pairs[lo:lo + len(new)] = new
+            # bands i-1 .. i+2 change neighbors, so only bands lo .. hi-1 change
+            # cost; costs are integers, so the window decides as whole orderings do
+            order[i], order[i + 1] = order[i + 1], order[i]
+            lo, hi = max(i - 2, 0), min(i + 4, n)
+            new = kernel.bands(order, lo, hi)
+            if _run_cost(new) < _run_cost(pairs[lo:hi]):
+                pairs[lo:hi] = new
                 # positions i and i+1 moved: trials i-4 .. i+4 read them
                 for j in range(max(i - 4, 0), min(i + 5, n - 1)):
                     retry[j] = True
@@ -294,8 +271,8 @@ def _exact_order(kernel: _OrderingCost) -> tuple[list[int], bool]:
     return order, on_table
 
 
-def schedule_random(users, seed: int) -> list[UserProfile]:
-    """Seed-reproducible uniform permutation."""
+def schedule_random(users, seed: int | np.random.Generator) -> list[UserProfile]:
+    """Seed-reproducible uniform permutation; a Generator seed is advanced."""
     users = list(users)
     order = np.random.default_rng(seed).permutation(len(users))
     return [users[i] for i in order]
@@ -318,7 +295,7 @@ def schedule_interference_based(
     input order, as a search over `itertools.permutations(users)` would.
     heuristic: sort by power (SIR requirement as tie-break), then adjacent-swap
     passes until no swap improves the cost, each swap costed over the six
-    bands it can change (`_swap_window`) and retried only once a position it
+    bands it can change (`_swap_order`) and retried only once a position it
     reads has moved. Both read the table once per set (`_OrderingCost`), where
     an ordering with a band above the table costs more than any without one:
     exhaustive mode fails only if every ordering has such a band, heuristic
@@ -384,9 +361,8 @@ def compare_scenarios(
     scheduled = allocate_guards(scheduled_order, lookup)
     rng = np.random.default_rng(seed)
     for _ in range(RANDOM_DRAWS):
-        order = [users[i] for i in rng.permutation(len(users))]
         try:
-            adaptive = allocate_guards(order, lookup)
+            adaptive = allocate_guards(schedule_random(users, rng), lookup)
             break
         except ValueError as exc:
             error = exc

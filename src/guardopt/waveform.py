@@ -25,11 +25,6 @@ def rising_taper(length: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(np.pi * n / length) if length else np.ones(0)
 
 
-def falling_taper(length: int) -> np.ndarray:
-    """RC ramp-down weights, complement of rising_taper (pointwise sum = 1)."""
-    return 1.0 - rising_taper(length)
-
-
 def occupied_bins(cfg: NumerologyConfig) -> np.ndarray:
     """FFT bin indices of the occupied subcarriers (center-aligned, DC unused)."""
     half_lo = cfg.n_occupied // 2

@@ -9,6 +9,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import guardopt.scheduler as scheduler
+from guardopt.numerology import NumerologyConfig
 from guardopt.optimizer import GuardAllocation, LookupTable
 from guardopt.scheduler import (
     EXACT_LIMIT,
@@ -56,11 +57,17 @@ def _user(uid, power, sir):
     return UserProfile(uid, power, sir)
 
 
+def _whole(gb):
+    """A guard band in whole subcarriers: rounded up from the 6 decimals at
+    which a saved table keeps it."""
+    return math.ceil(round(gb, 6))
+
+
 def _boundaries(plan):
     """Each internal boundary's whole GB, recomputed from the plan's bands:
     the larger facing guard band, rounded up to whole subcarriers."""
     bands = plan.guard_per_band
-    return tuple(math.ceil(max(a.gb_subcarriers, b.gb_subcarriers) - 1e-9)
+    return tuple(_whole(max(a.gb_subcarriers, b.gb_subcarriers))
                  for a, b in zip(bands, bands[1:]))
 
 
@@ -367,12 +374,12 @@ def _permutation_search(users, lut):
 def _sentinel_cost(order, lut):
     """allocate_guards' cost, band by band, where a band above the table
     costs (n x the table's largest whole GB + 1, 0)."""
-    whole = [math.ceil(a.gb_subcarriers - 1e-9) for a in lut.entries.values()]
+    whole = [_whole(a.gb_subcarriers) for a in lut.entries.values()]
     bands = []
     for k in lut.ceil_index(theta_for_assignment(order)):
         if k < len(lut.allocations):
             a = lut.allocations[k]
-            bands.append((math.ceil(a.gb_subcarriers - 1e-9), a.gd_samples))
+            bands.append((_whole(a.gb_subcarriers), a.gd_samples))
         else:
             bands.append((len(order) * max(whole) + 1, 0))
     return (sum(max(a[0], b[0]) for a, b in zip(bands, bands[1:])),
@@ -382,7 +389,12 @@ def _sentinel_cost(order, lut):
 def _adjacent_swap_search(users, lut):
     """Oracle: the adjacent-swap heuristic, costing full plans with the
     sentinel; allocate_guards' error if its passes end off the table."""
-    order = sorted(users, key=lambda u: (u.power_dbm, u.sir_req_db))
+    return _swap_loop(sorted(users, key=lambda u: (u.power_dbm, u.sir_req_db)), lut)
+
+
+def _swap_loop(order, lut):
+    """Adjacent-swap passes over the users of `order`, in place, as
+    _adjacent_swap_search makes them from its sorted start."""
     improved = True
     while improved:
         improved = False
@@ -550,6 +562,18 @@ class TestOrderingSearchOracles:
         oracle = _permutation_search if mode == "exhaustive" else _adjacent_swap_search
         assert got == oracle(users, lut)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_swaps_from_every_start_match_swap_loop(self, lut, n):
+        # every ordering of 2-4 users as the start: each swap's window
+        # reaches a mirrored end band
+        rows = [(10.0, 30.0), (0.0, 15.0), (15.0, 20.0), (5.0, 25.0)][:n]
+        users = [_user(f"u{i}", p, s) for i, (p, s) in enumerate(rows)]
+        kernel = scheduler._OrderingCost(users, lut)
+        for start in itertools.permutations(range(n)):
+            order, on_table = scheduler._swap_order(kernel, list(start))
+            want = _swap_loop([users[i] for i in start], lut)
+            assert ([users[i] for i in order], on_table) == (want, True)
+
     @pytest.mark.parametrize("mode", ["exhaustive", "heuristic"])
     def test_no_plan_per_candidate(self, lut, mode, monkeypatch):
         users = [_user(f"u{i}", float(i), 15.0 + 2 * i) for i in range(7)]
@@ -570,48 +594,10 @@ class TestOrderingSearchOracles:
         assert reads == [(7, 7)]  # the kernel's one read of every term
 
 
-def _check_swap_window(users, lut, order):
-    """At every i, the swap window's cost change is the whole ordering's, as
-    allocate_guards costs it, and only the bands it returns change."""
-    kernel = scheduler._OrderingCost(users, lut)
-    n = len(order)
-    for i in range(n - 1):
-        swapped = list(order)
-        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-        trial, pairs = list(order), kernel.bands(order, 0, n)
-        before, after, lo, new = scheduler._swap_window(kernel, trial, pairs, i)
-        assert trial == swapped
-        full_before, full_after = (
-            allocate_guards([users[k] for k in o], lut).cost for o in (order, swapped)
-        )
-        assert (after[0] - before[0], after[1] - before[1]) == (
-            full_after[0] - full_before[0], full_after[1] - full_before[1]
-        )
-        assert pairs[:lo] + new + pairs[lo + len(new):] == kernel.bands(swapped, 0, n)
-
-
-class TestSwapWindow:
-    @settings(deadline=None, derandomize=True, max_examples=150)
-    @given(rows=st.lists(st.tuples(_levels, _sirs), min_size=2, max_size=14),
-           lut=_tables(), rng=st.randoms(use_true_random=False))
-    def test_window_delta_is_full_cost_delta(self, rows, lut, rng):
-        users = [_user(f"u{i}", p, s) for i, (p, s) in enumerate(rows)]
-        order = list(range(len(users)))
-        rng.shuffle(order)
-        _check_swap_window(users, lut, order)
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_mirrored_ends(self, lut, n):
-        # every ordering of 2-4 users: each window reaches a mirrored end band
-        rows = [(10.0, 30.0), (0.0, 15.0), (15.0, 20.0), (5.0, 25.0)][:n]
-        users = [_user(f"u{i}", p, s) for i, (p, s) in enumerate(rows)]
-        for order in itertools.permutations(range(n)):
-            _check_swap_window(users, lut, list(order))
-
-
 _gbs = st.one_of(
     st.integers(0, 2000).map(float),
-    st.builds(lambda k, d: k + d, st.integers(0, 2000), st.floats(-2e-9, 2e-9)),
+    # either side of an integer, and of the 5e-7 that 6 decimals round away
+    st.builds(lambda k, d: k + d, st.integers(0, 2000), st.floats(-2e-9, 1e-6)),
     st.floats(0.0, 2000.0),
 )
 
@@ -624,8 +610,21 @@ class TestWholeGuardBands:
     @given(gb_a=_gbs, gb_b=_gbs)
     def test_boundary_is_larger_whole_gb(self, gb_a, gb_b):
         lut = LookupTable({20.0: _alloc(20.0, 0, gb_a), 30.0: _alloc(30.0, 0, gb_b)})
-        want = math.ceil(max(gb_a, gb_b) - 1e-9)
-        assert max(gb for gb, _ in scheduler._levels(lut)) == want
+        want = _whole(max(gb_a, gb_b))
+        assert max(gb for gb, _ in lut.levels) == want
+
+    def test_loaded_table_schedules_as_built(self, tmp_path):
+        # 17.0000003 is stored as 17.000000, so the built table must charge it
+        # 17 whole subcarriers, as the loaded one does
+        built = LookupTable({30.0: _alloc(30.0, 60, 12.5),
+                             45.0: _alloc(45.0, 60, 17.0000003)})
+        built.save_csv(tmp_path / "lookup.csv", NumerologyConfig())
+        loaded = LookupTable.load_csv(tmp_path / "lookup.csv")
+        users = [_user("a", 15.0, 30.0), _user("b", 0.0, 30.0), _user("c", 15.0, 20.0)]
+        plans = [allocate_guards(schedule_interference_based(users, t), t)
+                 for t in (built, loaded)]
+        assert [p.cost for p in plans] == [(34, 180), (34, 180)]
+        assert plans[0].assignment == plans[1].assignment
 
     def test_dp_merges_entries_sharing_a_whole_gb(self):
         # the 20 and 30 dB entries both round to 3 subcarriers, so DP states
@@ -752,7 +751,7 @@ class TestPerReadReferences:
         # term; a term above the table reads the sentinel
         users, lut = case
         kernel = scheduler._OrderingCost(users, lut)
-        whole = [math.ceil(g.gb_subcarriers - 1e-9) for g in lut.entries.values()]
+        whole = [_whole(g.gb_subcarriers) for g in lut.entries.values()]
         assert kernel.off == len(users) * max(whole) + 1
         for a, b, c in itertools.product(range(len(users)), repeat=3):
             if b in (a, c):
@@ -761,7 +760,7 @@ class TestPerReadReferences:
             k = lut.ceil_index(theta)
             if k < len(lut.allocations):
                 g = lut.allocations[k]
-                want = (math.ceil(g.gb_subcarriers - 1e-9), g.gd_samples)
+                want = (_whole(g.gb_subcarriers), g.gd_samples)
             else:
                 want = (kernel.off, 0)
             assert kernel.bands((a, b, c), 1, 2)[0] == want, (a, b, c)

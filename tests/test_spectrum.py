@@ -37,7 +37,6 @@ from guardopt.spectrum import (
     write_psd_csv,
 )
 from guardopt.waveform import (
-    falling_taper,
     occupied_bins,
     rising_taper,
     symbol_stream,
@@ -71,7 +70,7 @@ def _rolled_comb_psd(alpha: float, cfg: NumerologyConfig, nfft=None) -> PsdEstim
     ocfg = cfg.oversampled(OVERSAMPLE)
     L = OVERSAMPLE * WindowSpec.for_config(alpha, cfg).t_cp_win
     pulse = np.concatenate(
-        [rising_taper(L), np.ones(ocfg.t_cp_ch + ocfg.n_fft), falling_taper(L)]
+        [rising_taper(L), np.ones(ocfg.t_cp_ch + ocfg.n_fft), 1.0 - rising_taper(L)]
     )
     if nfft is None:
         nfft = 4 * SEGMENT_SYMBOLS * ocfg.n_fft
@@ -553,7 +552,7 @@ class TestExpectedPsd:
         ocfg = cfg.oversampled(OVERSAMPLE)
         L = OVERSAMPLE * WindowSpec.for_config(alpha, cfg).t_cp_win
         pulse = np.concatenate(
-            [rising_taper(L), np.ones(ocfg.t_cp_ch + ocfg.n_fft), falling_taper(L)]
+            [rising_taper(L), np.ones(ocfg.t_cp_ch + ocfg.n_fft), 1.0 - rising_taper(L)]
         )
         nfft = 4 * SEGMENT_SYMBOLS * ocfg.n_fft
         power = np.abs(np.fft.fft(pulse, n=nfft)) ** 2

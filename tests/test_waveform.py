@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from guardopt.numerology import NumerologyConfig, WindowSpec, round_half_up
 from guardopt.waveform import (
     QPSK,
-    falling_taper,
     occupied_bins,
     pulse_weights,
     random_qpsk_payloads,
@@ -18,7 +17,7 @@ def _reference_stream(cfg, L, n_symbols, seed):
     """Per-symbol oracle: IFFT, cyclic extension and RC weights one symbol at
     a time, each shifted by one hop and added into a zero stream."""
     weights = np.concatenate(
-        [rising_taper(L), np.ones(cfg.t_cp_ch + cfg.n_fft), falling_taper(L)]
+        [rising_taper(L), np.ones(cfg.t_cp_ch + cfg.n_fft), 1.0 - rising_taper(L)]
     )
     hop = weights.size - L
     out = np.zeros(hop * n_symbols + L if n_symbols else 0, dtype=complex)
@@ -83,11 +82,12 @@ class TestPulseWeights:
             assert w.size == cfg.n_fft + cfg.t_cp_ch + 2 * L
             assert np.all((w >= 0.0) & (w <= 1.0))
 
-    def test_complementary_tapers_sum_to_one(self):
-        # overlap-add power-preservation condition, checked by direct summation
+    def test_complementary_tapers_sum_to_one(self, cfg):
+        # overlap-add power-preservation condition: the rising head and the
+        # falling tail of the pulse, checked by direct summation
         for L in (1, 7, 55, 219):
-            s = rising_taper(L) + falling_taper(L)
-            assert np.max(np.abs(s - 1.0)) < 1e-12
+            w = pulse_weights(cfg, L)
+            assert np.max(np.abs(w[:L] + w[-L:] - 1.0)) < 1e-12
 
     def test_smoothness_bound(self, cfg):
         L = round_half_up(0.1 * 1096)
@@ -179,7 +179,7 @@ class TestSymbolStream:
         flat = symbol_stream(small_cfg, WindowSpec(0), 2, seed=3)
         body0, body1 = flat.reshape(2, n + cp)[:, cp:]
         hop = n + cp + L
-        expected = (body0[:L] * falling_taper(L)
+        expected = (body0[:L] * (1.0 - rising_taper(L))
                     + body1[n - cp - L:n - cp] * rising_taper(L))
         assert np.allclose(stream[hop:hop + L], expected)
 
