@@ -17,6 +17,7 @@ the overlap-add.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +46,17 @@ class UserProfile:
             raise ValueError(
                 f"id must be non-empty with no comma, quote, CR or LF, got {self.id!r}"
             )
-        if not math.isfinite(self.power_dbm):
-            raise ValueError(f"power_dbm must be finite, got {self.power_dbm}")
-        if not (math.isfinite(self.sir_req_db) and self.sir_req_db > 0):
-            raise ValueError(
-                f"sir_req_db must be positive and finite, got {self.sir_req_db}"
-            )
+        power, sir = self.power_dbm, self.sir_req_db
+        # true is not 1 dBm; a string or None fails here, naming the field.
+        # An exact float or int skips the slower abstract-class test.
+        if type(power) not in (float, int) or type(sir) not in (float, int):
+            for field, value in (("power_dbm", power), ("sir_req_db", sir)):
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise ValueError(f"{field} must be a real number, got {value!r}")
+        if not math.isfinite(power):
+            raise ValueError(f"power_dbm must be finite, got {power}")
+        if not (math.isfinite(sir) and sir > 0):
+            raise ValueError(f"sir_req_db must be positive and finite, got {sir}")
 
 
 @dataclass(frozen=True)
@@ -180,31 +186,76 @@ def _swap_order(kernel: _OrderingCost, order: list[int]) -> tuple[list[int], boo
     """Adjacent-swap passes over `order` until no swap lowers the cost; the
     ordering, and whether its bands are all on the table.
 
+    Swapping positions i and i+1 gives bands i-1 .. i+2 new neighbors, so a
+    trial costs only the six bands i-2 .. i+3 and their five boundaries;
+    costs are integers, so the window decides as whole orderings do. Each
+    position keeps its band's whole GB and GD. An interior swap (2 <= i <=
+    n-4) reads no mirrored neighbor that moves, so it is costed from the four
+    new table levels, two `kernel.index` reads each: the five boundary GBs
+    first, then the four GDs on a tie. The four edge swaps are costed as
+    windows, `kernel.bands` then `_run_cost`.
     A trial of swap i reads positions i-3 .. i+4 only, so a rejected swap is
     tried again only once an accepted swap has moved one of them: the swaps
     accepted are those of passes that try every swap.
     """
     n = len(order)
-    pairs = kernel.bands(order, 0, n)
+    index = kernel.index
+    gb_of = [gb for gb, _ in kernel.levels]
+    gd_of = [gd for _, gd in kernel.levels]
+    gb, gd = (list(col) for col in zip(*kernel.bands(order, 0, n)))
     retry = [True] * (n - 1)  # swap i may give a new answer
     while any(retry):
         for i in range(n - 1):
             if not retry[i]:
                 continue
-            # bands i-1 .. i+2 change neighbors, so only bands lo .. hi-1 change
-            # cost; costs are integers, so the window decides as whole orderings do
-            order[i], order[i + 1] = order[i + 1], order[i]
-            lo, hi = max(i - 2, 0), min(i + 4, n)
-            new = kernel.bands(order, lo, hi)
-            if _run_cost(new) < _run_cost(pairs[lo:hi]):
-                pairs[lo:hi] = new
+            if 2 <= i <= n - 4:
+                # a b u v c d becomes a b v u c d: b, v, u and c take new
+                # levels, each that of its larger threshold
+                a, b, u, v, c, d = order[i - 2:i + 4]
+                row = index[b]
+                x, y = row[a], row[v]
+                k1 = x if x > y else y  # max(), but faster
+                row = index[v]
+                x, y = row[b], row[u]
+                k2 = x if x > y else y
+                row = index[u]
+                x, y = row[v], row[c]
+                k3 = x if x > y else y
+                row = index[c]
+                x, y = row[u], row[d]
+                k4 = x if x > y else y
+                g0, o1, o2, o3, o4, g5 = gb[i - 2:i + 4]
+                g1, g2, g3, g4 = gb_of[k1], gb_of[k2], gb_of[k3], gb_of[k4]
+                new_gb = ((g0 if g0 > g1 else g1) + (g1 if g1 > g2 else g2)
+                          + (g2 if g2 > g3 else g3) + (g3 if g3 > g4 else g4)
+                          + (g4 if g4 > g5 else g5))
+                old_gb = ((g0 if g0 > o1 else o1) + (o1 if o1 > o2 else o2)
+                          + (o2 if o2 > o3 else o3) + (o3 if o3 > o4 else o4)
+                          + (o4 if o4 > g5 else g5))
+                better = new_gb < old_gb or new_gb == old_gb and (
+                    gd_of[k1] + gd_of[k2] + gd_of[k3] + gd_of[k4]
+                    < gd[i - 1] + gd[i] + gd[i + 1] + gd[i + 2])
+                if better:
+                    order[i], order[i + 1] = v, u
+                    gb[i - 1:i + 3] = g1, g2, g3, g4
+                    gd[i - 1:i + 3] = gd_of[k1], gd_of[k2], gd_of[k3], gd_of[k4]
+            else:
+                order[i], order[i + 1] = order[i + 1], order[i]
+                lo, hi = max(i - 2, 0), min(i + 4, n)
+                new = kernel.bands(order, lo, hi)
+                better = _run_cost(new) < _run_cost(list(zip(gb[lo:hi], gd[lo:hi])))
+                if better:
+                    gb[lo:hi] = [g for g, _ in new]
+                    gd[lo:hi] = [d for _, d in new]
+                else:
+                    order[i], order[i + 1] = order[i + 1], order[i]
+            if better:
                 # positions i and i+1 moved: trials i-4 .. i+4 read them
                 for j in range(max(i - 4, 0), min(i + 5, n - 1)):
                     retry[j] = True
             else:
-                order[i], order[i + 1] = order[i + 1], order[i]
                 retry[i] = False
-    return order, max(pairs)[0] < kernel.off
+    return order, max(gb) < kernel.off
 
 
 def _exact_order(kernel: _OrderingCost) -> tuple[list[int], bool]:
@@ -294,23 +345,28 @@ def schedule_interference_based(
     (`_exact_order`); among equal-cost orderings it returns the first in
     input order, as a search over `itertools.permutations(users)` would.
     heuristic: sort by power (SIR requirement as tie-break), then adjacent-swap
-    passes until no swap improves the cost, each swap costed over the six
-    bands it can change (`_swap_order`) and retried only once a position it
-    reads has moved. Both read the table once per set (`_OrderingCost`), where
-    an ordering with a band above the table costs more than any without one:
-    exhaustive mode fails only if every ordering has such a band, heuristic
-    mode if its passes end with one. The error is allocate_guards', naming
-    the user.
+    passes until no swap improves the cost (`_swap_order`). A swap is costed
+    over the six bands around it and their five boundaries: an interior swap
+    from the four bands whose table levels it changes, a swap within two
+    positions of an end as a window of mirrored-neighbor bands. A rejected
+    swap is retried only once a position it reads has moved. Both read the
+    table once per set (`_OrderingCost`), where an ordering with a band above
+    the table costs more than any without one: exhaustive mode fails only if
+    every ordering has such a band, heuristic mode if its passes end with
+    one. The error is allocate_guards', naming the user. Any other mode is
+    an error, whatever the set size.
     theta_floor is ignored: no ordering depends on it. It stays only because
     perfbench/tracer.py passes it positionally, until the next benchmark
     change removes it there.
     """
     users = list(users)
+    if mode is None:
+        mode = "exhaustive" if len(users) <= EXACT_LIMIT else "heuristic"
+    if mode not in ("exhaustive", "heuristic"):
+        raise ValueError("mode must be 'exhaustive' or 'heuristic'")
     if len(users) <= 1:
         return users
     kernel = _OrderingCost(users, lookup)
-    if mode is None:
-        mode = "exhaustive" if len(users) <= EXACT_LIMIT else "heuristic"
     if mode == "exhaustive":
         if len(users) > EXACT_LIMIT:
             raise ValueError(
@@ -318,14 +374,12 @@ def schedule_interference_based(
                 "use mode='heuristic'"
             )
         order, on_table = _exact_order(kernel)
-    elif mode == "heuristic":
+    else:
         order = sorted(
             range(len(users)),
             key=lambda i: (users[i].power_dbm, users[i].sir_req_db),
         )
         order, on_table = _swap_order(kernel, order)
-    else:
-        raise ValueError("mode must be 'exhaustive' or 'heuristic'")
     ordering = [users[i] for i in order]
     if not on_table:
         allocate_guards(ordering, lookup)  # raises for its first band off the table

@@ -99,6 +99,19 @@ class TestUserProfile:
         with pytest.raises(ValueError):
             _user("bad", args["power"], args["sir"])
 
+    @pytest.mark.parametrize("field", ["power_dbm", "sir_req_db"])
+    @pytest.mark.parametrize("value", [True, False, "20", None, [20.0], np.bool_(True)])
+    def test_non_real_value_names_its_field(self, field, value):
+        # true is not read as 1; a string or None is not left to math.isfinite
+        args = dict(id="a", power_dbm=0.0, sir_req_db=20.0)
+        args[field] = value
+        with pytest.raises(ValueError, match=rf"^{field} must be a real number, got "):
+            UserProfile(**args)
+
+    def test_integers_are_accepted(self):
+        u = UserProfile("a", 10, 20)
+        assert (u.power_dbm, u.sir_req_db) == (10, 20)
+
     def test_yaml_round_trip(self, tmp_path):
         path = tmp_path / "users.yaml"
         path.write_text(
@@ -352,6 +365,15 @@ class TestScheduleInterferenceBased:
         with pytest.raises(ValueError, match="mode"):
             schedule_interference_based(self._mixed(), lut, mode="greedy")
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_bad_mode_with_no_pair_to_order(self, lut, n):
+        # the mode is checked before a set too small to order is returned
+        users = self._mixed()[:n]
+        with pytest.raises(ValueError, match="^mode must be 'exhaustive' or 'heuristic'$"):
+            schedule_interference_based(users, lut, "heurstic")
+        with pytest.raises(ValueError, match="^mode must be 'exhaustive' or 'heuristic'$"):
+            compare_scenarios(users, 0, lut, mode="exhaustve")
+
     def test_single_user_passthrough(self, lut):
         u = _user("solo", 0.0, 20.0)
         assert schedule_interference_based([u], lut) == [u]
@@ -517,6 +539,23 @@ class TestOrderingSearchOracles:
             schedule_interference_based, users, lut, "heuristic"
         ) == _outcome(_adjacent_swap_search, users, lut)
 
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(users=_user_sets(14), lut=_uneven_tables())
+    def test_heuristic_matches_swap_loop_on_uneven_tables(self, users, lut):
+        # an interior swap reads each new level's own GB and GD: it must not
+        # assume that they rise with theta
+        assert _outcome(
+            schedule_interference_based, users, lut, "heuristic"
+        ) == _outcome(_adjacent_swap_search, users, lut)
+
+    @settings(deadline=None, derandomize=True, max_examples=80)
+    @given(users=_long_user_sets, lut=_uneven_tables())
+    def test_heuristic_matches_swap_loop_15_to_40_users_on_uneven_tables(
+            self, users, lut):
+        assert _outcome(
+            schedule_interference_based, users, lut, "heuristic"
+        ) == _outcome(_adjacent_swap_search, users, lut)
+
     @settings(deadline=None, derandomize=True, max_examples=80)
     @given(users=_long_user_sets, lut=_tables())
     def test_heuristic_matches_swap_loop_15_to_40_users(self, users, lut):
@@ -562,11 +601,13 @@ class TestOrderingSearchOracles:
         oracle = _permutation_search if mode == "exhaustive" else _adjacent_swap_search
         assert got == oracle(users, lut)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_swaps_from_every_start_match_swap_loop(self, lut, n):
-        # every ordering of 2-4 users as the start: each swap's window
-        # reaches a mirrored end band
-        rows = [(10.0, 30.0), (0.0, 15.0), (15.0, 20.0), (5.0, 25.0)][:n]
+        # every ordering of 2-6 users as the start: up to 5 users, each swap's
+        # window reaches a mirrored end band; at 6, swap 2 is the one interior
+        # swap, costed from its four new levels, and the others are windows
+        rows = [(10.0, 30.0), (0.0, 15.0), (15.0, 20.0), (5.0, 25.0),
+                (12.0, 18.0), (3.0, 22.0)][:n]
         users = [_user(f"u{i}", p, s) for i, (p, s) in enumerate(rows)]
         kernel = scheduler._OrderingCost(users, lut)
         for start in itertools.permutations(range(n)):
