@@ -48,11 +48,10 @@ class UserProfile:
             )
         power, sir = self.power_dbm, self.sir_req_db
         # true is not 1 dBm; a string or None fails here, naming the field.
-        # An exact float or int skips the slower abstract-class test.
-        if type(power) not in (float, int) or type(sir) not in (float, int):
-            for field, value in (("power_dbm", power), ("sir_req_db", sir)):
-                if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                    raise ValueError(f"{field} must be a real number, got {value!r}")
+        # float and int come first: they pass without the slower ABC test.
+        for field, value in (("power_dbm", power), ("sir_req_db", sir)):
+            if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+                raise ValueError(f"{field} must be a real number, got {value!r}")
         if not math.isfinite(power):
             raise ValueError(f"power_dbm must be finite, got {power}")
         if not (math.isfinite(sir) and sir > 0):
@@ -199,10 +198,8 @@ def _swap_order(kernel: _OrderingCost, order: list[int]) -> tuple[list[int], boo
     accepted are those of passes that try every swap.
     """
     n = len(order)
-    index = kernel.index
-    gb_of = [gb for gb, _ in kernel.levels]
-    gd_of = [gd for _, gd in kernel.levels]
-    gb, gd = (list(col) for col in zip(*kernel.bands(order, 0, n)))
+    index, levels = kernel.index, kernel.levels
+    pairs = kernel.bands(order, 0, n)
     retry = [True] * (n - 1)  # swap i may give a new answer
     while any(retry):
         for i in range(n - 1):
@@ -214,18 +211,19 @@ def _swap_order(kernel: _OrderingCost, order: list[int]) -> tuple[list[int], boo
                 a, b, u, v, c, d = order[i - 2:i + 4]
                 row = index[b]
                 x, y = row[a], row[v]
-                k1 = x if x > y else y  # max(), but faster
+                l1 = levels[x if x > y else y]  # max(), but faster
                 row = index[v]
                 x, y = row[b], row[u]
-                k2 = x if x > y else y
+                l2 = levels[x if x > y else y]
                 row = index[u]
                 x, y = row[v], row[c]
-                k3 = x if x > y else y
+                l3 = levels[x if x > y else y]
                 row = index[c]
                 x, y = row[u], row[d]
-                k4 = x if x > y else y
-                g0, o1, o2, o3, o4, g5 = gb[i - 2:i + 4]
-                g1, g2, g3, g4 = gb_of[k1], gb_of[k2], gb_of[k3], gb_of[k4]
+                l4 = levels[x if x > y else y]
+                p0, p1, p2, p3, p4, p5 = pairs[i - 2:i + 4]
+                g0, o1, o2, o3, o4, g5 = p0[0], p1[0], p2[0], p3[0], p4[0], p5[0]
+                g1, g2, g3, g4 = l1[0], l2[0], l3[0], l4[0]
                 new_gb = ((g0 if g0 > g1 else g1) + (g1 if g1 > g2 else g2)
                           + (g2 if g2 > g3 else g3) + (g3 if g3 > g4 else g4)
                           + (g4 if g4 > g5 else g5))
@@ -233,20 +231,17 @@ def _swap_order(kernel: _OrderingCost, order: list[int]) -> tuple[list[int], boo
                           + (o2 if o2 > o3 else o3) + (o3 if o3 > o4 else o4)
                           + (o4 if o4 > g5 else g5))
                 better = new_gb < old_gb or new_gb == old_gb and (
-                    gd_of[k1] + gd_of[k2] + gd_of[k3] + gd_of[k4]
-                    < gd[i - 1] + gd[i] + gd[i + 1] + gd[i + 2])
+                    l1[1] + l2[1] + l3[1] + l4[1] < p1[1] + p2[1] + p3[1] + p4[1])
                 if better:
                     order[i], order[i + 1] = v, u
-                    gb[i - 1:i + 3] = g1, g2, g3, g4
-                    gd[i - 1:i + 3] = gd_of[k1], gd_of[k2], gd_of[k3], gd_of[k4]
+                    pairs[i - 1:i + 3] = l1, l2, l3, l4
             else:
                 order[i], order[i + 1] = order[i + 1], order[i]
                 lo, hi = max(i - 2, 0), min(i + 4, n)
                 new = kernel.bands(order, lo, hi)
-                better = _run_cost(new) < _run_cost(list(zip(gb[lo:hi], gd[lo:hi])))
+                better = _run_cost(new) < _run_cost(pairs[lo:hi])
                 if better:
-                    gb[lo:hi] = [g for g, _ in new]
-                    gd[lo:hi] = [d for _, d in new]
+                    pairs[lo:hi] = new
                 else:
                     order[i], order[i + 1] = order[i + 1], order[i]
             if better:
@@ -255,7 +250,7 @@ def _swap_order(kernel: _OrderingCost, order: list[int]) -> tuple[list[int], boo
                     retry[j] = True
             else:
                 retry[i] = False
-    return order, max(gb) < kernel.off
+    return order, max(pairs)[0] < kernel.off
 
 
 def _exact_order(kernel: _OrderingCost) -> tuple[list[int], bool]:
