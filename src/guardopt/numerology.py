@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,11 +39,15 @@ class NumerologyConfig:
         if not 1 <= self.n_occupied <= self.n_fft - 1:
             raise ValueError("n_occupied must be in [1, n_fft - 1] (DC is unused), "
                              f"got {self.n_occupied}")
-        if not (math.isfinite(self.subcarrier_spacing) and self.subcarrier_spacing > 0):
+        # comparisons, exact for an int of any size: no float conversion overflows
+        if not 0 < self.subcarrier_spacing <= sys.float_info.max:
             raise ValueError(
                 f"subcarrier_spacing must be finite and positive, "
                 f"got {self.subcarrier_spacing}"
             )
+        if not self.n_fft <= sys.float_info.max / self.subcarrier_spacing:
+            raise ValueError("n_fft * subcarrier_spacing, the sample rate, "
+                             "must be a finite float")
         if self.t_cp_ch < 0 or self.t_cp_ch >= self.n_fft:
             raise ValueError(f"t_cp_ch must be in [0, n_fft), got {self.t_cp_ch}")
 
@@ -80,10 +85,14 @@ def config_int(value) -> int:
 
 
 def config_float(value) -> float:
-    """A real config value; true or "20" is rejected, not converted."""
+    """A real config value; true or "20" is rejected, not converted, and an
+    integer past the float range is a ValueError, not an OverflowError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("expected a number, got an integer too large for a float") from None
 
 
 def read_keys(m, readers: dict, what: str) -> dict:

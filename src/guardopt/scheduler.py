@@ -16,8 +16,8 @@ the overlap-add.
 """
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +52,11 @@ class UserProfile:
         for field, value in (("power_dbm", power), ("sir_req_db", sir)):
             if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
                 raise ValueError(f"{field} must be a real number, got {value!r}")
-        if not math.isfinite(power):
+        # comparisons, exact for an int of any size: an int past the float
+        # range fails here, where math.isfinite would raise OverflowError
+        if not abs(power) <= sys.float_info.max:
             raise ValueError(f"power_dbm must be finite, got {power}")
-        if not (math.isfinite(sir) and sir > 0):
+        if not 0 < sir <= sys.float_info.max:
             raise ValueError(f"sir_req_db must be positive and finite, got {sir}")
 
 

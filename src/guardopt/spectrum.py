@@ -45,7 +45,6 @@ PSD_SYMBOLS = 128  # symbols in the psd export's one Welch draw
 REVALIDATE_STEP = 64  # revalidation's fine grid, in bins per oversampled subcarrier
 TOL_SUBCARRIERS = 0.01  # guard-band bisection tolerance
 _BLOCK = 64  # lags per block when LeakageModel evaluates its power series
-_COLUMN_RAMP = 1j * np.arange(_BLOCK)  # times a phase: the exponents of z^column
 
 
 class ThetaUnreachableError(ValueError):
@@ -121,9 +120,12 @@ def _oversampled(alpha: float, cfg: NumerologyConfig):
 
 
 def _to_db(power):
-    """10 log10 of a power ratio; the floor keeps deep nulls and all-zero
-    bands finite and lies well below any physical level here."""
-    return 10.0 * np.log10(np.maximum(power, 1e-300))
+    """10 log10 of a power ratio, an array or one number; the floor keeps deep
+    nulls and all-zero bands finite and lies well below any physical level
+    here. One number takes math.log10, a tenth of np.log10's call cost."""
+    if isinstance(power, np.ndarray):
+        return 10.0 * np.log10(np.maximum(power, 1e-300))
+    return 10.0 * math.log10(max(power, 1e-300))
 
 
 @functools.lru_cache(maxsize=8)
@@ -347,6 +349,35 @@ def _lag_kernels(ocfg: NumerologyConfig) -> tuple[np.ndarray, np.ndarray]:
     return victim, in_band
 
 
+def _autocorrelation(pulse: np.ndarray, ramp: int) -> np.ndarray:
+    """r[d] = sum_t p[t] p[t + d] for d = 0 .. m - 1, of a pulse p of m
+    samples that is 1 but on its two ramps of ramp samples each.
+
+    With e = 1 - p, nonzero only on the ramps, r[d] = (m - d) -
+    sum_{t < m - d} e[t] - sum_{t >= d} e[t] + sum_t e[t] e[t + d]. The two
+    middle sums are prefix sums of e; the last is each ramp's autocorrelation
+    (lags below ramp) plus the two ramps' cross-correlation (lags m - ramp
+    +- (ramp - 1)), from FFTs of the next power of two above 2 ramp - 1
+    samples. Without a ramp, no FFT runs and r = m - d exactly.
+    """
+    m = pulse.size
+    head, tail = 1.0 - pulse[:ramp], 1.0 - pulse[m - ramp:]  # e on the ramps
+    cum = np.empty(m + 1)  # cum[k] = sum_{t < k} e[t]
+    cum[0] = 0.0
+    np.cumsum(head, out=cum[1:ramp + 1])
+    cum[ramp + 1:] = cum[ramp]
+    cum[m - ramp + 1:] += np.cumsum(tail)
+    r = np.arange(m, 0, -1.0) - cum[:0:-1] - (cum[m] - cum[:m])
+    if ramp:
+        n = 1 << (2 * ramp - 1).bit_length()
+        h, t = np.fft.rfft(head, n), np.fft.rfft(tail, n)
+        auto = np.fft.irfft(np.abs(h) ** 2 + np.abs(t) ** 2, n)
+        cross = np.fft.irfft(h.conj() * t, n)  # lag m - ramp + q at q mod n
+        r[:ramp] += auto[:ramp]
+        r[m - 2 * ramp + 1:] += np.concatenate((cross[n - ramp + 1:], cross[:ramp]))
+    return r
+
+
 @dataclass(frozen=True)
 class LeakageModel:
     """suppression_db of the expected PSD against a one-subcarrier victim
@@ -354,17 +385,22 @@ class LeakageModel:
 
     The victim-over-in-band density ratio is Re sum_d c_d z^d with z =
     exp(2j pi g / fs): one coefficient per pulse lag folds the slot width, the
-    band edge and the in-band normaliser together. Far out the sum cancels
-    to rounding noise. Each of the m terms is exact to within about m * eps
-    relative (its phase, below pi * m radians, is rounded once), which
-    bounds the error by m * eps * sum |c_d|; ceiling_db is the suppression of
-    that bound, and readings above it are clipped to it.
+    band edge and the in-band normaliser together, times r[d], the pulse
+    autocorrelation (_autocorrelation, from the pulse's two ramps). Far out
+    the sum cancels to rounding noise. Each of the m terms is exact to within
+    about m * eps relative (its phase, below pi * m radians, is rounded
+    once), which bounds the error by m * eps * sum |c_d|; ceiling_db is the
+    suppression of that bound, and readings above it are clipped to it. The
+    bound covers r's own error too: a few 1e-12 absolute, a few units in the
+    last place of r[0] ~ m, so about 1e-15 relative, far below m * eps.
     """
 
     alpha: float
     cfg: NumerologyConfig
     coeffs: np.ndarray  # c_d at d = _BLOCK * row + column, zero-padded
-    row_ramp: np.ndarray  # 1j * arange(rows): times _BLOCK phases, those of z^row
+    # 1j * (arange(_BLOCK), _BLOCK * arange(rows)): times the phase of z, the
+    # exponents of z^column and of z^row
+    exponents: np.ndarray
     lag_step: float     # phase of z per Hz of guard band: 2 pi / fs
     ceiling_db: float
     # guard band (Hz) -> suppression_db, shared by every search on this model
@@ -375,26 +411,22 @@ class LeakageModel:
         ocfg, ramp = _oversampled(alpha, cfg)
         pulse = pulse_weights(ocfg, ramp)
         m = pulse.size
-        size = -(-(2 * m - 1) // ocfg.n_fft) * ocfg.n_fft  # fast FFT length
-        power = np.abs(np.fft.rfft(pulse, size))
-        power *= power
-        r = np.fft.irfft(power, size)[:m]
+        r = _autocorrelation(pulse, ramp)
         victim, in_band = _lag_kernels(ocfg)
         rows = -(-m // _BLOCK)
         coeffs = np.zeros(rows * _BLOCK, dtype=complex)
         coeffs[:m] = r * victim[:m] / (r @ in_band[:m])
         bound = m * np.finfo(float).eps * np.abs(coeffs[:m]).sum()
-        return cls(alpha, cfg, coeffs.reshape(rows, _BLOCK), 1j * np.arange(rows),
-                   2 * np.pi / ocfg.sample_rate, float(-_to_db(bound)))
+        exponents = 1j * np.concatenate((np.arange(_BLOCK), _BLOCK * np.arange(rows)))
+        return cls(alpha, cfg, coeffs.reshape(rows, _BLOCK), exponents,
+                   2 * np.pi / ocfg.sample_rate, -_to_db(bound))
 
     def suppression_db(self, guard_band_hz: float) -> float:
-        """z^d = z^(_BLOCK * row) * z^column: two short exp vectors and one
+        """z^d = z^(_BLOCK * row) * z^column: one short exp vector and one
         matrix-vector product, every phase computed directly."""
-        phase = self.lag_step * guard_band_hz
-        column = np.exp(phase * _COLUMN_RAMP)
-        row = np.exp((phase * _BLOCK) * self.row_ramp)
-        ratio = (row @ (self.coeffs @ column)).real
-        return min(float(-_to_db(ratio)), self.ceiling_db)
+        z = np.exp((self.lag_step * guard_band_hz) * self.exponents)
+        ratio = (z[_BLOCK:] @ (self.coeffs @ z[:_BLOCK])).real
+        return min(-_to_db(ratio), self.ceiling_db)
 
     def guard_band(self, theta: float, stop=None) -> float | None:
         """Smallest guard band (subcarriers, fractional) achieving suppression

@@ -237,6 +237,43 @@ class TestConfigLoading:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["guards", "lookup-build"])
+    @pytest.mark.parametrize("text, message", [
+        (f"theta_list: [20, {'1' * 400}]\n",
+         "theta_list: expected a number, got an integer too large for a float"),
+        (f"alpha_grid: [0, {'1' * 400}]\n",
+         "alpha_grid: expected a number, got an integer too large for a float"),
+        (f"subcarrier_spacing_hz: {'1' * 400}\n", "subcarrier_spacing_hz: expected "
+         "a number, got an integer too large for a float"),
+        # n_fft is an int, so it overflows only in the float sample rate
+        (f"n_fft: {'1' * 400}\n",
+         "n_fft * subcarrier_spacing_hz, the sample rate, must be a finite float"),
+    ], ids=["theta_list", "alpha_grid", "subcarrier_spacing_hz", "n_fft"])
+    def test_integer_past_float_range_names_file_and_key(self, tmp_path, capsys,
+                                                         command, text, message):
+        # one error line, where float() raised OverflowError past every handler
+        path = tmp_path / "exp.yaml"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["power_dbm", "sir_req_db"])
+    def test_user_value_past_float_range_names_file_and_key(self, tmp_path, capsys, key):
+        values = {"power_dbm": 0, "sir_req_db": 20, key: "1" * 400}
+        users = tmp_path / "users.yaml"
+        users.write_text("users:\n" + "".join(
+            f"  - {{id: {uid}, power_dbm: {values['power_dbm']}, "
+            f"sir_req_db: {values['sir_req_db']}}}\n" for uid in ("a", "b")))
+        out = tmp_path / "o"
+        assert main(["schedule", "--users", str(users), "--theta", THETA,
+                     "--alpha", ALPHA, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {users}: user 1: {key}: expected a number, "
+            "got an integer too large for a float\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "text, message",
         [

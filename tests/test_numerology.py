@@ -8,7 +8,7 @@ import pytest
 import guardopt
 import guardopt.spectrum as spectrum
 import guardopt.waveform as waveform
-from guardopt.numerology import NumerologyConfig, WindowSpec, round_half_up
+from guardopt.numerology import NumerologyConfig, WindowSpec, config_float, round_half_up
 from guardopt.optimizer import checked_alpha_grid
 from guardopt.spectrum import (
     OVERSAMPLE,
@@ -53,6 +53,24 @@ def test_invalid_configs(kwargs):
 def test_non_finite_spacing_rejected(spacing):
     with pytest.raises(ValueError, match="subcarrier_spacing must be finite"):
         NumerologyConfig(subcarrier_spacing=spacing)
+
+
+# an integer past the float range, which float() and math.isfinite refuse
+# with OverflowError
+HUGE = 10**400
+
+
+def test_integer_past_float_range_is_a_value_error():
+    with pytest.raises(ValueError, match="^expected a number, got an integer too large"):
+        config_float(HUGE)
+    with pytest.raises(ValueError, match="^subcarrier_spacing must be finite"):
+        NumerologyConfig(subcarrier_spacing=HUGE)
+    # n_fft is an int, but the sample rate is a float
+    with pytest.raises(ValueError, match=r"^n_fft \* subcarrier_spacing, the sample rate"):
+        NumerologyConfig(n_fft=HUGE)
+    with pytest.raises(ValueError, match=r"^n_fft \* subcarrier_spacing, the sample rate"):
+        NumerologyConfig(subcarrier_spacing=1e300, n_fft=10**9)
+    assert config_float(2**1000) == 2.0**1000
 
 
 def test_round_half_up():

@@ -274,6 +274,99 @@ def test_bounded_build_reads_what_the_curves_read(cfg, monkeypatch):
         assert curves[key].hex() == value.hex(), key
 
 
+# every GB of the default guard curves, per threshold in alpha-grid order, as
+# guards writes them to guard_curves.csv: a change in the model's arithmetic
+# that moves any bisection's last step changes one of these floats
+DEFAULT_CURVE_GBS = {
+    20.0: (
+        4.343864440917969, 3.850849151611328, 3.6909523010253906, 3.5776920318603516,
+        3.431119918823242, 3.0113906860351562, 2.8448314666748047, 2.764883041381836,
+        2.684934616088867, 2.6249732971191406, 2.558349609375, 2.4983882904052734,
+        2.4251022338867188, 2.351816177368164, 2.0586719512939453, 1.925424575805664,
+        1.8588008880615234, 1.812164306640625, 1.7721900939941406, 1.7388782501220703,
+        1.698904037475586, 1.6722545623779297, 1.6389427185058594, 1.6122932434082031,
+        1.5856437683105469, 1.5589942932128906, 1.5390071868896484, 1.5123577117919922,
+        1.485708236694336, 1.4590587615966797, 1.4390716552734375, 1.4124221801757812,
+        1.385772705078125, 1.3591232299804688, 1.3324737548828125, 1.3058242797851562,
+        1.272512435913086, 1.2325382232666016, 1.1925640106201172, 0.9993553161621094,
+        0.9460563659667969
+    ),
+    25.0: (
+        14.090909957885742, 12.172147750854492, 10.320009231567383, 9.274017333984375,
+        8.274662017822266, 7.528476715087891, 7.102085113525391, 6.415861129760742,
+        6.14936637878418, 5.569740295410156, 5.323232650756836, 5.1699981689453125,
+        4.7436065673828125, 4.470449447631836, 4.330539703369141, 4.23060417175293,
+        4.1040191650390625, 3.930797576904297, 3.537717819213867, 3.4511070251464844,
+        3.3711585998535156, 3.304534912109375, 3.2379112243652344, 3.1712875366210938,
+        3.091339111328125, 3.004728317260742, 2.678272247314453, 2.578336715698242,
+        2.5250377655029297, 2.471738815307617, 2.431764602661133, 2.3851280212402344,
+        2.351816177368164, 2.3118419647216797, 2.2785301208496094, 2.238555908203125,
+        2.2119064331054688, 2.1719322204589844, 2.138620376586914, 2.0919837951660156,
+        2.0586719512939453
+    ),
+    30.0: (
+        43.911672592163086, 30.820117950439453, 22.9785099029541, 19.167634963989258,
+        16.03632164001465, 14.304105758666992, 12.571889877319336, 11.525897979736328,
+        10.44659423828125, 9.680421829223633, 8.834300994873047, 8.13475227355957,
+        7.794971466064453, 7.162046432495117, 6.902214050292969, 6.675693511962891,
+        6.096067428588867, 5.949495315551758, 5.75628662109375, 5.269933700561523,
+        5.103374481201172, 4.996776580810547, 4.87019157409668, 4.736944198608398,
+        4.29722785949707, 4.190629959106445, 4.117343902587891, 4.030733108520508,
+        3.964109420776367, 3.8774986267089844, 3.7908878326416016, 3.4444446563720703,
+        3.324522018432617, 3.2445735931396484, 3.191274642944336, 3.1379756927490234,
+        3.091339111328125, 3.0447025299072266, 2.998065948486328, 2.9514293670654297,
+        2.9047927856445312
+    ),
+    35.0: (
+        125.89878273010254, 62.07328987121582, 39.614444732666016, 31.073287963867188,
+        24.737375259399414, 21.212982177734375, 18.248228073120117, 16.362777709960938,
+        14.557275772094727, 13.43133544921875, 12.352031707763672, 11.459274291992188,
+        10.553192138671875, 9.813669204711914, 9.41392707824707, 8.727703094482422,
+        8.421234130859375, 7.808296203613281, 7.568450927734375, 7.048786163330078,
+        6.775629043579102, 6.629056930541992, 6.369224548339844, 5.929508209228516,
+        5.782936096191406, 5.669675827026367, 5.5430908203125, 5.076725006103516,
+        4.9568023681640625, 4.8502044677734375, 4.770256042480469, 4.670320510864258,
+        4.577047348022461, 4.203954696655273, 4.077369689941406, 3.9907588958740234,
+        3.930797576904297, 3.8641738891601562, 3.8108749389648438, 3.744251251220703,
+        3.6842899322509766
+    ),
+    40.0: (
+        325.9963665008545, 99.80228424072266, 57.21642303466797, 43.038902282714844,
+        33.17859649658203, 28.22179412841797, 23.751344680786133, 21.359554290771484,
+        18.774555206298828, 17.015689849853516, 15.303461074829102, 14.224157333374023,
+        13.164840698242188, 12.285408020019531, 11.385988235473633, 10.959596633911133,
+        10.246723175048828, 9.553836822509766, 9.240705490112305, 8.614442825317383,
+        8.354610443115234, 7.8349456787109375, 7.548463821411133, 7.388566970825195,
+        6.85557746887207, 6.6623687744140625, 6.535783767700195, 6.375886917114258,
+        5.976144790649414, 5.749624252319336, 5.649688720703125, 5.536428451538086,
+        5.436492919921875, 5.256608963012695, 4.890178680419922, 4.783580780029297,
+        4.710294723510742, 4.630346298217773, 4.563722610473633, 4.470449447631836,
+        4.383838653564453
+    ),
+    45.0: (
+        806.233232498169, 138.37073707580566, 73.73909759521484, 53.698692321777344,
+        41.08682823181152, 34.45110893249512, 28.874706268310547, 25.32366371154785,
+        22.345584869384766, 20.35353660583496, 18.321514129638672, 16.802494049072266,
+        15.543306350708008, 14.297443389892578, 13.231464385986328, 12.745111465454102,
+        11.918977737426758, 11.179454803466797, 10.426607131958008, 10.140125274658203,
+        9.440576553344727, 9.207393646240234, 8.601118087768555, 8.361272811889648,
+        8.141414642333984, 7.615087509155273, 7.435203552246094, 7.268644332885742,
+        7.082098007202148, 6.589082717895508, 6.469160079956055, 6.3425750732421875,
+        6.21599006652832, 5.769611358642578, 5.636363983154297, 5.529766082763672,
+        5.449817657470703, 5.349882125854492, 5.249946594238281, 4.883516311645508,
+        4.750268936157227
+    ),
+}
+
+
+def test_default_curves_pin_every_bisection(cfg):
+    curves = efficiency_curves(DEFAULT_THETA_LIST, cfg)
+    assert list(curves) == list(DEFAULT_CURVE_GBS)
+    for theta, curve in curves.items():
+        assert [a.alpha for a in curve] == list(DEFAULT_ALPHA_GRID), theta
+        assert tuple(a.gb_subcarriers for a in curve) == DEFAULT_CURVE_GBS[theta], theta
+
+
 @st.composite
 def _numerologies(draw, min_fft=2):
     n_fft = draw(st.integers(min_fft, 512))

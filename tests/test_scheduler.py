@@ -108,6 +108,27 @@ class TestUserProfile:
         with pytest.raises(ValueError, match=rf"^{field} must be a real number, got "):
             UserProfile(**args)
 
+    @pytest.mark.parametrize("field", ["power_dbm", "sir_req_db"])
+    @pytest.mark.parametrize("value", [10**400, -10**400], ids=["huge", "-huge"])
+    def test_integer_past_float_range_names_its_field(self, field, value):
+        # math.isfinite would raise OverflowError on it
+        args = dict(id="a", power_dbm=0.0, sir_req_db=20.0)
+        args[field] = value
+        with pytest.raises(ValueError, match=rf"^{field} must be .*finite, got -?1000"):
+            UserProfile(**args)
+
+    @pytest.mark.parametrize("field", ["power_dbm", "sir_req_db"])
+    def test_yaml_integer_past_float_range_names_row_and_key(self, tmp_path, field):
+        row = {"power_dbm": "10", "sir_req_db": "20"}
+        row[field] = "1" * 400
+        path = tmp_path / "users.yaml"
+        path.write_text(f"- {{id: u1, power_dbm: {row['power_dbm']}, "
+                        f"sir_req_db: {row['sir_req_db']}}}\n")
+        with pytest.raises(ValueError) as exc:
+            load_users_yaml(path)
+        assert str(exc.value) == (f"{path}: user 1: {field}: expected a number, "
+                                  "got an integer too large for a float")
+
     def test_integers_are_accepted(self):
         u = UserProfile("a", 10, 20)
         assert (u.power_dbm, u.sir_req_db) == (10, 20)

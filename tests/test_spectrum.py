@@ -597,6 +597,34 @@ class TestExpectedPsd:
 ODD_CFG = NumerologyConfig(n_fft=128, n_occupied=75, t_cp_ch=8)
 
 
+@pytest.mark.parametrize("numerology", [NumerologyConfig(), ODD_CFG],
+                         ids=["default", "odd"])
+def test_autocorrelation_matches_direct_correlation(numerology):
+    # oracle: np.correlate's direct lag sums of the pulse, at every alpha of
+    # the default grid, from ramp 0 (alpha 0) to the largest (alpha 0.2); and
+    # the model's coefficients as built from the oracle's r, zero-padded
+    ocfg = numerology.oversampled(OVERSAMPLE)
+    victim, in_band = spectrum._lag_kernels(ocfg)
+    ramps = []
+    for alpha in DEFAULT_ALPHA_GRID:
+        ramp = OVERSAMPLE * WindowSpec.for_config(alpha, numerology).t_cp_win
+        rise = rising_taper(ramp)
+        pulse = np.concatenate([rise, np.ones(ocfg.t_cp_ch + ocfg.n_fft), 1.0 - rise])
+        m = pulse.size
+        oracle = np.correlate(pulse, pulse, "full")[m - 1:]
+        r = spectrum._autocorrelation(pulse, ramp)
+        # absolute, against r[0] of about m: at least 544 on ODD_CFG and 4,384 on
+        # the default numerology
+        assert np.abs(r - oracle).max() <= 1e-11, alpha
+        expected = oracle * victim[:m] / (oracle @ in_band[:m])
+        coeffs = LeakageModel.for_alpha(alpha, numerology).coeffs.ravel()
+        np.testing.assert_allclose(coeffs[:m], expected, rtol=0,
+                                   atol=1e-13 * np.abs(expected).max())
+        assert not coeffs[m:].any(), alpha
+        ramps.append(ramp)
+    assert ramps[0] == 0 and ramps[-1] == max(ramps) > 0
+
+
 def _top_guard_hz(psd, s):
     """The largest guard band whose one-subcarrier victim slot the grid holds."""
     return psd.freqs[-1] - psd.band_edge_hz - s
