@@ -40,6 +40,9 @@ from .spectrum import PSD_SYMBOLS, windowed_psd, write_psd_csv
 
 # dB an entry's revalidated suppression may fall short of its threshold
 REVALIDATE_TOL_DB = 0.1
+# largest config n_fft: four times NR's largest FFT (4,096 points), so the
+# analysis grid (OVERSAMPLE x n_fft) stays at most 65,536 points
+N_FFT_LIMIT = 16384
 
 
 @dataclass
@@ -66,12 +69,18 @@ class ExperimentConfig:
                 raise ValueError(
                     _FIELD_NAMES.sub(lambda m: _FIELD_KEYS[m[0]], str(exc))
                 ) from None
+            if numerology.n_fft > N_FFT_LIMIT:
+                raise ValueError(f"n_fft must be at most {N_FFT_LIMIT}, four times "
+                                 f"NR's largest FFT, got {numerology.n_fft}")
             return cls(numerology=numerology, **values)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
 
 def _floats(values) -> tuple:
+    """A YAML list of numbers; any other value is rejected whole, not iterated."""
+    if not isinstance(values, list):
+        raise ValueError(f"expected a list of numbers, got {values!r}")
     return tuple(config_float(v) for v in values)
 
 

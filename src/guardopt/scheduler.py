@@ -84,7 +84,8 @@ def theta_for_assignment(assignment) -> list[float]:
         raise ValueError("assignment must not be empty")
     if len(users) == 1:
         return [0.0]
-    # an edge band's only neighbor is mirrored, as in _OrderingCost.bands
+    # an edge band's only neighbor is mirrored, so its max is that one
+    # threshold, the entry _OrderingCost reads beside its sentinel
     nbs = [users[1], *users, users[-2]]
     return [max(_theta_term(u.power_dbm, a.power_dbm, a.sir_req_db),
                 _theta_term(u.power_dbm, c.power_dbm, c.sir_req_db))
@@ -135,7 +136,7 @@ def _guard_plan(users: tuple, thetas, lookup: LookupTable) -> SchedulePlan:
 
 
 class _OrderingCost:
-    """Band costs of orderings of one set of two or more users.
+    """Band costs of orderings of one set of n >= 2 users, indices 0 .. n-1.
 
     Orderings are lists of user indices. A band costs (whole GB, GD); a
     boundary costs the larger whole GB of its two bands. index[b][j] is the
@@ -147,26 +148,32 @@ class _OrderingCost:
     n x the table's largest whole GB + 1: more than the n - 1 boundaries of
     any on-table ordering add up to, so an ordering's GB reaches off exactly
     when one of its bands is off the table.
+    User n is a sentinel beyond each end of an ordering: index[b][n] is -1,
+    which never wins a max, so an end band costs the entry of its one real
+    neighbor; row n reads (off, 0) toward everyone, so a boundary beside the
+    sentinel costs off whatever the ordering.
     """
 
     def __init__(self, users, lookup: LookupTable):
+        n = len(users)
         power = np.array([u.power_dbm for u in users])
         sir = np.array([u.sir_req_db for u in users])
-        self.index = lookup.ceil_index(_theta_term(power[:, None], power, sir)).tolist()
+        index = lookup.ceil_index(_theta_term(power[:, None], power, sir)).tolist()
         levels = lookup.levels
         # an empty table puts every band off it
-        self.off = len(users) * max(levels, default=(0, 0))[0] + 1
+        self.off = n * max(levels, default=(0, 0))[0] + 1
         self.levels = levels + [(self.off, 0)]
+        self.index = [row + [-1] for row in index] + [[len(levels)] * (n + 1)]
 
     def bands(self, order, lo: int, hi: int) -> list[tuple[int, int]]:
-        """(whole GB, GD) of bands lo .. hi-1 of `order`; an edge band's only
-        neighbor is mirrored."""
-        index, levels, last = self.index, self.levels, len(order) - 1
+        """(whole GB, GD) of bands lo .. hi-1 of `order`, with the sentinel
+        beyond each end."""
+        index, levels, n = self.index, self.levels, len(self.index) - 1
+        padded = [n, *order, n]
         out = []
         for k in range(lo, hi):
             row = index[order[k]]
-            i = row[order[k - 1] if k else order[1]]
-            j = row[order[k + 1] if k < last else order[k - 1]]
+            i, j = row[padded[k]], row[padded[k + 2]]
             out.append(levels[j if j > i else i])
         return out
 
@@ -189,70 +196,60 @@ def _swap_order(kernel: _OrderingCost, order: list[int]) -> tuple[list[int], boo
 
     Swapping positions i and i+1 gives bands i-1 .. i+2 new neighbors, so a
     trial costs only the six bands i-2 .. i+3 and their five boundaries;
-    costs are integers, so the window decides as whole orderings do. Each
-    position keeps its band's whole GB and GD. An interior swap (2 <= i <=
-    n-4) reads no mirrored neighbor that moves, so it is costed from the four
-    new table levels, two `kernel.index` reads each: the five boundary GBs
-    first, then the four GDs on a tie. The four edge swaps are costed as
-    windows, `kernel.bands` then `_run_cost`.
+    costs are integers, so the window decides as whole orderings do. The
+    ordering is padded with two sentinels (kernel user n) at each end, so
+    every window holds six positions: a sentinel band costs (off, 0) and a
+    boundary beside it off, the same before and after any swap. Each
+    position keeps its band's whole GB and GD, and a swap is costed from the
+    four new table levels, two `kernel.index` reads each: the five boundary
+    GBs first, then the four GDs on a tie.
     A trial of swap i reads positions i-3 .. i+4 only, so a rejected swap is
     tried again only once an accepted swap has moved one of them: the swaps
     accepted are those of passes that try every swap.
     """
     n = len(order)
     index, levels = kernel.index, kernel.levels
-    pairs = kernel.bands(order, 0, n)
+    order = [n, n, *order, n, n]
+    pairs = kernel.bands(order, 0, n + 4)
     retry = [True] * (n - 1)  # swap i may give a new answer
     while any(retry):
         for i in range(n - 1):
             if not retry[i]:
                 continue
-            if 2 <= i <= n - 4:
-                # a b u v c d becomes a b v u c d: b, v, u and c take new
-                # levels, each that of its larger threshold
-                a, b, u, v, c, d = order[i - 2:i + 4]
-                row = index[b]
-                x, y = row[a], row[v]
-                l1 = levels[x if x > y else y]  # max(), but faster
-                row = index[v]
-                x, y = row[b], row[u]
-                l2 = levels[x if x > y else y]
-                row = index[u]
-                x, y = row[v], row[c]
-                l3 = levels[x if x > y else y]
-                row = index[c]
-                x, y = row[u], row[d]
-                l4 = levels[x if x > y else y]
-                p0, p1, p2, p3, p4, p5 = pairs[i - 2:i + 4]
-                g0, o1, o2, o3, o4, g5 = p0[0], p1[0], p2[0], p3[0], p4[0], p5[0]
-                g1, g2, g3, g4 = l1[0], l2[0], l3[0], l4[0]
-                new_gb = ((g0 if g0 > g1 else g1) + (g1 if g1 > g2 else g2)
-                          + (g2 if g2 > g3 else g3) + (g3 if g3 > g4 else g4)
-                          + (g4 if g4 > g5 else g5))
-                old_gb = ((g0 if g0 > o1 else o1) + (o1 if o1 > o2 else o2)
-                          + (o2 if o2 > o3 else o3) + (o3 if o3 > o4 else o4)
-                          + (o4 if o4 > g5 else g5))
-                better = new_gb < old_gb or new_gb == old_gb and (
-                    l1[1] + l2[1] + l3[1] + l4[1] < p1[1] + p2[1] + p3[1] + p4[1])
-                if better:
-                    order[i], order[i + 1] = v, u
-                    pairs[i - 1:i + 3] = l1, l2, l3, l4
-            else:
-                order[i], order[i + 1] = order[i + 1], order[i]
-                lo, hi = max(i - 2, 0), min(i + 4, n)
-                new = kernel.bands(order, lo, hi)
-                better = _run_cost(new) < _run_cost(pairs[lo:hi])
-                if better:
-                    pairs[lo:hi] = new
-                else:
-                    order[i], order[i + 1] = order[i + 1], order[i]
-            if better:
+            # a b u v c d becomes a b v u c d: b, v, u and c take new
+            # levels, each that of its larger threshold
+            a, b, u, v, c, d = order[i:i + 6]
+            row = index[b]
+            x, y = row[a], row[v]
+            l1 = levels[x if x > y else y]  # max(), but faster
+            row = index[v]
+            x, y = row[b], row[u]
+            l2 = levels[x if x > y else y]
+            row = index[u]
+            x, y = row[v], row[c]
+            l3 = levels[x if x > y else y]
+            row = index[c]
+            x, y = row[u], row[d]
+            l4 = levels[x if x > y else y]
+            p0, p1, p2, p3, p4, p5 = pairs[i:i + 6]
+            g0, o1, o2, o3, o4, g5 = p0[0], p1[0], p2[0], p3[0], p4[0], p5[0]
+            g1, g2, g3, g4 = l1[0], l2[0], l3[0], l4[0]
+            new_gb = ((g0 if g0 > g1 else g1) + (g1 if g1 > g2 else g2)
+                      + (g2 if g2 > g3 else g3) + (g3 if g3 > g4 else g4)
+                      + (g4 if g4 > g5 else g5))
+            old_gb = ((g0 if g0 > o1 else o1) + (o1 if o1 > o2 else o2)
+                      + (o2 if o2 > o3 else o3) + (o3 if o3 > o4 else o4)
+                      + (o4 if o4 > g5 else g5))
+            if new_gb < old_gb or new_gb == old_gb and (
+                    l1[1] + l2[1] + l3[1] + l4[1] < p1[1] + p2[1] + p3[1] + p4[1]):
+                order[i + 2], order[i + 3] = v, u
+                pairs[i + 1:i + 5] = l1, l2, l3, l4
                 # positions i and i+1 moved: trials i-4 .. i+4 read them
                 for j in range(max(i - 4, 0), min(i + 5, n - 1)):
                     retry[j] = True
             else:
                 retry[i] = False
-    return order, max(pairs)[0] < kernel.off
+    return order[2:-2], max(pairs[2:-2])[0] < kernel.off
 
 
 def _exact_order(kernel: _OrderingCost) -> tuple[list[int], bool]:
@@ -272,8 +269,8 @@ def _exact_order(kernel: _OrderingCost) -> tuple[list[int], bool]:
     lexicographically first optimal index sequence, the permutation search's
     answer.
     """
-    n = len(kernel.index)
-    index = np.array(kernel.index)
+    n = len(kernel.index) - 1
+    index = np.array(kernel.index)[:n, :n]  # the sentinel's row and column go
     gb_of, gd_of = np.array(kernel.levels).T
     # a state holds its a's whole GB as a rank among the distinct whole GBs
     whole, rank_of = np.unique(gb_of, return_inverse=True)
@@ -342,16 +339,16 @@ def schedule_interference_based(
     (`_exact_order`); among equal-cost orderings it returns the first in
     input order, as a search over `itertools.permutations(users)` would.
     heuristic: sort by power (SIR requirement as tie-break), then adjacent-swap
-    passes until no swap improves the cost (`_swap_order`). A swap is costed
-    over the six bands around it and their five boundaries: an interior swap
-    from the four bands whose table levels it changes, a swap within two
-    positions of an end as a window of mirrored-neighbor bands. A rejected
-    swap is retried only once a position it reads has moved. Both read the
-    table once per set (`_OrderingCost`), where an ordering with a band above
-    the table costs more than any without one: exhaustive mode fails only if
-    every ordering has such a band, heuristic mode if its passes end with
-    one. The error is allocate_guards', naming the user. Any other mode is
-    an error, whatever the set size.
+    passes until no swap improves the cost (`_swap_order`). Every swap is
+    costed over the six bands around it and their five boundaries, from the
+    four bands whose table levels it changes; sentinels beyond each end fill
+    the window of a swap near an end. A rejected swap is retried only once a
+    position it reads has moved. Both read the table once per set
+    (`_OrderingCost`), where an ordering with a band above the table costs
+    more than any without one: exhaustive mode fails only if every ordering
+    has such a band, heuristic mode if its passes end with one. The error is
+    allocate_guards', naming the user. Any other mode is an error, whatever
+    the set size.
     theta_floor is ignored: no ordering depends on it. It stays only because
     perfbench/tracer.py passes it positionally, until the next benchmark
     change removes it there.

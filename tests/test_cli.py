@@ -1,5 +1,6 @@
 import errno
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +259,55 @@ class TestConfigLoading:
         assert main([command, "--config", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param(f"n_fft: {cli.N_FFT_LIMIT + 1}\n", f"n_fft must be at most "
+                     f"{cli.N_FFT_LIMIT}, four times NR's largest FFT, got "
+                     f"{cli.N_FFT_LIMIT + 1}", id="n_fft"),
+        *(pytest.param(f"{key}: {value}\n",
+                       f"{key}: expected a list of numbers, got {shown}",
+                       id=f"{key}_{kind}")
+          for key in ("theta_list", "alpha_grid")
+          for value, shown, kind in (('"20"', "'20'", "string"), ("20", "20", "number"),
+                                     ("{a: 1}", "{'a': 1}", "mapping"),
+                                     ("null", "None", "null"))),
+    ])
+    def test_bad_size_or_list_names_file_and_key(self, tmp_path, capsys, text, message):
+        # a list key is never iterated unless it is a list: "20" is not the
+        # thresholds 2 and 0
+        path = tmp_path / "exp.yaml"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert main(["lookup-build", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_fft", [cli.N_FFT_LIMIT + 1, 10 ** 300])
+    def test_n_fft_past_limit_fails_in_load(self, tmp_path, n_fft):
+        # 10**300 points pass the sample-rate check; the load, which makes no
+        # array, fails before any numpy allocation could
+        path = tmp_path / "exp.yaml"
+        path.write_text(f"n_fft: {n_fft}\n")
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: n_fft "
+                               rf"must be at most {cli.N_FFT_LIMIT}, "):
+                ExperimentConfig.load(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 1e6, peak
+
+    def test_n_fft_at_limit_is_accepted(self, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_text(f"n_fft: {cli.N_FFT_LIMIT}\n")
+        cfg = ExperimentConfig.load(path).numerology
+        assert cfg.n_fft == cli.N_FFT_LIMIT
+        assert cfg.oversampled(spectrum.OVERSAMPLE).n_fft == 4 * cli.N_FFT_LIMIT
 
     @pytest.mark.parametrize("key", ["power_dbm", "sir_req_db"])
     def test_user_value_past_float_range_names_file_and_key(self, tmp_path, capsys, key):

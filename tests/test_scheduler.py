@@ -760,6 +760,17 @@ class TestExactSearchAtItsLimit:
             kernel = scheduler._OrderingCost(_drawn_users(n, 1), _UNEVEN)
             assert any(len(_UNEVEN.allocations) in row for row in kernel.index)
 
+    def test_sentinel_beyond_each_end(self):
+        # user n: -1 in every real row, never a max; the off level toward
+        # everyone in its own. The off-table pairs are among the real users.
+        for n in (8, 9, 10):
+            kernel = scheduler._OrderingCost(_drawn_users(n, 1), _UNEVEN)
+            off = len(_UNEVEN.allocations)
+            assert kernel.levels[off] == (kernel.off, 0)
+            assert [row[n] for row in kernel.index[:n]] == [-1] * n
+            assert kernel.index[n] == [off] * (n + 1)
+            assert any(off in row[:n] for row in kernel.index[:n])
+
     def test_ten_users_peak_under_8_mb(self):
         # about 6.8 MB: every layer's edge costs and children (184,000 edges
         # in all), kept for the backward pass, and the largest layer's
