@@ -252,6 +252,7 @@ def cmd_schedule(args) -> int:
     for r in rows:
         write_layout_csv(r.plan, out / f"schedule_{r.scenario}.csv")
     write_comparison_csv(rows, out / "guard_comparison.csv")
+    _report_absent(lookup)  # after the outputs, as guards reports it
     return 0
 
 

@@ -281,8 +281,9 @@ def checked_theta_list(theta_list) -> list:
 
 
 def checked_alpha_grid(alpha_grid, cfg: NumerologyConfig) -> list:
-    """alpha_grid as a list; ValueError unless it is non-empty and its roll-offs
-    are distinct and pass WindowSpec.for_config, whose reason follows the value."""
+    """alpha_grid as a list, -0.0 read as 0.0 and every other value as given;
+    ValueError unless it is non-empty and its roll-offs are distinct and pass
+    WindowSpec.for_config, whose reason follows the value."""
     alpha_grid = list(alpha_grid)
     if not alpha_grid:
         raise ValueError("alpha_grid must be non-empty")
@@ -293,6 +294,7 @@ def checked_alpha_grid(alpha_grid, cfg: NumerologyConfig) -> list:
             raise ValueError(f"alpha_grid value {alpha!r}: {exc}") from None
         if alpha in alpha_grid[:i]:
             raise ValueError(f"alpha_grid repeats {alpha!r}")
+        alpha_grid[i] = abs(alpha)  # alpha >= 0: only -0.0 changes
     return alpha_grid
 
 

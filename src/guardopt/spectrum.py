@@ -42,7 +42,10 @@ SEGMENT_SYMBOLS = 32  # Welch segment length, in oversampled symbols
 # n windowed symbols span at least n * n_fft oversampled samples, so any
 # n >= SEGMENT_SYMBOLS fills a Welch segment at every valid alpha and numerology
 PSD_SYMBOLS = 128  # symbols in the psd export's one Welch draw
-REVALIDATE_STEP = 64  # revalidation's fine grid, in bins per oversampled subcarrier
+# revalidation's fine grid, in bins per oversampled subcarrier; divisible by 4,
+# so every subcarrier slot edge is a bin of the fine grid and of its
+# every-other-bin subgrid, as grid_suppression_db's slot rule needs
+REVALIDATE_STEP = 64
 TOL_SUBCARRIERS = 0.01  # guard-band bisection tolerance
 _BLOCK = 64  # lags per block when LeakageModel evaluates its power series
 
@@ -230,15 +233,19 @@ def grid_suppression_db(cfg: NumerologyConfig, readings) -> list:
     coarse grid is its every-other bin, so its P is the fine P at the even
     bins and both come from the one FFT. Unnormalised, the expected PSD of
     i.i.d. zero-mean symbols at grid bin i is S[i] = sum_k P[i - k step] over
-    the occupied bins k, circularly, with P = |W|^2 the pulse power spectrum
-    in grid order and step the bins per subcarrier (van Waterschoot et al.,
-    IEEE SPL 17(4), 2010). A band's trapezoid sum_i w_i S[i] is thus
-    sum_q P[q] c[q], c the band's weights folded over the comb; the
-    normaliser cancels in the ratio. The victim slot is summed over
-    non-negative terms only, so far-out readings keep full relative
-    precision; the in-band weights are folded per grid (_in_band_weights),
-    once for every alpha. A victim slot past the coarse grid raises
-    band_power's ValueError.
+    the occupied subcarriers k, circularly, with P = |W|^2 the pulse power
+    spectrum and step the bins per subcarrier (van Waterschoot et al., IEEE
+    SPL 17(4), 2010). Both bands are read by one rule (_comb_power): a band's
+    trapezoid weights gathered from P at comb offsets, each offset weighted
+    by how often it occurs. The victim slot takes each occupied subcarrier
+    once. The occupied band [-edge, edge] is the 2 h + 1 one-subcarrier slots
+    j = -h .. h, whose edges fall on bins of both grids (REVALIDATE_STEP is
+    divisible by 4), so its weights are slot 0's shifted to each slot, and
+    its power is slot 0's gathered at each d = |j - k| as often as a (slot j,
+    subcarrier k) pair lies d subcarriers apart (slot 0 and P are even).
+    Every term is non-negative, so far-out readings keep full relative
+    precision; the normaliser cancels in the ratio. A victim slot past the
+    coarse grid raises band_power's ValueError.
 
     Memory: each band's weights come from only the bins it touches
     (_grid_band), so neither a full frequency grid nor a zero-padded copy of
@@ -249,55 +256,43 @@ def grid_suppression_db(cfg: NumerologyConfig, readings) -> list:
     ocfg = cfg.oversampled(OVERSAMPLE)
     size = REVALIDATE_STEP * ocfg.n_fft
     edge, slot = band_edge_hz(ocfg), cfg.subcarrier_spacing
-    bins = occupied_bins(ocfg)[:, None]
-    grids = [(n, _in_band_weights(n, ocfg), bins * (n // ocfg.n_fft))
+    h = ocfg.n_occupied - ocfg.n_occupied // 2  # the band's slots are -h .. h
+    bins = occupied_bins(ocfg)
+    comb = np.zeros(ocfg.n_fft)
+    comb[bins] = 1.0
+    # pairs[2 h + e]: the pairs with k - j = e (the slots are symmetric, so a
+    # convolution counts them), then folded onto |e|
+    pairs = np.convolve(np.ones(2 * h + 1), np.roll(comb, h)[:2 * h + 1])
+    pairs[2 * h + 1:] += pairs[2 * h - 1::-1]
+    offsets, counts = np.arange(2 * h + 1), pairs[2 * h:]
+    grids = [(n, n // ocfg.n_fft, _grid_band(n, ocfg.sample_rate, -slot / 2, slot / 2))
              for n in (size, size // 2)]
     out = [[] for _ in readings]
     for alpha in dict.fromkeys(a for a, _ in readings):
         pulse = pulse_weights(ocfg, _oversampled(alpha, cfg)[1])
         half = np.abs(np.fft.rfft(pulse, size))  # |W| at the non-negative bins
         half *= half  # P, in place
-        for (n, in_band, shifts), power in zip(grids, (half, half[::2])):
-            reference = float(in_band @ power)
+        for (n, step, slot0), power in zip(grids, (half, half[::2])):
+            reference = _comb_power(power, n, slot0, offsets * step, counts)
             for i, (a, guard) in enumerate(readings):
                 if a == alpha:
-                    lo, w = _grid_band(n, ocfg.sample_rate, edge + guard,
-                                       edge + guard + slot)
-                    terms = power[_rfft_bin(lo + np.arange(w.size) - shifts, n)] @ w
-                    out[i].append(
-                        _density_ratio_db(float(terms.sum()), slot, reference, edge))
+                    victim = _grid_band(n, ocfg.sample_rate, edge + guard,
+                                        edge + guard + slot)
+                    out[i].append(_density_ratio_db(
+                        _comb_power(power, n, victim, bins * step, 1.0),
+                        slot, reference, edge))
         del half, power  # freed before the next alpha's FFT
     return [tuple(pair) for pair in out]
 
 
-def _rfft_bin(i, size: int):
-    """Where P at bins i of the size-bin grid sits in its rfft half spectrum."""
-    return np.abs(i % size - size // 2)
-
-
-def _in_band_weights(size: int, ocfg: NumerologyConfig) -> np.ndarray:
-    """The trapezoid weights of the occupied band on the size-bin grid, folded
-    over the comb onto the rfft bins: in_band @ P is the band's power of S.
-
-    The fold runs per run of consecutive occupied bins, by cumulative sums per
-    residue mod step."""
-    step, edge = size // ocfg.n_fft, band_edge_hz(ocfg)
-    lo, w = _grid_band(size, ocfg.sample_rate, -edge, edge)
-    bins = occupied_bins(ocfg)
-    runs = np.split(bins, np.flatnonzero(np.diff(bins) != 1) + 1)
-    rows = -(-w.size // step) + max(run.size for run in runs)
-    strided = np.zeros(rows * step)
-    strided[:w.size] = w
-    cum = np.cumsum(strided.reshape(rows, step), axis=0).ravel()  # sum_d w[r - d step]
-    in_band = np.zeros(size // 2 + 1)
-    for run in runs:
-        # c[r] = sum_{d < run.size} w[r - d step] weighs grid bin lo - run[-1] step + r
-        span = run.size * step
-        c = cum[:w.size + span].copy()
-        c[span:] -= cum[:w.size]
-        at = _rfft_bin(lo - run[-1] * step + np.arange(c.size), size)
-        in_band += np.bincount(at, c, in_band.size)
-    return in_band
+def _comb_power(power, size: int, band, shifts, counts) -> float:
+    """sum_o counts[o] sum_i w[i] P[lo + i - shifts[o]], band = (lo, w) on the
+    size-bin grid: the band's trapezoid power of counts[o] copies of P
+    shifted shifts[o] bins, P in rfft order (bin i at |i % size - size // 2|)."""
+    lo, w = band
+    at = lo + np.arange(w.size) - shifts[:, None]
+    terms = power[np.abs(at % size - size // 2)] @ w
+    return float((counts * terms).sum())
 
 
 def suppression_db(

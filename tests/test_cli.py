@@ -1,4 +1,5 @@
 import errno
+import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -752,6 +753,22 @@ class TestScheduleCommand:
             "error: lookup table has no reachable threshold\n"
         )
 
+    def test_unreachable_theta_reported_absent_on_miss_and_hit(self, tmp_path, capsys):
+        # as guards and lookup-build report it, whether the table is built
+        # or loaded, and the plan is the one without the absent theta
+        out = tmp_path / "o"
+        argv = ["schedule", "--theta", SCHED_THETA + ",300", "--alpha", ALPHA]
+        errs = []
+        for _ in range(2):
+            assert _run(argv + ["--out", str(out)]) == 0
+            errs.append(capsys.readouterr().err)
+        assert errs == ["theta=300: absent (unreachable at every alpha in the grid)\n"] * 2
+        assert _run(["schedule", "--theta", SCHED_THETA, "--alpha", ALPHA,
+                     "--out", str(tmp_path / "ref")]) == 0
+        assert capsys.readouterr().err == ""
+        assert ((out / "guard_comparison.csv").read_bytes()
+                == (tmp_path / "ref" / "guard_comparison.csv").read_bytes())
+
     def test_damaged_lookup_cache_exits_1(self, tmp_path, capsys):
         out = tmp_path / "o"
         argv = ["schedule", "--theta", SCHED_THETA, "--alpha", ALPHA, "--out", str(out)]
@@ -813,6 +830,26 @@ def test_loaded_table_keeps_the_built_alpha(tmp_path):
     built = optimizer.build_lookup_table([30.0], NumerologyConfig(), [0.1000000001])
     loaded = optimizer.LookupTable.load_csv(path)
     assert loaded.entries[30.0].alpha == built.entries[30.0].alpha == 0.1000000001
+
+
+def test_negative_zero_alpha_reads_as_zero(tmp_path):
+    # -0 is written as 0 and keys the one table that 0 keys: the second
+    # lookup-build loads it instead of writing another
+    assert main(["guards", "--alpha=-0,0.01", "--theta", "20",
+                 "--out", str(tmp_path / "g")]) == 0
+    rows = (tmp_path / "g" / "optimal_guards.csv").read_text().splitlines()
+    assert rows[1].startswith("20,0,0,")
+    out = tmp_path / "l"
+    assert main(["lookup-build", "--alpha=-0,0.01", "--theta", "20", "--out", str(out)]) == 0
+    (path,) = out.glob("lookup_*.csv")
+    mtime = path.stat().st_mtime_ns
+    assert main(["lookup-build", "--alpha", "0,0.01", "--theta", "20", "--out", str(out)]) == 0
+    assert list(out.glob("lookup_*.csv")) == [path]
+    assert path.stat().st_mtime_ns == mtime
+    cfg = NumerologyConfig()
+    (zero, _) = optimizer.checked_alpha_grid([-0.0, 0.01], cfg)
+    assert math.copysign(1.0, zero) == 1.0
+    assert type(optimizer.checked_alpha_grid([0, 0.01], cfg)[0]) is int  # as given
 
 
 def test_lookup_hit_reports_absent_theta_like_miss(tmp_path, capsys):

@@ -754,15 +754,11 @@ class TestExactSearchAtItsLimit:
         got = schedule_interference_based(users, table)
         assert [u.id for u in got] == [f"u{i}" for i in order]
 
-    def test_uneven_sets_have_off_table_pairs(self):
-        # seed 1's sets are the pinned ones that must route round the table's end
-        for n in (8, 9, 10):
-            kernel = scheduler._OrderingCost(_drawn_users(n, 1), _UNEVEN)
-            assert any(len(_UNEVEN.allocations) in row for row in kernel.index)
-
     def test_sentinel_beyond_each_end(self):
         # user n: -1 in every real row, never a max; the off level toward
-        # everyone in its own. The off-table pairs are among the real users.
+        # everyone in its own. Seed 1's sets are the pinned ones that must
+        # route round the table's end: each has off-table pairs among its
+        # real users, the n x n block the sentinel row is not part of.
         for n in (8, 9, 10):
             kernel = scheduler._OrderingCost(_drawn_users(n, 1), _UNEVEN)
             off = len(_UNEVEN.allocations)
