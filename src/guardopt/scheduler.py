@@ -165,15 +165,14 @@ class _OrderingCost:
         self.levels = levels + [(self.off, 0)]
         self.index = [row + [-1] for row in index] + [[len(levels)] * (n + 1)]
 
-    def bands(self, order, lo: int, hi: int) -> list[tuple[int, int]]:
-        """(whole GB, GD) of bands lo .. hi-1 of `order`, with the sentinel
-        beyond each end."""
+    def bands(self, order) -> list[tuple[int, int]]:
+        """(whole GB, GD) of every band of `order`, with the sentinel beyond
+        each end."""
         index, levels, n = self.index, self.levels, len(self.index) - 1
         padded = [n, *order, n]
         out = []
-        for k in range(lo, hi):
-            row = index[order[k]]
-            i, j = row[padded[k]], row[padded[k + 2]]
+        for b, a, c in zip(order, padded, padded[2:]):
+            i, j = index[b][a], index[b][c]
             out.append(levels[j if j > i else i])
         return out
 
@@ -210,7 +209,7 @@ def _swap_order(kernel: _OrderingCost, order: list[int]) -> tuple[list[int], boo
     n = len(order)
     index, levels = kernel.index, kernel.levels
     order = [n, n, *order, n, n]
-    pairs = kernel.bands(order, 0, n + 4)
+    pairs = kernel.bands(order)
     retry = [True] * (n - 1)  # swap i may give a new answer
     while any(retry):
         for i in range(n - 1):
@@ -334,21 +333,15 @@ def schedule_interference_based(
     The set size picks the search: the exact Held-Karp DP for at most
     EXACT_LIMIT users, the heuristic above. `mode` forces one, for
     comparisons: "exhaustive" (an error above EXACT_LIMIT) or "heuristic".
-    exhaustive: the DP's states are evaluated layer by layer in numpy, a
-    forward pass over each number of users placed, then a backward pass
-    (`_exact_order`); among equal-cost orderings it returns the first in
-    input order, as a search over `itertools.permutations(users)` would.
-    heuristic: sort by power (SIR requirement as tie-break), then adjacent-swap
-    passes until no swap improves the cost (`_swap_order`). Every swap is
-    costed over the six bands around it and their five boundaries, from the
-    four bands whose table levels it changes; sentinels beyond each end fill
-    the window of a swap near an end. A rejected swap is retried only once a
-    position it reads has moved. Both read the table once per set
-    (`_OrderingCost`), where an ordering with a band above the table costs
-    more than any without one: exhaustive mode fails only if every ordering
-    has such a band, heuristic mode if its passes end with one. The error is
-    allocate_guards', naming the user. Any other mode is an error, whatever
-    the set size.
+    exhaustive (`_exact_order`): among equal-cost orderings it returns the
+    first in input order, as a search over `itertools.permutations(users)`
+    would. heuristic (`_swap_order`): sort by power (SIR requirement as
+    tie-break), then adjacent-swap passes until no swap improves the cost.
+    Both read the table once per set (`_OrderingCost`), where an ordering
+    with a band above the table costs more than any without one: exhaustive
+    mode fails only if every ordering has such a band, heuristic mode if its
+    passes end with one. The error is allocate_guards', naming the user. Any
+    other mode is an error, whatever the set size.
     theta_floor is ignored: no ordering depends on it. It stays only because
     perfbench/tracer.py passes it positionally, until the next benchmark
     change removes it there.

@@ -4,11 +4,11 @@
 PSDs live on a grid OVERSAMPLE times denser than the base rate, whose Nyquist
 span cannot hold an adjacent victim band, with a taper of OVERSAMPLE times the
 guard duration the optimizer charges. The guard search reads the expected PSD
-in closed form (LeakageModel); revalidation re-reads it on a grid and on its
-every-other-bin subgrid, both from one FFT per alpha, over only the two bands
-it integrates (grid_suppression_db), and extrapolates the two trapezoid
-readings (Richardson), so no full expected-PSD grid is ever built, nor a full
-frequency grid or a zero-padded pulse copy.
+in closed form (LeakageModel) for victim slots up to the oversampled Nyquist
+frequency; revalidation re-reads it over that span on a grid and on its
+every-other-bin subgrid, periodic spectra both from one FFT per alpha, over
+only the two bands it integrates (grid_suppression_db), and extrapolates the
+two trapezoid readings (Richardson), so no full expected-PSD grid is built.
 The Welch estimate of one synthesized draw (windowed_psd) serves the psd
 export.
 
@@ -173,13 +173,15 @@ def _trapezoid(freqs: np.ndarray, f_lo: float, f_hi: float, spacing=None):
 
 
 def _grid_band(size: int, sample_rate: float, f_lo: float, f_hi: float):
-    """_trapezoid's (lo, w) on _frequency_grid(size, sample_rate), from only
-    the bins the band touches and one more at each end: the grid's bins are
-    integers times val, as np.fft.fftfreq computes them, so these floats are
-    the grid's bit for bit, and no full grid is built."""
+    """_trapezoid's (lo, w) on the size-bin DFT grid _frequency_grid(size,
+    sample_rate), read as the periodic spectrum it is: lo + i indexes it
+    modulo size, and the band's lower edge lies within one period of its
+    lowest bin, [-Nyquist, +Nyquist) on an even grid. Only the bins the band
+    touches and one more at each end are built, each an integer times val as
+    np.fft.fftfreq computes it: the grid's floats bit for bit."""
     val = 1.0 / (size * (1.0 / sample_rate))
     first = -(size // 2)  # the integer of the grid's lowest bin
-    if f_lo < first * val or f_hi > (size - 1) // 2 * val:
+    if f_lo < first * val or f_lo >= (first + size) * val:
         raise ValueError(
             f"band [{f_lo:.3e}, {f_hi:.3e}] Hz exceeds PSD grid coverage"
         )
@@ -244,8 +246,10 @@ def grid_suppression_db(cfg: NumerologyConfig, readings) -> list:
     its power is slot 0's gathered at each d = |j - k| as often as a (slot j,
     subcarrier k) pair lies d subcarriers apart (slot 0 and P are even).
     Every term is non-negative, so far-out readings keep full relative
-    precision; the normaliser cancels in the ratio. A victim slot past the
-    coarse grid raises band_power's ValueError.
+    precision; the normaliser cancels in the ratio. Both grids are periodic
+    in frequency (_grid_band): a victim slot starting below the oversampled
+    Nyquist frequency, as all the guard search reads do, wraps past a grid's
+    top; one starting at or past it raises band_power's ValueError text.
 
     Memory: each band's weights come from only the bins it touches
     (_grid_band), so neither a full frequency grid nor a zero-padded copy of

@@ -601,6 +601,18 @@ class TestGuardsCommand:
         assert "ok" in captured
         assert "VIOLATION" not in captured
 
+    def test_revalidate_reads_the_guard_at_the_top_of_the_span(
+        self, tmp_path, capsys
+    ):
+        # theta just below the alpha 0 model's 47.68125 dB at the search's
+        # largest guard, GB 1746.5: the victim slot ends at the oversampled
+        # Nyquist frequency, two fine bins past the coarse grid's last bin
+        argv = ["guards", "--revalidate", "--theta", "47.681249531",
+                "--alpha", "0", "--out", str(tmp_path / "o")]
+        assert _run(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].endswith(" dB ok"), lines
+
     def test_revalidate_exit_status_follows_printed_status(
         self, tmp_path, capsys, monkeypatch
     ):

@@ -702,8 +702,8 @@ class TestWholeGuardBands:
                  _user("c", 10.0, 18.0), _user("d", 3.0, 25.0),
                  _user("e", 8.0, 16.0)]
         kernel = scheduler._OrderingCost(users, lut)
-        assert kernel.bands((0, 1, 2), 1, 2)[0] == (3, 5)  # b at 20 dB
-        assert kernel.bands((0, 1, 3), 1, 2)[0] == (3, 9)  # b at 27 dB, read at 30
+        assert kernel.bands((0, 1, 2))[1] == (3, 5)  # b at 20 dB
+        assert kernel.bands((0, 1, 3))[1] == (3, 9)  # b at 27 dB, read at 30
         order, _ = scheduler._exact_order(kernel)
         got = [users[i] for i in order]
         assert got == _permutation_search(users, lut)
@@ -832,7 +832,7 @@ class TestPerReadReferences:
                 want = (_whole(g.gb_subcarriers), g.gd_samples)
             else:
                 want = (kernel.off, 0)
-            assert kernel.bands((a, b, c), 1, 2)[0] == want, (a, b, c)
+            assert kernel.bands((a, b, c))[1] == want, (a, b, c)
 
 
 class TestOutOfRangeTheta:

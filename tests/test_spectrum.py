@@ -1,10 +1,12 @@
 import functools
 import tracemalloc
+from decimal import ROUND_FLOOR, Decimal
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import guardopt.cli as cli
 import guardopt.optimizer as optimizer
 import guardopt.spectrum as spectrum
 from guardopt.numerology import NumerologyConfig, WindowSpec, round_half_up
@@ -687,22 +689,69 @@ def test_grid_suppression_matches_full_grid_psd(numerology, alpha, shares, align
         assert pair == pytest.approx(ref, abs=1e-9), g
 
 
+def _wrapped(psd: PsdEstimate) -> PsdEstimate:
+    """psd with its -Nyquist bin appended at +Nyquist, one period on."""
+    return PsdEstimate(np.append(psd.freqs, -psd.freqs[0]),
+                       np.append(psd.power, psd.power[0]), psd.band_edge_hz)
+
+
 @pytest.mark.parametrize("numerology", [NumerologyConfig(), ODD_CFG],
                          ids=["default", "odd"])
 def test_grid_suppression_victim_past_grid(numerology):
-    # the limit is the coarse grid's top, which the fine grid still holds
+    # both grids span [-Nyquist, +Nyquist), the coarse one ending two fine bins
+    # short of +Nyquist: a victim slot ending at +Nyquist reads each grid's
+    # -Nyquist bin there, one period on, and a slot starting at +Nyquist
+    # raises the error suppression_db gives past a grid
     fine, coarse = _revalidation_psds(0.05, numerology)
-    s = numerology.subcarrier_spacing
-    past = _top_guard_hz(coarse, s) + 0.5 * (coarse.freqs[1] - coarse.freqs[0])
-    assert past <= _top_guard_hz(fine, s)
+    s, edge = numerology.subcarrier_spacing, coarse.band_edge_hz
+    nyquist = -coarse.freqs[0]
     rate = numerology.oversampled(OVERSAMPLE).sample_rate
     assert coarse.freqs.tobytes() == spectrum._frequency_grid(
         _revalidation_size(numerology) // 2, rate).tobytes()
+    assert -fine.freqs[0] == nyquist > fine.freqs[-1] > coarse.freqs[-1]
+    top = nyquist - edge - s
+    while edge + top + s > nyquist:  # rounded past +Nyquist
+        top = np.nextafter(top, 0.0)
+    got = grid_suppression_db(numerology, [(0.05, top)])[0]
+    ref = tuple(suppression_db(_wrapped(psd), top, s) for psd in (fine, coarse))
+    assert got == pytest.approx(ref, abs=1e-9)
+    past = nyquist - edge
+    while edge + past < nyquist:  # rounded below +Nyquist
+        past = np.nextafter(past, np.inf)
     with pytest.raises(ValueError, match="exceeds PSD grid coverage") as oracle:
         suppression_db(coarse, past, s)
     with pytest.raises(ValueError) as band_only:
         grid_suppression_db(numerology, [(0.05, 0.0), (0.05, past)])
     assert str(band_only.value) == str(oracle.value)
+
+
+def _floor_6g(value: float) -> float:
+    """The largest %.6g value at or below value."""
+    exact = Decimal(value)
+    shift = exact.adjusted() - 5
+    return float(exact.scaleb(-shift).to_integral_value(ROUND_FLOOR).scaleb(shift))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_every_guard_the_search_returns_revalidates(seed):
+    # theta just below each model's reading at gb_max, the search's largest
+    # guard, whose victim slot ends at +Nyquist, past the coarse grid's last
+    # bin: on a model that rises to the top, the entry's guard lies within a
+    # bisection step of gb_max. Seeds 1, 5, 7, 8 and others draw the
+    # 12345.6789 Hz spacing, where that slot's end can round past +Nyquist (it
+    # does on seed 7). Every entry must revalidate, and pass as the guards
+    # command judges it
+    numerology = _random_numerology(seed)
+    s = numerology.subcarrier_spacing
+    gb_max = OVERSAMPLE * numerology.sample_rate / 2 - band_edge_hz(numerology) - s
+    for alpha in DEFAULT_ALPHA_GRID:
+        if not _valid(alpha, numerology):
+            continue
+        model = LeakageModel.for_alpha(alpha, numerology)
+        theta = _floor_6g(model.suppression_db(gb_max))
+        table = build_lookup_table([theta], numerology, [alpha])
+        achieved = revalidate(table, numerology)[theta]
+        assert achieved >= theta - cli.REVALIDATE_TOL_DB, alpha
 
 
 def test_slot_edges_fall_on_both_grids():
@@ -828,16 +877,21 @@ UNEVEN_RATES = [4 * 96 * 12345.6789, 4 * 100 * 60e3 / 7]
        data=st.data())
 def test_grid_band_is_trapezoid_on_the_full_grid(size, rate, data):
     # bit for bit, from the bins a band touches: random band edges, edges on
-    # grid bins, both grid ends, and edges up to two bins past the grid,
-    # which raise _trapezoid's error
+    # grid bins, both grid ends, the first bin one period on, and edges up to
+    # two bins past the grid. A band whose lower edge lies within one period
+    # of the lowest bin reads the grid extended past its top by the bins
+    # k * val that np.fft.fftfreq makes; any other raises _trapezoid's error
     freqs = spectrum._frequency_grid(size, rate)
-    step = freqs[1] - freqs[0]
+    step, val = freqs[1] - freqs[0], 1.0 / (size * (1.0 / rate))
+    top = (size - 1) // 2  # the integer of the grid's top bin
+    extended = np.concatenate((freqs, np.arange(top + 1, top + 4) * val))
     edge = (st.integers(0, size - 1).map(lambda j: float(freqs[j]))
-            | st.sampled_from([float(freqs[0]), float(freqs[-1])])
+            | st.sampled_from([float(freqs[0]), float(freqs[-1]),
+                               float(extended[size])])
             | st.floats(freqs[0] - 2 * step, freqs[-1] + 2 * step))
     f_lo, f_hi = sorted((data.draw(edge), data.draw(edge)))
-    if freqs[0] <= f_lo and f_hi <= freqs[-1]:
-        lo, w = spectrum._trapezoid(freqs, f_lo, f_hi)
+    if freqs[0] <= f_lo < extended[size]:
+        lo, w = spectrum._trapezoid(extended, f_lo, f_hi)
         got_lo, got_w = spectrum._grid_band(size, rate, f_lo, f_hi)
         assert got_lo == lo
         assert got_w.tobytes() == w.tobytes()
