@@ -302,12 +302,12 @@ def revalidate(table: LookupTable, cfg: NumerologyConfig) -> dict:
     """Re-measure each entry's suppression on the grid expected PSD.
 
     The search reads the closed-form LeakageModel; this path integrates the
-    FFT-sampled PSD with the trapezoid instead (grid_suppression_db, one FFT
-    per distinct alpha), so it checks the search rather than re-reading its
-    input. The trapezoid's error is second order in the bin width, so the
-    fine and coarse readings (bin widths h and 2h) extrapolate to
-    fine + (fine - coarse) / 3 (Richardson). Returns theta -> achieved
-    suppression (dB) at the tabulated guard band, in table order.
+    FFT-sampled PSD with the trapezoid instead (grid_suppression_db, one
+    pulse power spectrum per distinct alpha), so it checks the search rather
+    than re-reading its input. The trapezoid's error is second order in the
+    bin width, so the fine and coarse readings (bin widths h and 2h)
+    extrapolate to fine + (fine - coarse) / 3 (Richardson). Returns theta ->
+    achieved suppression (dB) at the tabulated guard band, in table order.
     """
     s = cfg.subcarrier_spacing
     readings = [(a.alpha, a.gb_subcarriers * s) for a in table.entries.values()]

@@ -6,9 +6,11 @@ span cannot hold an adjacent victim band, with a taper of OVERSAMPLE times the
 guard duration the optimizer charges. The guard search reads the expected PSD
 in closed form (LeakageModel) for victim slots up to the oversampled Nyquist
 frequency; revalidation re-reads it over that span on a grid and on its
-every-other-bin subgrid, periodic spectra both from one FFT per alpha, over
-only the two bands it integrates (grid_suppression_db), and extrapolates the
-two trapezoid readings (Richardson), so no full expected-PSD grid is built.
+every-other-bin subgrid, periodic spectra both from one pulse power spectrum
+per alpha (_pulse_power: nine FFTs of four symbols each, which a pulse
+shorter than three symbols fits), over only the two bands it integrates
+(grid_suppression_db), and extrapolates the two trapezoid readings
+(Richardson), so no full expected-PSD grid is built.
 The Welch estimate of one synthesized draw (windowed_psd) serves the psd
 export.
 
@@ -229,11 +231,12 @@ def windowed_psd(
 def grid_suppression_db(cfg: NumerologyConfig, readings) -> list:
     """(fine, coarse) suppression_db of the expected PSD on two grids, against
     a one-subcarrier victim slot, for each (alpha, g) of readings, g in Hz:
-    one FFT per distinct alpha, and only the two bands the metric integrates.
+    one pulse power spectrum per distinct alpha, and only the two bands the
+    metric integrates.
 
     The fine grid has REVALIDATE_STEP bins per oversampled subcarrier; the
     coarse grid is its every-other bin, so its P is the fine P at the even
-    bins and both come from the one FFT. Unnormalised, the expected PSD of
+    bins and both come from one _pulse_power. Unnormalised, the expected PSD of
     i.i.d. zero-mean symbols at grid bin i is S[i] = sum_k P[i - k step] over
     the occupied subcarriers k, circularly, with P = |W|^2 the pulse power
     spectrum and step the bins per subcarrier (van Waterschoot et al., IEEE
@@ -252,9 +255,9 @@ def grid_suppression_db(cfg: NumerologyConfig, readings) -> list:
     top; one starting at or past it raises band_power's ValueError text.
 
     Memory: each band's weights come from only the bins it touches
-    (_grid_band), so neither a full frequency grid nor a zero-padded copy of
-    the pulse is built, and an alpha's complex rfft lives only until |W| is
-    taken, squared in place.
+    (_grid_band), so no full frequency grid is built, and P comes from
+    short FFTs (_pulse_power), so it is the only array of the fine grid's
+    size.
     """
     readings = list(readings)
     ocfg = cfg.oversampled(OVERSAMPLE)
@@ -274,8 +277,7 @@ def grid_suppression_db(cfg: NumerologyConfig, readings) -> list:
     out = [[] for _ in readings]
     for alpha in dict.fromkeys(a for a, _ in readings):
         pulse = pulse_weights(ocfg, _oversampled(alpha, cfg)[1])
-        half = np.abs(np.fft.rfft(pulse, size))  # |W| at the non-negative bins
-        half *= half  # P, in place
+        half = _pulse_power(pulse, size)  # P at the non-negative bins
         for (n, step, slot0), power in zip(grids, (half, half[::2])):
             reference = _comb_power(power, n, slot0, offsets * step, counts)
             for i, (a, guard) in enumerate(readings):
@@ -285,8 +287,36 @@ def grid_suppression_db(cfg: NumerologyConfig, readings) -> list:
                     out[i].append(_density_ratio_db(
                         _comb_power(power, n, victim, bins * step, 1.0),
                         slot, reference, edge))
-        del half, power  # freed before the next alpha's FFT
+        del half, power  # freed before the next alpha's P is built
     return [tuple(pair) for pair in out]
+
+
+def _pulse_power(pulse, size: int) -> np.ndarray:
+    """|np.fft.rfft(pulse, size)|^2, bins 0 .. size // 2, for size =
+    REVALIDATE_STEP * n_fft on the oversampled numerology, from rows / 2 + 1
+    FFTs of n = size / rows points, rows = REVALIDATE_STEP / 4: n is 4 n_fft,
+    and a pulse is shorter than three symbols, so it fits in n.
+
+    Bin r + rows q of the zero-padded DFT is bin q of the n-point DFT of
+    pulse * exp(-2j pi r t / size), row r. The pulse is real, so row r also
+    gives residue rows - r, read reversed from bin n - 1; rows 0 .. rows / 2
+    give every residue. Each row is the one before times one twiddle.
+    """
+    rows = REVALIDATE_STEP // 4
+    n = size // rows
+    out = np.empty(size // 2 + 1)
+    twiddle = np.exp(np.arange(pulse.size) * (-2j * np.pi / size))
+    row = pulse.astype(complex)
+    for r in range(rows // 2 + 1):
+        if r:
+            row *= twiddle
+        spec = np.fft.fft(row, n)
+        # row 0 holds residue 0, whose last bin is size // 2
+        np.abs(spec[:n // 2 + (r == 0)], out=out[r::rows])
+        if 0 < r < rows // 2:
+            np.abs(spec[:n // 2 - 1:-1], out=out[rows - r::rows])
+    out *= out  # P, in place
+    return out
 
 
 def _comb_power(power, size: int, band, shifts, counts) -> float:

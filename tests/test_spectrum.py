@@ -4,7 +4,7 @@ from decimal import ROUND_FLOOR, Decimal
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import guardopt.cli as cli
 import guardopt.optimizer as optimizer
@@ -40,6 +40,7 @@ from guardopt.spectrum import (
 )
 from guardopt.waveform import (
     occupied_bins,
+    pulse_weights,
     rising_taper,
     symbol_stream,
 )
@@ -63,12 +64,19 @@ def _full_grid_band_power(psd: PsdEstimate, f_lo: float, f_hi: float) -> float:
     return float(hi - lo)
 
 
+def _rfft_power(pulse: np.ndarray, nfft: int) -> np.ndarray:
+    """|W|^2 at bins 0 .. nfft // 2, from numpy's zero-padded real FFT."""
+    return np.abs(np.fft.rfft(pulse, n=nfft)) ** 2
+
+
 @functools.lru_cache(maxsize=2)
-def _rolled_comb_psd(alpha: float, cfg: NumerologyConfig, nfft=None) -> PsdEstimate:
+def _rolled_comb_psd(alpha: float, cfg: NumerologyConfig, nfft=None,
+                     pulse_power=_rfft_power) -> PsdEstimate:
     """Reference expected PSD on the nfft-bin grid, by default the Welch one:
-    the pulse power spectrum, mirrored from a real FFT, summed over the
-    occupied subcarriers by pairwise doubling of np.roll copies. Cached for
-    the few (alpha, grid) pairs a test reads in turn."""
+    the pulse power spectrum pulse_power(pulse, nfft) at the non-negative
+    bins, mirrored, summed over the occupied subcarriers by pairwise doubling
+    of np.roll copies. Cached for the few (alpha, grid) pairs a test reads in
+    turn."""
     ocfg = cfg.oversampled(OVERSAMPLE)
     L = OVERSAMPLE * WindowSpec.for_config(alpha, cfg).t_cp_win
     pulse = np.concatenate(
@@ -77,7 +85,7 @@ def _rolled_comb_psd(alpha: float, cfg: NumerologyConfig, nfft=None) -> PsdEstim
     if nfft is None:
         nfft = 4 * SEGMENT_SYMBOLS * ocfg.n_fft
     step = nfft // ocfg.n_fft
-    half = np.abs(np.fft.rfft(pulse, n=nfft)) ** 2
+    half = pulse_power(pulse, nfft)
     power = np.concatenate([half, half[-2:0:-1]])  # a real pulse: |W(-f)| = |W(f)|
     bins = occupied_bins(ocfg)
     total = np.zeros(nfft)
@@ -105,9 +113,12 @@ def _revalidation_psds(alpha, cfg) -> tuple:
     coarse grid. Bin 2i of the fine grid is bin i of the half-size grid, float
     for float, and S_fine[2i] = sum_k P_fine[2 (i - k step)], step the coarse
     bins per subcarrier, so the coarse PSD is the fine one at the even bins,
-    from the same FFT: a half-size FFT's own rounding differs by up to about
-    2e-10 relative at the deepest sidelobes."""
-    fine = _rolled_comb_psd(alpha, cfg, _revalidation_size(cfg))
+    from the same P: a half-size FFT's own rounding differs by up to about
+    2e-10 relative at the deepest sidelobes. P is revalidation's own
+    (spectrum._pulse_power, tested against numpy's rfft to 16 eps max P):
+    readings deeper than 100 dB approach the float64 floor of the in-band
+    density, where an rfft's P moves them by up to about 1e-8 dB."""
+    fine = _rolled_comb_psd(alpha, cfg, _revalidation_size(cfg), spectrum._pulse_power)
     return fine, PsdEstimate(fine.freqs[::2], fine.power[::2], fine.band_edge_hz)
 
 
@@ -689,6 +700,56 @@ def test_grid_suppression_matches_full_grid_psd(numerology, alpha, shares, align
         assert pair == pytest.approx(ref, abs=1e-9), g
 
 
+def _check_pulse_power(alpha, numerology):
+    """The pulse is shorter than three oversampled symbols, so it fits in
+    _pulse_power's FFTs of 4 n_fft points, and its P at the fine grid's size
+    is numpy's zero-padded |rfft|^2, elementwise within 16 eps of the
+    largest P (4.4 eps measured at worst on _GRID_CASES)."""
+    ocfg, ramp = spectrum._oversampled(alpha, numerology)
+    pulse = pulse_weights(ocfg, ramp)
+    assert pulse.size < 3 * ocfg.n_fft
+    size = _revalidation_size(numerology)
+    ref = _rfft_power(pulse, size)
+    np.testing.assert_allclose(spectrum._pulse_power(pulse, size), ref, rtol=0,
+                               atol=16 * np.finfo(float).eps * ref.max())
+
+
+@pytest.mark.parametrize("numerology, alpha", _GRID_CASES)
+def test_pulse_power_matches_rfft(numerology, alpha):
+    _check_pulse_power(alpha, numerology)
+
+
+@st.composite
+def _pulse_cases(draw):
+    """(alpha, numerology): any valid numerology with n_fft up to 600, and
+    alpha up to the largest taper check_extension admits, often exactly it."""
+    n_fft = draw(st.integers(2, 600))
+    t_cp_ch = draw(st.integers(0, n_fft - 1))
+    numerology = NumerologyConfig(
+        n_fft=n_fft, n_occupied=draw(st.integers(1, n_fft - 1)), t_cp_ch=t_cp_ch)
+    longest = (n_fft - 1 - t_cp_ch) / (n_fft + t_cp_ch)
+    return draw(st.just(longest) | st.floats(0.0, longest)), numerology
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(case=_pulse_cases())
+@example(case=(0.5, NumerologyConfig(n_fft=2, n_occupied=1, t_cp_ch=0)))
+@example(case=(0.0, NumerologyConfig(n_fft=2, n_occupied=1, t_cp_ch=1)))
+@example(case=(0.0, NumerologyConfig(t_cp_ch=1023)))
+@example(case=(1023 / 1024, NumerologyConfig(t_cp_ch=0)))
+@example(case=(119 / 136, ODD_CFG))
+def test_pulse_fits_the_short_ffts(case):
+    # the invariant _pulse_power rests on, on random numerologies and at the
+    # extremes: n_fft 2, t_cp_ch = n_fft - 1 and the longest taper, whose
+    # next one up check_extension rejects
+    alpha, numerology = case
+    n, cp = numerology.n_fft, numerology.t_cp_ch
+    assert not _valid((n - cp) / (n + cp), numerology)
+    if alpha == (n - 1 - cp) / (n + cp):
+        assert WindowSpec.for_config(alpha, numerology).t_cp_win == n - 1 - cp
+    _check_pulse_power(alpha, numerology)
+
+
 def _wrapped(psd: PsdEstimate) -> PsdEstimate:
     """psd with its -Nyquist bin appended at +Nyquist, one period on."""
     return PsdEstimate(np.append(psd.freqs, -psd.freqs[0]),
@@ -760,9 +821,11 @@ def test_slot_edges_fall_on_both_grids():
     assert REVALIDATE_STEP % 4 == 0
 
 
-def test_revalidate_takes_one_fft_per_alpha_and_no_grid_psd(cfg, monkeypatch):
-    # two entries share alpha 0.05: two FFTs of the fine grid's length for
-    # three entries, and no Welch draw built or read from windowed_psd's cache
+def test_revalidate_takes_short_ffts_per_alpha_and_no_grid_psd(cfg, monkeypatch):
+    # two entries share alpha 0.05: per distinct alpha, REVALIDATE_STEP / 8 + 1
+    # FFTs of a sixteenth of the fine grid's length (_pulse_power), so 18 for
+    # three entries, no FFT of the fine grid's length, and no Welch draw built
+    # or read from windowed_psd's cache
     table = LookupTable({
         20.0: GuardAllocation(0.05, 55, 3.25, 0.9, 0.9, 0.81, 20.0),
         30.0: GuardAllocation(0.1, 110, 2.5, 0.9, 0.9, 0.81, 30.0),
@@ -787,7 +850,8 @@ def test_revalidate_takes_one_fft_per_alpha_and_no_grid_psd(cfg, monkeypatch):
     for owner in (spectrum, optimizer):
         monkeypatch.setattr(owner, "windowed_psd", no_grid)
     achieved = revalidate(table, cfg)
-    assert ffts == [("rfft", _revalidation_size(cfg))] * 2
+    rows = REVALIDATE_STEP // 4
+    assert ffts == [("fft", _revalidation_size(cfg) // rows)] * (rows // 2 + 1) * 2
     assert list(achieved) == [20.0, 30.0, 45.0]
     for theta, value in achieved.items():
         assert value == pytest.approx(expected[theta], abs=1e-9), theta
@@ -836,10 +900,11 @@ def _default_table(cfg):
     })
 
 
-def test_revalidate_peaks_under_3_5_mb(cfg):
-    # 3.24 MB measured (numpy 2.4): one alpha's complex rfft (2.1 MB) and |W|
-    # (1.05 MB), alive together while |W| is taken; the band gathers that
-    # follow hold less. The bound leaves 0.26 MB of margin.
+def test_revalidate_peaks_under_2_4_mb(cfg):
+    # 2.10 MB measured (numpy 2.4): one alpha's P (1.05 MB) while the occupied
+    # band's comb gather holds its index and gathered arrays (about 1 MB);
+    # building P peaks lower, at 1.81 MB, P beside one 16,384-point FFT and
+    # its zero-padded input. The bound leaves 0.30 MB of margin.
     table = _default_table(cfg)
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
@@ -850,7 +915,7 @@ def test_revalidate_peaks_under_3_5_mb(cfg):
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak < 3.5e6, peak
+    assert peak < 2.4e6, peak
 
 
 def test_revalidate_builds_no_frequency_grid(cfg, monkeypatch):
