@@ -7,10 +7,11 @@ guard duration the optimizer charges. The guard search reads the expected PSD
 in closed form (LeakageModel) for victim slots up to the oversampled Nyquist
 frequency; revalidation re-reads it over that span on a grid and on its
 every-other-bin subgrid, periodic spectra both from one pulse power spectrum
-per alpha (_pulse_power: nine FFTs of four symbols each, which a pulse
-shorter than three symbols fits), over only the two bands it integrates
-(grid_suppression_db), and extrapolates the two trapezoid readings
-(Richardson), so no full expected-PSD grid is built.
+P per alpha (_pulse_power: nine FFTs of four symbols each, which a pulse
+shorter than three symbols fits), over only the two bands it integrates,
+each read through plain slices of P (grid_suppression_db), and extrapolates
+the two trapezoid readings (Richardson), so no full expected-PSD grid and
+no index array is built.
 The Welch estimate of one synthesized draw (windowed_psd) serves the psd
 export.
 
@@ -241,13 +242,15 @@ def grid_suppression_db(cfg: NumerologyConfig, readings) -> list:
     the occupied subcarriers k, circularly, with P = |W|^2 the pulse power
     spectrum and step the bins per subcarrier (van Waterschoot et al., IEEE
     SPL 17(4), 2010). Both bands are read by one rule (_comb_power): a band's
-    trapezoid weights gathered from P at comb offsets, each offset weighted
-    by how often it occurs. The victim slot takes each occupied subcarrier
-    once. The occupied band [-edge, edge] is the 2 h + 1 one-subcarrier slots
-    j = -h .. h, whose edges fall on bins of both grids (REVALIDATE_STEP is
-    divisible by 4), so its weights are slot 0's shifted to each slot, and
-    its power is slot 0's gathered at each d = |j - k| as often as a (slot j,
-    subcarrier k) pair lies d subcarriers apart (slot 0 and P are even).
+    trapezoid weights against P shifted by an arithmetic run of comb
+    offsets, each offset weighted by how often it occurs. The victim slot
+    takes the offsets k step, k = -h .. h, each occupied subcarrier once and
+    the rest (DC, and -h on odd n_occupied) as zero counts. The occupied band
+    [-edge, edge] is the 2 h + 1 one-subcarrier slots j = -h .. h, whose
+    edges fall on bins of both grids (REVALIDATE_STEP is divisible by 4), so
+    its weights are slot 0's shifted to each slot, and its power is slot 0's
+    at offsets d step, d = 0 .. 2 h, each as often as a (slot j, subcarrier
+    k) pair lies d subcarriers apart (slot 0 and P are even).
     Every term is non-negative, so far-out readings keep full relative
     precision; the normaliser cancels in the ratio. Both grids are periodic
     in frequency (_grid_band): a victim slot starting below the oversampled
@@ -255,23 +258,23 @@ def grid_suppression_db(cfg: NumerologyConfig, readings) -> list:
     top; one starting at or past it raises band_power's ValueError text.
 
     Memory: each band's weights come from only the bins it touches
-    (_grid_band), so no full frequency grid is built, and P comes from
-    short FFTs (_pulse_power), so it is the only array of the fine grid's
-    size.
+    (_grid_band), so no full frequency grid is built; P comes from short
+    FFTs (_pulse_power), so it is the only array of the fine grid's size;
+    and a band sum reads P through one to three slices copied into one run
+    of (2 h + 2) step bins, with no index array.
     """
     readings = list(readings)
     ocfg = cfg.oversampled(OVERSAMPLE)
     size = REVALIDATE_STEP * ocfg.n_fft
     edge, slot = band_edge_hz(ocfg), cfg.subcarrier_spacing
     h = ocfg.n_occupied - ocfg.n_occupied // 2  # the band's slots are -h .. h
-    bins = occupied_bins(ocfg)
     comb = np.zeros(ocfg.n_fft)
-    comb[bins] = 1.0
+    comb[occupied_bins(ocfg)] = 1.0
+    comb = np.roll(comb, h)[:2 * h + 1]  # comb[h + k]: subcarrier k occupied
     # pairs[2 h + e]: the pairs with k - j = e (the slots are symmetric, so a
     # convolution counts them), then folded onto |e|
-    pairs = np.convolve(np.ones(2 * h + 1), np.roll(comb, h)[:2 * h + 1])
+    pairs = np.convolve(np.ones(2 * h + 1), comb)
     pairs[2 * h + 1:] += pairs[2 * h - 1::-1]
-    offsets, counts = np.arange(2 * h + 1), pairs[2 * h:]
     grids = [(n, n // ocfg.n_fft, _grid_band(n, ocfg.sample_rate, -slot / 2, slot / 2))
              for n in (size, size // 2)]
     out = [[] for _ in readings]
@@ -279,13 +282,13 @@ def grid_suppression_db(cfg: NumerologyConfig, readings) -> list:
         pulse = pulse_weights(ocfg, _oversampled(alpha, cfg)[1])
         half = _pulse_power(pulse, size)  # P at the non-negative bins
         for (n, step, slot0), power in zip(grids, (half, half[::2])):
-            reference = _comb_power(power, n, slot0, offsets * step, counts)
+            reference = _comb_power(power, slot0, 0, pairs[2 * h:], step)
             for i, (a, guard) in enumerate(readings):
                 if a == alpha:
                     victim = _grid_band(n, ocfg.sample_rate, edge + guard,
                                         edge + guard + slot)
                     out[i].append(_density_ratio_db(
-                        _comb_power(power, n, victim, bins * step, 1.0),
+                        _comb_power(power, victim, -h * step, comb, step),
                         slot, reference, edge))
         del half, power  # freed before the next alpha's P is built
     return [tuple(pair) for pair in out]
@@ -300,33 +303,67 @@ def _pulse_power(pulse, size: int) -> np.ndarray:
     Bin r + rows q of the zero-padded DFT is bin q of the n-point DFT of
     pulse * exp(-2j pi r t / size), row r. The pulse is real, so row r also
     gives residue rows - r, read reversed from bin n - 1; rows 0 .. rows / 2
-    give every residue. Each row is the one before times one twiddle.
+    give every residue. Each row is the one before times the one twiddle of
+    the call; its power goes into one contiguous buffer, whose two halves are
+    copied into the output's strided slices.
     """
     rows = REVALIDATE_STEP // 4
     n = size // rows
     out = np.empty(size // 2 + 1)
     twiddle = np.exp(np.arange(pulse.size) * (-2j * np.pi / size))
     row = pulse.astype(complex)
+    power = np.empty(n)
     for r in range(rows // 2 + 1):
         if r:
             row *= twiddle
-        spec = np.fft.fft(row, n)
+        np.abs(np.fft.fft(row, n), out=power)
+        power *= power
         # row 0 holds residue 0, whose last bin is size // 2
-        np.abs(spec[:n // 2 + (r == 0)], out=out[r::rows])
+        out[r::rows] = power[:n // 2 + (r == 0)]
         if 0 < r < rows // 2:
-            np.abs(spec[:n // 2 - 1:-1], out=out[rows - r::rows])
-    out *= out  # P, in place
+            out[rows - r::rows] = power[:n // 2 - 1:-1]
     return out
 
 
-def _comb_power(power, size: int, band, shifts, counts) -> float:
-    """sum_o counts[o] sum_i w[i] P[lo + i - shifts[o]], band = (lo, w) on the
-    size-bin grid: the band's trapezoid power of counts[o] copies of P
-    shifted shifts[o] bins, P in rfft order (bin i at |i % size - size // 2|)."""
+def _comb_power(power, band, first: int, counts, step: int) -> float:
+    """sum_o counts[o] sum_i w[i] E[lo - n / 2 + i - first - o step]: the
+    trapezoid power of band = (lo, w), on the n-bin grid whose lowest bin is
+    -n / 2, of counts[o] copies of P shifted first + o step bins, with P the
+    power at bins 0 .. n / 2 and E its even periodic extension (_even_run).
+
+    Each shift's read starts step bins below the one before, so the (shifts
+    x bins) read is one run of E, cut into rows of step bins from the last
+    shift's first bin up; the weights, cut into step-long parts, meet rows
+    q .. q + rows - 1 of it with part q."""
     lo, w = band
-    at = lo + np.arange(w.size) - shifts[:, None]
-    terms = power[np.abs(at % size - size // 2)] @ w
-    return float((counts * terms).sum())
+    rows, parts = counts.size, -(-w.size // step)
+    weights = np.zeros(parts * step)
+    weights[:w.size] = w
+    n = 2 * (power.size - 1)
+    start = lo - n // 2 - first - (rows - 1) * step
+    run = _even_run(power, start, (rows + parts - 1) * step).reshape(-1, step)
+    terms = sum(run[q:q + rows] @ part
+                for q, part in enumerate(weights.reshape(parts, step)))
+    return float(counts[::-1] @ terms)
+
+
+def _even_run(power, start: int, length: int) -> np.ndarray:
+    """E[start:start + length], E the even periodic extension of P (power, at
+    bins 0 .. n / 2 of an n-bin grid): E[k] = P[|k|] for |k| <= n / 2, with
+    period n. Plain slices of P, ascending from bin 0 to n / 2 and descending
+    from n / 2 - 1 to 1, one per stretch the run crosses: a run no longer
+    than half a period takes one or two, up to three."""
+    n = 2 * (power.size - 1)
+    pieces, k = [], start % n
+    while length > 0:
+        if k <= n // 2:
+            piece = power[k:k + length]
+        else:
+            piece = power[n - k:max(n - k - length, 0):-1]
+        pieces.append(piece)
+        length -= piece.size
+        k = (k + piece.size) % n
+    return np.concatenate(pieces)
 
 
 def suppression_db(
@@ -452,9 +489,10 @@ class LeakageModel:
 
     def suppression_db(self, guard_band_hz: float) -> float:
         """z^d = z^(_BLOCK * row) * z^column: one short exp vector and one
-        matrix-vector product, every phase computed directly."""
+        matrix-vector product, every phase computed directly. ndarray.dot
+        makes the BLAS calls @ makes, for less call overhead."""
         z = np.exp((self.lag_step * guard_band_hz) * self.exponents)
-        ratio = (z[_BLOCK:] @ (self.coeffs @ z[:_BLOCK])).real
+        ratio = float(z[_BLOCK:].dot(self.coeffs.dot(z[:_BLOCK])).real)
         return min(-_to_db(ratio), self.ceiling_db)
 
     def guard_band(self, theta: float, stop=None) -> float | None:
@@ -494,9 +532,11 @@ class LeakageModel:
         return hi / spacing
 
     def _read(self, guard_band_hz: float) -> float:
-        if guard_band_hz not in self._readings:
-            self._readings[guard_band_hz] = self.suppression_db(guard_band_hz)
-        return self._readings[guard_band_hz]
+        """The model's reading at guard_band_hz, from one lookup when cached."""
+        value = self._readings.get(guard_band_hz)
+        if value is None:
+            value = self._readings[guard_band_hz] = self.suppression_db(guard_band_hz)
+        return value
 
 
 def required_guard_band(alpha: float, theta: float, cfg: NumerologyConfig) -> float:
