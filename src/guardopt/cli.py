@@ -56,7 +56,8 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        """Read a YAML config; a bad value's error names the file and key."""
+        """Read a YAML config; a bad value's error names the file and key. The
+        file's own theta_list and alpha_grid get the commands' list checks."""
         try:
             values = read_keys(load_yaml(path) or {}, _CONFIG_READERS, "config")
             grid = {
@@ -72,6 +73,10 @@ class ExperimentConfig:
             if numerology.n_fft > N_FFT_LIMIT:
                 raise ValueError(f"n_fft must be at most {N_FFT_LIMIT}, four times "
                                  f"NR's largest FFT, got {numerology.n_fft}")
+            if "theta_list" in values:
+                checked_theta_list(values["theta_list"])
+            if "alpha_grid" in values:
+                checked_alpha_grid(values["alpha_grid"], numerology)
             return cls(numerology=numerology, **values)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
@@ -156,10 +161,10 @@ def _out_dir(ec: ExperimentConfig) -> Path:
 def _lookup_for(ec: ExperimentConfig) -> LookupTable:
     """Check both lists (ValueError), then load the persisted table matching
     the config hash (its failures set as a build sets them), or build it,
-    create the output directory and save it. A loaded entry whose alpha fails
-    WindowSpec.for_config, whose GD is not that alpha's taper, or whose etas
-    are not spectral_efficiency of its GD and GB, raises one ValueError
-    naming the file and theta."""
+    create the output directory and save it. A loaded entry whose theta is
+    not in the checked list, whose alpha fails WindowSpec.for_config, whose
+    GD is not that alpha's taper, or whose etas are not spectral_efficiency
+    of its GD and GB, raises one ValueError naming the file and theta."""
     thetas = checked_theta_list(ec.theta_list)
     alphas = checked_alpha_grid(ec.alpha_grid, ec.numerology)
     key = config_fingerprint(ec.numerology, alphas, thetas)
@@ -175,6 +180,8 @@ def _lookup_for(ec: ExperimentConfig) -> LookupTable:
     tol = 1e-8 + 1e-6 / ec.numerology.n_occupied
     for theta, a in table.entries.items():
         try:
+            if theta not in thetas:
+                raise ValueError("not in theta_list")
             gd = WindowSpec.for_config(a.alpha, ec.numerology).t_cp_win
             if a.gd_samples != gd:
                 raise ValueError(

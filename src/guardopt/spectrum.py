@@ -7,11 +7,11 @@ guard duration the optimizer charges. The guard search reads the expected PSD
 in closed form (LeakageModel) for victim slots up to the oversampled Nyquist
 frequency; revalidation re-reads it over that span on a grid and on its
 every-other-bin subgrid, periodic spectra both from one pulse power spectrum
-P per alpha (_pulse_power: nine FFTs of four symbols each, which a pulse
-shorter than three symbols fits), over only the two bands it integrates,
-each read through plain slices of P (grid_suppression_db), and extrapolates
-the two trapezoid readings (Richardson), so no full expected-PSD grid and
-no index array is built.
+per alpha (_pulse_power: nine FFTs of four symbols each, which a pulse
+shorter than three symbols fits, padded with its mirror images past both
+ends), over only the two bands it integrates, each band sum one plain slice
+of it (grid_suppression_db), and extrapolates the two trapezoid readings
+(Richardson), so no full expected-PSD grid and no index array is built.
 The Welch estimate of one synthesized draw (windowed_psd) serves the psd
 export.
 
@@ -177,10 +177,11 @@ def _trapezoid(freqs: np.ndarray, f_lo: float, f_hi: float, spacing=None):
 
 def _grid_band(size: int, sample_rate: float, f_lo: float, f_hi: float):
     """_trapezoid's (lo, w) on the size-bin DFT grid _frequency_grid(size,
-    sample_rate), read as the periodic spectrum it is: lo + i indexes it
-    modulo size, and the band's lower edge lies within one period of its
-    lowest bin, [-Nyquist, +Nyquist) on an even grid. Only the bins the band
-    touches and one more at each end are built, each an integer times val as
+    sample_rate), read as the periodic spectrum it is, with lo the band's
+    first bin counted from DC: w[i] weighs bin lo + i, modulo size, and the
+    band's lower edge lies within one period of the grid's lowest bin,
+    [-Nyquist, +Nyquist) on an even grid. Only the bins the band touches and
+    one more at each end are built, each an integer times val as
     np.fft.fftfreq computes it: the grid's floats bit for bit."""
     val = 1.0 / (size * (1.0 / sample_rate))
     first = -(size // 2)  # the integer of the grid's lowest bin
@@ -191,7 +192,7 @@ def _grid_band(size: int, sample_rate: float, f_lo: float, f_hi: float):
     k_lo = math.floor(f_lo / val) - 1
     window = np.arange(k_lo, math.ceil(f_hi / val) + 2) * val
     lo, w = _trapezoid(window, f_lo, f_hi, (first + 1) * val - first * val)
-    return k_lo - first + lo, w
+    return k_lo + lo, w
 
 
 def band_power(psd: PsdEstimate, f_lo: float, f_hi: float) -> float:
@@ -236,21 +237,22 @@ def grid_suppression_db(cfg: NumerologyConfig, readings) -> list:
     metric integrates.
 
     The fine grid has REVALIDATE_STEP bins per oversampled subcarrier; the
-    coarse grid is its every-other bin, so its P is the fine P at the even
-    bins and both come from one _pulse_power. Unnormalised, the expected PSD of
-    i.i.d. zero-mean symbols at grid bin i is S[i] = sum_k P[i - k step] over
-    the occupied subcarriers k, circularly, with P = |W|^2 the pulse power
-    spectrum and step the bins per subcarrier (van Waterschoot et al., IEEE
-    SPL 17(4), 2010). Both bands are read by one rule (_comb_power): a band's
-    trapezoid weights against P shifted by an arithmetic run of comb
-    offsets, each offset weighted by how often it occurs. The victim slot
-    takes the offsets k step, k = -h .. h, each occupied subcarrier once and
-    the rest (DC, and -h on odd n_occupied) as zero counts. The occupied band
-    [-edge, edge] is the 2 h + 1 one-subcarrier slots j = -h .. h, whose
-    edges fall on bins of both grids (REVALIDATE_STEP is divisible by 4), so
-    its weights are slot 0's shifted to each slot, and its power is slot 0's
-    at offsets d step, d = 0 .. 2 h, each as often as a (slot j, subcarrier
-    k) pair lies d subcarriers apart (slot 0 and P are even).
+    coarse grid is its every-other bin, so its spectrum is the fine one's even
+    bins and both come from one _pulse_power. Unnormalised, the expected PSD
+    of i.i.d. zero-mean symbols at grid bin i is S[i] = sum_k E[i - k step]
+    over the occupied subcarriers k, with E = |W|^2 the pulse power spectrum,
+    even and periodic, and step the bins per subcarrier (van Waterschoot et
+    al., IEEE SPL 17(4), 2010). Both bands are read by one rule
+    (_comb_power): a band's trapezoid weights against E shifted by an
+    arithmetic run of comb offsets, each offset weighted by how often it
+    occurs. The victim slot takes the offsets k step, k = -h .. h, each
+    occupied subcarrier once and the rest (DC, and -h on odd n_occupied) as
+    zero counts. The occupied band [-edge, edge] is the 2 h + 1
+    one-subcarrier slots j = -h .. h, whose edges fall on bins of both grids
+    (REVALIDATE_STEP is divisible by 4), so its weights are slot 0's shifted
+    to each slot, and its power is slot 0's read d subcarriers up, d = 0 ..
+    2 h, each as often as a (slot j, subcarrier k) pair lies d subcarriers
+    apart (slot 0 and E are even).
     Every term is non-negative, so far-out readings keep full relative
     precision; the normaliser cancels in the ratio. Both grids are periodic
     in frequency (_grid_band): a victim slot starting below the oversampled
@@ -258,10 +260,11 @@ def grid_suppression_db(cfg: NumerologyConfig, readings) -> list:
     top; one starting at or past it raises band_power's ValueError text.
 
     Memory: each band's weights come from only the bins it touches
-    (_grid_band), so no full frequency grid is built; P comes from short
-    FFTs (_pulse_power), so it is the only array of the fine grid's size;
-    and a band sum reads P through one to three slices copied into one run
-    of (2 h + 2) step bins, with no index array.
+    (_grid_band), so no full frequency grid is built; E comes from short
+    FFTs (_pulse_power) and is the only array of the fine grid's size; a
+    band sum reads it as one slice, with no copy and no index array, from
+    one subcarrier below DC (the occupied band) to h + 2 past Nyquist (a
+    victim slot starting just below it).
     """
     readings = list(readings)
     ocfg = cfg.oversampled(OVERSAMPLE)
@@ -280,9 +283,10 @@ def grid_suppression_db(cfg: NumerologyConfig, readings) -> list:
     out = [[] for _ in readings]
     for alpha in dict.fromkeys(a for a, _ in readings):
         pulse = pulse_weights(ocfg, _oversampled(alpha, cfg)[1])
-        half = _pulse_power(pulse, size)  # P at the non-negative bins
-        for (n, step, slot0), power in zip(grids, (half, half[::2])):
-            reference = _comb_power(power, slot0, 0, pairs[2 * h:], step)
+        fine = _pulse_power(pulse, size, (h + 2) * REVALIDATE_STEP)
+        for (n, step, slot0), power in zip(grids, (fine, fine[::2])):
+            reference = _comb_power(power, slot0, -2 * h * step,
+                                    pairs[2 * h:][::-1], step)
             for i, (a, guard) in enumerate(readings):
                 if a == alpha:
                     victim = _grid_band(n, ocfg.sample_rate, edge + guard,
@@ -290,26 +294,30 @@ def grid_suppression_db(cfg: NumerologyConfig, readings) -> list:
                     out[i].append(_density_ratio_db(
                         _comb_power(power, victim, -h * step, comb, step),
                         slot, reference, edge))
-        del half, power  # freed before the next alpha's P is built
+        del fine, power  # freed before the next alpha's E is built
     return [tuple(pair) for pair in out]
 
 
-def _pulse_power(pulse, size: int) -> np.ndarray:
-    """|np.fft.rfft(pulse, size)|^2, bins 0 .. size // 2, for size =
-    REVALIDATE_STEP * n_fft on the oversampled numerology, from rows / 2 + 1
-    FFTs of n = size / rows points, rows = REVALIDATE_STEP / 4: n is 4 n_fft,
-    and a pulse is shorter than three symbols, so it fits in n.
+def _pulse_power(pulse, size: int, tail: int) -> np.ndarray:
+    """E = |DFT(pulse)|^2 on the size-bin grid, size = REVALIDATE_STEP * n_fft
+    on the oversampled numerology, at bins -REVALIDATE_STEP .. size / 2 +
+    tail (tail <= size / 2): P = |np.fft.rfft(pulse, size)|^2, bins 0 ..
+    size / 2, with its mirror images copied below bin 0 and past Nyquist,
+    where the spectrum of a real pulse is even and periodic.
 
-    Bin r + rows q of the zero-padded DFT is bin q of the n-point DFT of
-    pulse * exp(-2j pi r t / size), row r. The pulse is real, so row r also
-    gives residue rows - r, read reversed from bin n - 1; rows 0 .. rows / 2
-    give every residue. Each row is the one before times the one twiddle of
-    the call; its power goes into one contiguous buffer, whose two halves are
-    copied into the output's strided slices.
+    P comes from rows / 2 + 1 FFTs of n = size / rows points, rows =
+    REVALIDATE_STEP / 4: n is 4 n_fft, and a pulse is shorter than three
+    symbols, so it fits in n. Bin r + rows q of the zero-padded DFT is bin q
+    of the n-point DFT of pulse * exp(-2j pi r t / size), row r. The pulse
+    is real, so row r also gives residue rows - r, read reversed from bin
+    n - 1; rows 0 .. rows / 2 give every residue. Each row is the one before
+    times the one twiddle of the call; its power goes into one contiguous
+    buffer, whose two halves are copied into P's strided slices.
     """
     rows = REVALIDATE_STEP // 4
     n = size // rows
-    out = np.empty(size // 2 + 1)
+    out = np.empty(REVALIDATE_STEP + size // 2 + 1 + tail)
+    half = out[REVALIDATE_STEP:REVALIDATE_STEP + size // 2 + 1]  # P
     twiddle = np.exp(np.arange(pulse.size) * (-2j * np.pi / size))
     row = pulse.astype(complex)
     power = np.empty(n)
@@ -319,51 +327,33 @@ def _pulse_power(pulse, size: int) -> np.ndarray:
         np.abs(np.fft.fft(row, n), out=power)
         power *= power
         # row 0 holds residue 0, whose last bin is size // 2
-        out[r::rows] = power[:n // 2 + (r == 0)]
+        half[r::rows] = power[:n // 2 + (r == 0)]
         if 0 < r < rows // 2:
-            out[rows - r::rows] = power[:n // 2 - 1:-1]
+            half[rows - r::rows] = power[:n // 2 - 1:-1]
+    out[:REVALIDATE_STEP] = half[REVALIDATE_STEP:0:-1]
+    out[REVALIDATE_STEP + size // 2 + 1:] = half[-2:-2 - tail:-1]
     return out
 
 
 def _comb_power(power, band, first: int, counts, step: int) -> float:
-    """sum_o counts[o] sum_i w[i] E[lo - n / 2 + i - first - o step]: the
-    trapezoid power of band = (lo, w), on the n-bin grid whose lowest bin is
-    -n / 2, of counts[o] copies of P shifted first + o step bins, with P the
-    power at bins 0 .. n / 2 and E its even periodic extension (_even_run).
+    """sum_o counts[o] sum_i w[i] E[lo + i - first - o step]: the trapezoid
+    power of band = (lo, w), lo its first bin from DC, of counts[o] copies
+    of E shifted first + o step bins, with power E on a grid of step bins
+    per subcarrier as _pulse_power lays it out, power[0] at bin -step.
 
     Each shift's read starts step bins below the one before, so the (shifts
-    x bins) read is one run of E, cut into rows of step bins from the last
+    x bins) read is one slice of E, cut into rows of step bins from the last
     shift's first bin up; the weights, cut into step-long parts, meet rows
     q .. q + rows - 1 of it with part q."""
     lo, w = band
     rows, parts = counts.size, -(-w.size // step)
     weights = np.zeros(parts * step)
     weights[:w.size] = w
-    n = 2 * (power.size - 1)
-    start = lo - n // 2 - first - (rows - 1) * step
-    run = _even_run(power, start, (rows + parts - 1) * step).reshape(-1, step)
+    start = step + lo - first - (rows - 1) * step
+    run = power[start:start + (rows + parts - 1) * step].reshape(-1, step)
     terms = sum(run[q:q + rows] @ part
                 for q, part in enumerate(weights.reshape(parts, step)))
     return float(counts[::-1] @ terms)
-
-
-def _even_run(power, start: int, length: int) -> np.ndarray:
-    """E[start:start + length], E the even periodic extension of P (power, at
-    bins 0 .. n / 2 of an n-bin grid): E[k] = P[|k|] for |k| <= n / 2, with
-    period n. Plain slices of P, ascending from bin 0 to n / 2 and descending
-    from n / 2 - 1 to 1, one per stretch the run crosses: a run no longer
-    than half a period takes one or two, up to three."""
-    n = 2 * (power.size - 1)
-    pieces, k = [], start % n
-    while length > 0:
-        if k <= n // 2:
-            piece = power[k:k + length]
-        else:
-            piece = power[n - k:max(n - k - length, 0):-1]
-        pieces.append(piece)
-        length -= piece.size
-        k = (k + piece.size) % n
-    return np.concatenate(pieces)
 
 
 def suppression_db(

@@ -393,6 +393,35 @@ class TestConfigLoading:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["psd", "guards", "lookup-build", "schedule"])
+    @pytest.mark.parametrize("text, message", [
+        ("theta_list: [20, .inf]\n",
+         "theta_list values must be finite and positive, got inf"),
+        ("theta_list: [30, 20]\n", "theta_list must be sorted ascending"),
+        ("alpha_grid: [0.1, 2]\n",
+         "alpha_grid value 2.0: alpha must be a number in [0, 1]"),
+        # checked on the file's numerology: GD 6 beside a 60-sample CP
+        ("n_fft: 64\nn_occupied: 37\nt_cp_ch_samples: 60\nalpha_grid: [0, 0.05]\n",
+         "alpha_grid value 0.05: cyclic extension exceeds symbol length"),
+    ], ids=["theta_inf", "theta_unsorted", "alpha_past_1", "alpha_past_symbol"])
+    def test_bad_list_names_file(self, tmp_path, capsys, command, text, message):
+        # psd reads no threshold, and still rejects a file that holds a bad one
+        path = tmp_path / "exp.yaml"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out.exists()
+
+    def test_default_alpha_grid_is_not_checked_on_load(self, tmp_path):
+        # the file's numerology rules out the default grid's larger roll-offs;
+        # the file holds no grid, so --alpha can still give one that fits
+        path = tmp_path / "exp.yaml"
+        path.write_text("n_fft: 64\nn_occupied: 37\nt_cp_ch_samples: 60\n")
+        argv = ["guards", "--config", str(path), "--theta", "20", "--alpha", "0",
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+
     @pytest.mark.parametrize("value", ["-2", "1.5"])
     def test_bad_seed_key_names_file_and_key(self, tmp_path, capsys, value):
         path = tmp_path / "exp.yaml"
@@ -601,17 +630,42 @@ class TestGuardsCommand:
         assert "ok" in captured
         assert "VIOLATION" not in captured
 
-    def test_revalidate_reads_the_guard_at_the_top_of_the_span(
-        self, tmp_path, capsys
-    ):
+    @pytest.mark.parametrize("config, flags, lines", [
+        pytest.param("", [], [
+            "theta=20 achieved=20.00 dB margin=+0.0024 dB ok",
+            "theta=25 achieved=25.00 dB margin=+0.0034 dB ok",
+            "theta=30 achieved=30.00 dB margin=+0.0034 dB ok",
+            "theta=35 achieved=35.01 dB margin=+0.0057 dB ok",
+            "theta=40 achieved=40.00 dB margin=+0.0011 dB ok",
+            "theta=45 achieved=45.00 dB margin=+0.0044 dB ok",
+        ], id="default"),
+        # two runs of subcarriers around DC, 37 and 38 long
+        pytest.param("n_fft: 128\nn_occupied: 75\nt_cp_ch_samples: 8\n", [], [
+            "theta=20 achieved=20.00 dB margin=+0.0030 dB ok",
+            "theta=25 achieved=25.00 dB margin=+0.0004 dB ok",
+            "theta=30 achieved=30.00 dB margin=+0.0001 dB ok",
+            "theta=35 achieved=35.02 dB margin=+0.0167 dB ok",
+            "theta=40 achieved=40.04 dB margin=+0.0384 dB ok",
+            "theta=45 achieved=45.06 dB margin=+0.0619 dB ok",
+        ], id="odd"),
         # theta just below the alpha 0 model's 47.68125 dB at the search's
         # largest guard, GB 1746.5: the victim slot ends at the oversampled
         # Nyquist frequency, two fine bins past the coarse grid's last bin
-        argv = ["guards", "--revalidate", "--theta", "47.681249531",
-                "--alpha", "0", "--out", str(tmp_path / "o")]
+        # (its exact margin is +1.0e-6 dB)
+        pytest.param("", ["--theta", "47.681249531", "--alpha", "0"], [
+            "theta=47.681249531 achieved=47.68 dB margin=+0.0000 dB ok",
+        ], id="top"),
+    ])
+    def test_revalidate_prints_the_pinned_lines(self, tmp_path, capsys,
+                                                config, flags, lines):
+        # digit for digit, so a change to revalidation's transform or band
+        # sums that moves a printed digit fails here
+        path = tmp_path / "exp.yaml"
+        path.write_text(config)
+        argv = ["guards", "--config", str(path), "--revalidate", *flags,
+                "--out", str(tmp_path / "o")]
         assert _run(argv) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 1 and lines[0].endswith(" dB ok"), lines
+        assert capsys.readouterr().out.splitlines() == lines
 
     def test_revalidate_exit_status_follows_printed_status(
         self, tmp_path, capsys, monkeypatch
@@ -1020,6 +1074,24 @@ def test_lookup_cache_with_an_entry_off_its_taper_exits_1(
     capsys.readouterr()
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {lookup}: theta=30: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["lookup-build", "schedule"])
+def test_lookup_cache_with_a_theta_off_its_list_exits_1(tmp_path, capsys, command):
+    # a copy of the last row relabelled to a theta the fingerprinted list
+    # lacks: schedule would otherwise charge a user the copy's guards at a
+    # threshold no build searched
+    out = tmp_path / "o"
+    argv = [command, "--theta", THETA, "--alpha", ALPHA, "--out", str(out)]
+    assert main(argv) == 0
+    (lookup,) = out.glob("lookup_*.csv")
+    lines = lookup.read_text().splitlines()
+    assert lines[-1].startswith("30,")
+    lines.append("50," + lines[-1].split(",", 1)[1])
+    lookup.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {lookup}: theta=50: not in theta_list\n"
 
 
 @pytest.mark.parametrize("command", ["lookup-build", "schedule"])

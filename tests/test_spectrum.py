@@ -108,6 +108,12 @@ def _revalidation_size(cfg: NumerologyConfig) -> int:
     return REVALIDATE_STEP * cfg.oversampled(OVERSAMPLE).n_fft
 
 
+def _revalidation_power(pulse, size) -> np.ndarray:
+    """Revalidation's pulse power spectrum P at bins 0 .. size // 2: the
+    middle of spectrum._pulse_power's E, without its mirrored margins."""
+    return spectrum._pulse_power(pulse, size, 0)[REVALIDATE_STEP:]
+
+
 def _revalidation_psds(alpha, cfg) -> tuple:
     """The reference PSD on revalidation's fine grid and on its every-other-bin
     coarse grid. Bin 2i of the fine grid is bin i of the half-size grid, float
@@ -115,10 +121,10 @@ def _revalidation_psds(alpha, cfg) -> tuple:
     bins per subcarrier, so the coarse PSD is the fine one at the even bins,
     from the same P: a half-size FFT's own rounding differs by up to about
     2e-10 relative at the deepest sidelobes. P is revalidation's own
-    (spectrum._pulse_power, tested against numpy's rfft to 16 eps max P):
+    (spectrum._pulse_power, tested against numpy's FFT to 16 eps max P):
     readings deeper than 100 dB approach the float64 floor of the in-band
     density, where an rfft's P moves them by up to about 1e-8 dB."""
-    fine = _rolled_comb_psd(alpha, cfg, _revalidation_size(cfg), spectrum._pulse_power)
+    fine = _rolled_comb_psd(alpha, cfg, _revalidation_size(cfg), _revalidation_power)
     return fine, PsdEstimate(fine.freqs[::2], fine.power[::2], fine.band_edge_hz)
 
 
@@ -705,16 +711,21 @@ def test_grid_suppression_matches_full_grid_psd(numerology, alpha, shares, align
 
 def _check_pulse_power(alpha, numerology):
     """The pulse is shorter than three oversampled symbols, so it fits in
-    _pulse_power's FFTs of 4 n_fft points, and its P at the fine grid's size
-    is numpy's zero-padded |rfft|^2, elementwise within 16 eps of the
-    largest P (4.4 eps measured at worst on _GRID_CASES)."""
+    _pulse_power's FFTs of 4 n_fft points, and its E at the fine grid's size
+    is numpy's zero-padded |fft|^2 at every bin E holds, the mirrored margin
+    below bin 0 and the one past Nyquist read at their wrapped bins,
+    elementwise within 16 eps of the largest P (4.4 eps measured at worst on
+    _GRID_CASES); the margin past Nyquist is the h + 2 subcarriers that
+    grid_suppression_db asks for."""
     ocfg, ramp = spectrum._oversampled(alpha, numerology)
     pulse = pulse_weights(ocfg, ramp)
     assert pulse.size < 3 * ocfg.n_fft
     size = _revalidation_size(numerology)
-    ref = _rfft_power(pulse, size)
-    np.testing.assert_allclose(spectrum._pulse_power(pulse, size), ref, rtol=0,
-                               atol=16 * np.finfo(float).eps * ref.max())
+    tail = (ocfg.n_occupied - ocfg.n_occupied // 2 + 2) * REVALIDATE_STEP
+    ref = np.abs(np.fft.fft(pulse, size)) ** 2
+    bins = np.arange(-REVALIDATE_STEP, size // 2 + tail + 1)
+    np.testing.assert_allclose(spectrum._pulse_power(pulse, size, tail), ref[bins % size],
+                               rtol=0, atol=16 * np.finfo(float).eps * ref.max())
 
 
 @pytest.mark.parametrize("numerology, alpha", _GRID_CASES)
@@ -756,9 +767,10 @@ def test_pulse_fits_the_short_ffts(case):
 def _gathered_comb_power(power, size, band, shifts, counts) -> float:
     """The band sum by index gather, as one (shifts x bins) index array:
     sum_o counts[o] sum_i w[i] P[lo + i - shifts[o]], band = (lo, w) on the
-    size-bin grid, P in rfft order (bin i at |i % size - size // 2|)."""
+    size-bin grid, lo counted from DC, P in rfft order (bin i at
+    |(i + size // 2) % size - size // 2|)."""
     lo, w = band
-    at = lo + np.arange(w.size) - shifts[:, None]
+    at = lo + np.arange(w.size) - shifts[:, None] + size // 2
     terms = power[np.abs(at % size - size // 2)] @ w
     return float((counts * terms).sum())
 
@@ -772,47 +784,58 @@ def _gathered_comb_power(power, size, band, shifts, counts) -> float:
 @example(case=(0.0, ODD_CFG), coarse=True, share=0.0, seed=2)
 def test_comb_power_matches_index_gather(case, coarse, share, seed):
     # the slice-based band sum against the index gather, within 1e-12
-    # relative, on a pulse's P on either grid: the occupied band, whose run
-    # of P folds at bin 0, at offsets 0 .. 2 h with random pair counts; and a
-    # victim slot at a share of the search's largest guard (share 1: the slot
-    # ends at +Nyquist) over the occupied subcarriers, whose DC gap is
-    # asymmetric on odd n_occupied, taken as a run -h .. h with zero counts
+    # relative, on a pulse's E on either grid: the occupied band at offsets
+    # 0 .. 2 h with random pair counts, read as slot 0 shifted d subcarriers
+    # up, which starts in E's margin below bin 0, against the gather shifting
+    # it d down (slot 0 and E are even); and a victim slot over the occupied
+    # subcarriers, whose DC gap is asymmetric on odd n_occupied, taken as a
+    # run -h .. h with zero counts, at a share of the search's largest guard
+    # (share 1: the slot ends at +Nyquist) and starting just below +Nyquist,
+    # the last slot a grid reads, whose read runs h + 2 subcarriers into E's
+    # margin past it
     alpha, numerology = case
     ocfg, ramp = spectrum._oversampled(alpha, numerology)
     fine = _revalidation_size(numerology)
-    power = spectrum._pulse_power(pulse_weights(ocfg, ramp), fine)[::1 + coarse]
+    h = ocfg.n_occupied - ocfg.n_occupied // 2
+    power = spectrum._pulse_power(pulse_weights(ocfg, ramp), fine,
+                                  (h + 2) * REVALIDATE_STEP)[::1 + coarse]
     size = fine // (1 + coarse)
     step = size // ocfg.n_fft
+    half = power[step:step + size // 2 + 1]  # P, bins 0 .. size // 2
     rate, s, edge = ocfg.sample_rate, numerology.subcarrier_spacing, band_edge_hz(ocfg)
-    h = ocfg.n_occupied - ocfg.n_occupied // 2
     counts = np.random.default_rng(seed).integers(0, 2 * h + 2, 2 * h + 1).astype(float)
     slot0 = spectrum._grid_band(size, rate, -s / 2, s / 2)
-    got = spectrum._comb_power(power, slot0, 0, counts, step)
-    ref = _gathered_comb_power(power, size, slot0, np.arange(2 * h + 1) * step, counts)
+    got = spectrum._comb_power(power, slot0, -2 * h * step, counts[::-1], step)
+    ref = _gathered_comb_power(half, size, slot0, np.arange(2 * h + 1) * step, counts)
     assert got == pytest.approx(ref, rel=1e-12, abs=0)
     guard = share * (OVERSAMPLE * numerology.sample_rate / 2 - band_edge_hz(numerology) - s)
-    victim = spectrum._grid_band(size, rate, edge + guard, edge + guard + s)
+    nyquist = size // 2 * (1.0 / (size * (1.0 / rate)))  # as _grid_band bounds it
     bins = occupied_bins(ocfg)
     comb = np.zeros(2 * h + 1)
     comb[(bins + h) % ocfg.n_fft] = 1.0  # subcarrier k at h + k, |k| <= h
-    got = spectrum._comb_power(power, victim, -h * step, comb, step)
-    ref = _gathered_comb_power(power, size, victim, bins * step, 1.0)
-    assert got == pytest.approx(ref, rel=1e-12, abs=0)
+    for f_lo in (edge + guard, np.nextafter(nyquist, 0.0)):
+        victim = spectrum._grid_band(size, rate, f_lo, f_lo + s)
+        got = spectrum._comb_power(power, victim, -h * step, comb, step)
+        ref = _gathered_comb_power(half, size, victim, bins * step, 1.0)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0), f_lo
 
 
 def _wrapped(psd: PsdEstimate) -> PsdEstimate:
-    """psd with its -Nyquist bin appended at +Nyquist, one period on."""
-    return PsdEstimate(np.append(psd.freqs, -psd.freqs[0]),
-                       np.append(psd.power, psd.power[0]), psd.band_edge_hz)
+    """psd with its lowest bins, one subcarrier's and two more, appended past
+    its top bin, one period on."""
+    bins, span = REVALIDATE_STEP + 2, -2 * psd.freqs[0]
+    return PsdEstimate(np.append(psd.freqs, psd.freqs[:bins] + span),
+                       np.append(psd.power, psd.power[:bins]), psd.band_edge_hz)
 
 
 @pytest.mark.parametrize("numerology", [NumerologyConfig(), ODD_CFG],
                          ids=["default", "odd"])
 def test_grid_suppression_victim_past_grid(numerology):
     # both grids span [-Nyquist, +Nyquist), the coarse one ending two fine bins
-    # short of +Nyquist: a victim slot ending at +Nyquist reads each grid's
-    # -Nyquist bin there, one period on, and a slot starting at +Nyquist
-    # raises the error suppression_db gives past a grid
+    # short of +Nyquist: a victim slot ending at +Nyquist, or starting just
+    # below it (the last slot a grid reads, whose comb read runs furthest
+    # past it), reads each grid's lowest bins there, one period on, and a slot
+    # starting at +Nyquist raises the error suppression_db gives past a grid
     fine, coarse = _revalidation_psds(0.05, numerology)
     s, edge = numerology.subcarrier_spacing, coarse.band_edge_hz
     nyquist = -coarse.freqs[0]
@@ -823,12 +846,15 @@ def test_grid_suppression_victim_past_grid(numerology):
     top = nyquist - edge - s
     while edge + top + s > nyquist:  # rounded past +Nyquist
         top = np.nextafter(top, 0.0)
-    got = grid_suppression_db(numerology, [(0.05, top)])[0]
-    ref = tuple(suppression_db(_wrapped(psd), top, s) for psd in (fine, coarse))
-    assert got == pytest.approx(ref, abs=1e-9)
     past = nyquist - edge
     while edge + past < nyquist:  # rounded below +Nyquist
         past = np.nextafter(past, np.inf)
+    last = np.nextafter(past, 0.0)
+    assert edge + last < nyquist
+    got = grid_suppression_db(numerology, [(0.05, top), (0.05, last)])
+    for g, pair in zip((top, last), got):
+        ref = tuple(suppression_db(_wrapped(psd), g, s) for psd in (fine, coarse))
+        assert pair == pytest.approx(ref, abs=1e-9), g
     with pytest.raises(ValueError, match="exceeds PSD grid coverage") as oracle:
         suppression_db(coarse, past, s)
     with pytest.raises(ValueError) as band_only:
@@ -951,13 +977,13 @@ def _default_table(cfg):
 
 
 def test_revalidate_peaks_under_2_1_mb(cfg):
-    # 1.68 MB measured (numpy 2.4), 1.81 MB in a process that has not yet
-    # imported numpy.fft's modules: building one alpha's P, its 1.05 MB
-    # output beside one 16,384-point FFT's output (0.26 MB), the power buffer
-    # (0.13 MB), and the twiddled row and the twiddle (78 kB each). The band
-    # sums read P through slices, so they peak lower (1.58 MB), at P beside
-    # one contiguous run of it (0.31 MB on the fine grid). The bound leaves
-    # 0.29 MB of margin over the higher reading.
+    # 1.84 MB measured (numpy 2.4), 1.97 MB in a process that has not yet
+    # imported numpy.fft's modules: building one alpha's E, its 1.20 MB
+    # output (P, 1.05 MB, and its mirrored margins) beside one 16,384-point
+    # FFT's output (0.26 MB), the power buffer (0.13 MB), and the twiddled row
+    # and the twiddle (78 kB each). The band sums read E through views, so
+    # they peak lower, at E and 17 kB. The bound leaves 0.13 MB of margin
+    # over the higher reading.
     table = _default_table(cfg)
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
@@ -1011,7 +1037,7 @@ def test_grid_band_is_trapezoid_on_the_full_grid(size, rate, data):
     if freqs[0] <= f_lo < extended[size]:
         lo, w = spectrum._trapezoid(extended, f_lo, f_hi)
         got_lo, got_w = spectrum._grid_band(size, rate, f_lo, f_hi)
-        assert got_lo == lo
+        assert got_lo == lo - size // 2  # counted from DC
         assert got_w.tobytes() == w.tobytes()
     else:
         with pytest.raises(ValueError, match="exceeds PSD grid coverage") as oracle:
